@@ -39,15 +39,18 @@ for op in standard_pipeline_script(l1, l2):
 print(f"N={n}, K={k}, eps*={eps:.4f}: l1={l1}, l2={l2}, queries={dense.queries}")
 print(f"worst amplitude difference across every prefix of the run: {worst:.2e}")
 
-# The reduced backend keeps going where dense arrays cannot exist.
+# The reduced backend keeps going where dense arrays cannot exist.  The miss
+# probability is summed directly over the non-target blocks: at large N,
+# 1 - success would mostly measure rounding drift in the norm.
 for exponent in (20, 30, 40, 48):
     n_big = 2**exponent
-    report = run_partial_search(BlockConfig(n_big, k, n_big // 7), epsilon=eps)
-    shortfall = (1.0 - report.success_prob) * math.sqrt(n_big)
+    big_cfg = BlockConfig(n_big, k, n_big // 7)
+    report = run_partial_search(big_cfg, epsilon=eps)
+    miss = sum(p for block, p in enumerate(report.block_probs) if block != big_cfg.target_block)
     print(
         f"N=2^{exponent}: queries/sqrt(N) = {report.queries / math.sqrt(n_big):.4f}"
         f"  success = {report.success_prob:.12f}"
-        f"  (1 - success) * sqrt(N) = {max(0.0, shortfall):.2e}"
+        f"  miss * sqrt(N) = {miss * math.sqrt(n_big):.2e}"
     )
-print("\nThe shortfall never grows under the sqrt(N) scaling: the miss")
-print("probability shrinks at least as fast as 1/sqrt(N).")
+print("\nmiss * sqrt(N) never grows: the miss probability shrinks at least")
+print("as fast as 1/sqrt(N).")

@@ -31,6 +31,7 @@ import numpy as np
 _CLAMP = 1e-12
 
 _GRID_STEP = 1e-4
+_MIN_GRID_POINTS = 65
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -103,10 +104,11 @@ def cost_coefficient(epsilon: float, k: int) -> CostBreakdown:
         raise ValueError(f"epsilon={epsilon} outside [0, 1]")
     if k < 2:
         raise ValueError(f"partial search needs K >= 2, got K={k}")
-    return _breakdown_for_theta(theta_of_epsilon(epsilon), k, epsilon)
+    return breakdown_for_theta(theta_of_epsilon(epsilon), k, epsilon)
 
 
-def _breakdown_for_theta(theta: float, k: int, epsilon: float) -> CostBreakdown:
+def breakdown_for_theta(theta: float, k: int, epsilon: float) -> CostBreakdown:
+    """Breakdown with an explicitly supplied theta (exact-angle studies)."""
     alpha = alpha_target(theta, k)
     try:
         t1 = theta1(theta, k)
@@ -115,11 +117,6 @@ def _breakdown_for_theta(theta: float, k: int, epsilon: float) -> CostBreakdown:
         return CostBreakdown(epsilon, theta, alpha, None, None, None, feasible=False)
     coeff = (math.pi / 4.0) * (1.0 - epsilon) + (t1 + t2) / (2.0 * math.sqrt(k))
     return CostBreakdown(epsilon, theta, alpha, t1, t2, coeff, feasible=True)
-
-
-def breakdown_for_theta(theta: float, k: int, epsilon: float) -> CostBreakdown:
-    """Breakdown with an explicitly supplied theta (exact-angle studies)."""
-    return _breakdown_for_theta(theta, k, epsilon)
 
 
 def feasible_epsilon_interval(k: int) -> tuple[float, float]:
@@ -157,7 +154,9 @@ def optimize_epsilon(k: int, tol: float = 1e-9) -> tuple[float, float]:
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     lo, hi = feasible_epsilon_interval(k)
-    n_pts = int(round((hi - lo) / _GRID_STEP)) + 1
+    # At huge K the feasible interval is narrower than one grid step; the
+    # floor keeps the scan from collapsing onto the single point eps=0.
+    n_pts = max(int(round((hi - lo) / _GRID_STEP)) + 1, _MIN_GRID_POINTS)
     grid = np.linspace(lo, hi, n_pts)
     values = _coefficient_grid(grid, k)
     best = int(np.nanargmin(values))

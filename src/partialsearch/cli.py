@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__, analysis, classical, partial_search, statevector, zalka
 from .analysis import InfeasibleEpsilonError
+from .reduced import OperatorTag
 from .statevector import BlockConfig, InvalidInstanceError
 
 _TOOL = "partialsearch"
@@ -29,9 +30,6 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if not exc.code else 1
-    saved_cap = statevector.DENSE_CAP
-    if args.dense_cap is not None:
-        statevector.DENSE_CAP = args.dense_cap
     try:
         payload = _dispatch(args)
     except (InvalidInstanceError, InfeasibleEpsilonError, ValueError) as exc:
@@ -40,8 +38,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - anything else is an internal failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    finally:
-        statevector.DENSE_CAP = saved_cap
     meta = {
         "tool": _TOOL,
         "version": __version__,
@@ -71,7 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--output", default=None, help="write the report here instead of stdout")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--dense-cap", type=int, default=None, help="override the dense backend size cap")
+    common.add_argument(
+        "--dense-cap", type=int, default=statevector.DENSE_CAP, help="override the dense backend size cap"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[common], help="run the three-step pipeline")
@@ -153,7 +151,11 @@ def _run_report_payload(report: partial_search.RunReport) -> dict:
 def _cmd_simulate(args: argparse.Namespace) -> dict:
     cfg = BlockConfig(args.n, args.k, _pick_target(args, args.n))
     report = partial_search.run_partial_search(
-        cfg, epsilon=args.epsilon, backend=args.backend, exact_theta=args.exact_theta
+        cfg,
+        epsilon=args.epsilon,
+        backend=args.backend,
+        exact_theta=args.exact_theta,
+        dense_cap=args.dense_cap,
     )
     payload = _run_report_payload(report)
     payload["rows"] = _block_rows(payload)
@@ -163,7 +165,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
 def _cmd_grover(args: argparse.Namespace) -> dict:
     steps = args.steps if args.steps is not None else round((math.pi / 4.0) * math.sqrt(args.n))
     cfg = BlockConfig(args.n, args.k, _pick_target(args, args.n))
-    report = partial_search.run_full_grover(cfg, steps, backend=args.backend)
+    report = partial_search.run_full_grover(cfg, steps, backend=args.backend, dense_cap=args.dense_cap)
     payload = _run_report_payload(report)
     payload["rows"] = _block_rows(payload)
     return payload
@@ -288,11 +290,10 @@ def _demo_step2_histogram(args: argparse.Namespace) -> dict:
         epsilon, _ = analysis.optimize_epsilon(args.k)
     l1, l2, _ = partial_search.iteration_counts(args.n, args.k, epsilon)
     state = partial_search.apply_script(
-        statevector.uniform_state(args.n), partial_search.grover_script(l1), cfg
+        statevector.uniform_state(args.n, cap=args.dense_cap), partial_search.grover_script(l1), cfg
     )
     rows = _amplitude_rows("after_step1", state, cfg)
-    for _ in range(l2):
-        state = statevector.block_diffusion(statevector.invert_target(state, cfg), cfg)
+    state = partial_search.apply_script(state, (OperatorTag.ORACLE, OperatorTag.BLOCK_DIFFUSION) * l2, cfg)
     rows += _amplitude_rows("after_step2", state, cfg)
     return {"n": args.n, "k": args.k, "epsilon": epsilon, "l1": l1, "l2": l2, "rows": rows}
 

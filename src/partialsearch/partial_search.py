@@ -9,8 +9,9 @@ blocks; it costs one final query, so a standard run makes l1 + l2 + 1
 queries in total.
 
 Pipelines are expressed as scripts (sequences of operator tags) that run
-on either backend; `run_partial_search`, `run_full_grover` and
-`run_script` return uniform measurement reports.
+on either backend through one runner, `iter_script`, which every run here
+and in `zalka` uses.  Its ``identity_queries`` turns the first oracle calls
+into counted identities for the hybrid-oracle lower-bound runs.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import analysis, statevector
 from .analysis import CostBreakdown
 from .reduced import OperatorTag, ReducedState, reduced_apply, reduced_init
-from .statevector import BlockConfig, DenseState, InvalidInstanceError
+from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError
 
 Script = Sequence[OperatorTag]
 
@@ -109,16 +110,23 @@ def iteration_counts(
     return l1, l2, breakdown
 
 
-def apply_operator(state, op: OperatorTag, cfg: BlockConfig | None = None):
-    """Apply one tagged operator to a dense or reduced state."""
+def apply_operator(state, op: OperatorTag, cfg: BlockConfig | None = None, identity_oracle: bool = False):
+    """Apply one tagged operator to a dense or reduced state.
+
+    With ``identity_oracle`` an oracle call (ORACLE, or STEP3's move-out)
+    counts its query but leaves the amplitudes alone; diffusions ignore the
+    flag.  Only dense states support it.
+    """
     if isinstance(state, ReducedState):
         if cfg is not None and cfg != state.cfg:
             raise InvalidInstanceError("config does not match the reduced state")
+        if identity_oracle:
+            raise ValueError("identity oracle calls need a dense state")
         return reduced_apply(state, op)
     if cfg is None:
         raise ValueError("dense states need an explicit config")
     if op is OperatorTag.ORACLE:
-        return statevector.invert_target(state, cfg)
+        return statevector.invert_target(state, cfg, identity_oracle=identity_oracle)
     if op is OperatorTag.GLOBAL_DIFFUSION:
         return statevector.global_diffusion(state)
     if op is OperatorTag.BLOCK_DIFFUSION:
@@ -126,26 +134,37 @@ def apply_operator(state, op: OperatorTag, cfg: BlockConfig | None = None):
     if op is OperatorTag.STEP3:
         if not state.has_ancilla:
             state = statevector.attach_ancilla(state)
-        return statevector.step3_transfer(state, cfg)
+        return statevector.step3_transfer(state, cfg, identity_oracle=identity_oracle)
     raise ValueError(f"unknown operator {op!r}")
 
 
-def apply_script(state, script: Script, cfg: BlockConfig | None = None):
+def iter_script(state, script: Script, cfg: BlockConfig | None = None, identity_queries: int = 0):
+    """Yield the state after each operator of the script, in order.
+
+    The first ``identity_queries`` oracle calls act as the identity (see
+    `apply_operator`): those made while the state's query count is below
+    its starting count plus identity_queries.  Any value >= the script's
+    query count, such as len(script), gives the oracle-free run.
+    """
+    script = tuple(script)  # validation must not exhaust a one-shot iterator
     validate_script(script)
+    identity_until = state.queries + identity_queries
     for op in script:
-        state = apply_operator(state, op, cfg)
+        state = apply_operator(state, op, cfg, state.queries < identity_until)
+        yield state
+
+
+def apply_script(state, script: Script, cfg: BlockConfig | None = None, identity_queries: int = 0):
+    """The state after the whole script (the input state for an empty one)."""
+    for state in iter_script(state, script, cfg, identity_queries):
+        pass
     return state
 
 
 def script_stages(cfg: BlockConfig, script: Script, backend: str = "dense") -> list:
     """Initial state plus the state after each operator, in order."""
-    validate_script(script)
     state = _initial_state(cfg, backend)
-    stages = [state]
-    for op in script:
-        state = apply_operator(state, op, cfg)
-        stages.append(state)
-    return stages
+    return [state, *iter_script(state, script, cfg)]
 
 
 def run_partial_search(
@@ -153,6 +172,7 @@ def run_partial_search(
     epsilon: float | None = None,
     backend: str = "reduced",
     exact_theta: bool = False,
+    dense_cap: int = DENSE_CAP,
 ) -> RunReport:
     """Run the full three-step pipeline and measure.
 
@@ -164,13 +184,15 @@ def run_partial_search(
         epsilon, _ = analysis.optimize_epsilon(cfg.n_blocks)
     l1, l2, breakdown = iteration_counts(cfg.n_addresses, cfg.n_blocks, epsilon, exact_theta)
     script = standard_pipeline_script(l1, l2)
-    state = apply_script(_initial_state(cfg, backend), script, cfg)
+    state = apply_script(_initial_state(cfg, backend, dense_cap), script, cfg)
     return _report(state, cfg, backend, epsilon=epsilon, l1=l1, l2=l2)
 
 
-def run_full_grover(cfg: BlockConfig, steps: int, backend: str = "reduced") -> RunReport:
+def run_full_grover(
+    cfg: BlockConfig, steps: int, backend: str = "reduced", dense_cap: int = DENSE_CAP
+) -> RunReport:
     """Plain amplitude amplification for a given number of steps."""
-    state = apply_script(_initial_state(cfg, backend), grover_script(steps), cfg)
+    state = apply_script(_initial_state(cfg, backend, dense_cap), grover_script(steps), cfg)
     return _report(state, cfg, backend, l1=steps, l2=0)
 
 
@@ -179,9 +201,9 @@ def run_script(cfg: BlockConfig, script: Script, backend: str = "dense") -> RunR
     return _report(state, cfg, backend)
 
 
-def _initial_state(cfg: BlockConfig, backend: str):
+def _initial_state(cfg: BlockConfig, backend: str, dense_cap: int = DENSE_CAP):
     if backend == "dense":
-        return statevector.uniform_state(cfg.n_addresses)
+        return statevector.uniform_state(cfg.n_addresses, cap=dense_cap)
     if backend == "reduced":
         return reduced_init(cfg)
     raise ValueError(f"unknown backend {backend!r}; expected 'dense' or 'reduced'")

@@ -117,11 +117,11 @@ class DenseState:
         return p
 
 
-def uniform_state(n_addresses: int, with_ancilla: bool = False) -> DenseState:
-    """Equal superposition of all addresses (ancilla branch 1 empty)."""
+def uniform_state(n_addresses: int, with_ancilla: bool = False, cap: int = DENSE_CAP) -> DenseState:
+    """Equal superposition of all addresses (ancilla branch 1 empty); refuses N > cap."""
     if n_addresses < 2:
         raise InvalidInstanceError(f"need at least 2 addresses, got N={n_addresses}")
-    _check_dense_cap(n_addresses)
+    _check_dense_cap(n_addresses, cap)
     if with_ancilla:
         amp = np.zeros(2 * n_addresses, dtype=complex)
         amp[0::2] = 1.0 / math.sqrt(n_addresses)
@@ -206,10 +206,10 @@ def block_probabilities(state: DenseState, cfg: BlockConfig) -> np.ndarray:
     return per_address.reshape(cfg.n_blocks, cfg.block_size).sum(axis=1)
 
 
-def _check_dense_cap(n_addresses: int) -> None:
-    if n_addresses > DENSE_CAP:
+def _check_dense_cap(n_addresses: int, cap: int = DENSE_CAP) -> None:
+    if n_addresses > cap:
         raise InvalidInstanceError(
-            f"N={n_addresses} exceeds the dense backend cap {DENSE_CAP}; "
+            f"N={n_addresses} exceeds the dense backend cap {cap}; "
             "use the reduced backend for large N"
         )
 

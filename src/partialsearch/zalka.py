@@ -2,8 +2,9 @@
 
 The bound follows Zalka's hybrid style of argument: compare a run of the
 algorithm against runs where the first few oracle calls are replaced by
-the identity.  Three facts carry the proof, and each has an exact or
-sampled check here:
+the identity: `partial_search.apply_script` on the dense backend with
+``identity_queries`` set to the prefix length.  Three facts carry the
+proof, and each has an exact or sampled check here:
 
   * swapping one oracle call changes the final state by an angle of at
     most 2 arcsin sqrt(p), p the probability that the skipped query would
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statevector
-from .partial_search import Script, validate_script
+from .partial_search import Script, apply_script, iter_script
 from .reduced import OperatorTag
 from .statevector import BlockConfig, DenseState
 
@@ -96,43 +97,19 @@ class HybridTrajectory:
 
 def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) -> HybridTrajectory:
     """Build all T+1 hybrid runs of a script on the dense backend."""
-    validate_script(script)
     script = tuple(script)
     cfg = BlockConfig(n, n_blocks, target)
-    n_queries = sum(op in (OperatorTag.ORACLE, OperatorTag.STEP3) for op in script)
-    final, probs = _run_hybrid(cfg, script, identity_prefix=n_queries, record_probs=True)
-    states = [final]
-    for i in range(1, n_queries + 1):
-        final, _ = _run_hybrid(cfg, script, identity_prefix=n_queries - i)
-        states.append(final)
+    start = state = statevector.uniform_state(n)
+    probs = []
+    for after in iter_script(start, script, cfg, identity_queries=len(script)):
+        if after.queries > state.queries:
+            probs.append(float(state.address_probabilities()[target]))
+        state = after
+    n_queries = state.queries
+    states = [state] + [
+        apply_script(start, script, cfg, identity_queries=n_queries - i) for i in range(1, n_queries + 1)
+    ]
     return HybridTrajectory(n, target, script, tuple(states), tuple(probs))
-
-
-def _run_hybrid(
-    cfg: BlockConfig, script: tuple[OperatorTag, ...], identity_prefix: int, record_probs: bool = False
-) -> tuple[DenseState, list[float]]:
-    state = statevector.uniform_state(cfg.n_addresses)
-    probs: list[float] = []
-    query_index = 0
-    for op in script:
-        if op is OperatorTag.ORACLE or op is OperatorTag.STEP3:
-            if record_probs:
-                probs.append(float(state.address_probabilities()[cfg.target]))
-            use_identity = query_index < identity_prefix
-            query_index += 1
-            if op is OperatorTag.ORACLE:
-                state = statevector.invert_target(state, cfg, identity_oracle=use_identity)
-            else:
-                if not state.has_ancilla:
-                    state = statevector.attach_ancilla(state)
-                state = statevector.step3_transfer(state, cfg, identity_oracle=use_identity)
-        elif op is OperatorTag.GLOBAL_DIFFUSION:
-            state = statevector.global_diffusion(state)
-        elif op is OperatorTag.BLOCK_DIFFUSION:
-            state = statevector.block_diffusion(state, cfg)
-        else:
-            raise ValueError(f"unknown operator {op!r}")
-    return state, probs
 
 
 def hybrid_step_margins(traj: HybridTrajectory) -> np.ndarray:
@@ -158,14 +135,12 @@ def total_angle_sum(n: int, script: Script, n_blocks: int = 1) -> tuple[float, f
     so this is a diagnostic ratio rather than a pass/fail check; a
     zero-query script gives sum 0.
     """
-    validate_script(script)
     script = tuple(script)
-    cfg0 = BlockConfig(n, n_blocks, 0)
-    n_queries = sum(op in (OperatorTag.ORACLE, OperatorTag.STEP3) for op in script)
-    oracle_free, _ = _run_hybrid(cfg0, script, identity_prefix=n_queries)
+    uniform = statevector.uniform_state(n)
+    oracle_free = apply_script(uniform, script, BlockConfig(n, n_blocks, 0), identity_queries=len(script))
     total = 0.0
     for y in range(n):
-        real, _ = _run_hybrid(BlockConfig(n, n_blocks, y), script, identity_prefix=0)
+        real = apply_script(uniform, script, BlockConfig(n, n_blocks, y))
         total += angle_distance(oracle_free, real)
     return total, (math.pi / 2.0) * n
 

@@ -182,6 +182,12 @@ class TestBounds:
         _, coeff = optimize_epsilon(k)
         assert coeff <= large_k_guarantee(k) + 0.005
 
+    @pytest.mark.parametrize("k", [3] + [2**e for e in range(2, 53)] + [10**9])
+    def test_optimum_between_lower_bound_and_guarantee(self, k):
+        # Above K ~ 6.5e8 the feasible interval is narrower than one grid step.
+        _, coeff = optimize_epsilon(k)
+        assert lower_bound_coefficient(k) <= coeff <= large_k_guarantee(k)
+
     def test_naive_values(self):
         assert naive_quantum_coefficient(2) == pytest.approx(PI / (4 * math.sqrt(2)), abs=1e-12)
         assert naive_quantum_coefficient(4) == pytest.approx(0.680, abs=1e-3)

@@ -54,6 +54,20 @@ class TestExitCodes:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("simulate", "--backend", "dense", "--n", "256"),
+            ("grover", "--backend", "dense", "--n", "256"),
+            ("demo", "--which", "step2-histogram", "--n", "64"),
+        ],
+    )
+    def test_dense_cap_lowered_refuses(self, capsys, args):
+        cap = str(int(args[-1]) // 2)
+        code, _, err = run_cli(capsys, *args, "--dense-cap", cap)
+        assert code == 1
+        assert f"cap {cap}" in err
+
     def test_internal_failure_maps_to_2(self, capsys, monkeypatch):
         import partialsearch.cli as cli_mod
 

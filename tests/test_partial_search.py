@@ -9,14 +9,21 @@ from partialsearch import (
     InfeasibleEpsilonError,
     InvalidInstanceError,
     OperatorTag,
+    apply_operator,
     apply_script,
+    attach_ancilla,
+    block_diffusion,
+    global_diffusion,
     grover_script,
+    invert_target,
     iteration_counts,
     optimize_epsilon,
+    reduced_init,
     run_full_grover,
     run_partial_search,
     run_script,
     script_stages,
+    step3_transfer,
     uniform_state,
 )
 from partialsearch.partial_search import standard_pipeline_script, validate_script
@@ -153,6 +160,13 @@ class TestRunScript:
         assert np.array_equal(state.amplitudes, uniform_state(16).amplitudes)
         assert state.queries == 2
 
+    def test_iterator_script_runs_every_operator(self):
+        cfg = BlockConfig(16, 4, 3)
+        ops = (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION)
+        state = apply_script(uniform_state(16), iter(ops), cfg)
+        assert np.array_equal(state.amplitudes, apply_script(uniform_state(16), ops, cfg).amplitudes)
+        assert state.queries == 1
+
     def test_step3_must_be_last(self):
         with pytest.raises(ValueError, match="last"):
             validate_script((OperatorTag.STEP3, OperatorTag.ORACLE))
@@ -173,6 +187,44 @@ class TestRunScript:
         report = run_script(BlockConfig(12, 3, 5), TWELVE_ITEM_SCRIPT, backend="reduced")
         assert report.success_prob == pytest.approx(1.0, abs=1e-12)
         assert report.queries == 2
+
+
+class TestIdentityQueries:
+    CFG = BlockConfig(64, 4, 21)
+    SCRIPT = standard_pipeline_script(3, 2)  # 6 queries, the last one STEP3
+
+    def hand_run(self, identity_calls):
+        cfg, state, calls = self.CFG, uniform_state(64), 0
+        for op in self.SCRIPT:
+            if op is OperatorTag.ORACLE:
+                state = invert_target(state, cfg, identity_oracle=calls < identity_calls)
+                calls += 1
+            elif op is OperatorTag.GLOBAL_DIFFUSION:
+                state = global_diffusion(state)
+            elif op is OperatorTag.BLOCK_DIFFUSION:
+                state = block_diffusion(state, cfg)
+            else:
+                state = step3_transfer(attach_ancilla(state), cfg, identity_oracle=calls < identity_calls)
+        return state
+
+    def test_all_identity_gives_oracle_free_run(self):
+        state = apply_script(uniform_state(64), self.SCRIPT, self.CFG, identity_queries=6)
+        assert state.queries == 6
+        assert np.allclose(state.branch(0), uniform_state(64).amplitudes, atol=1e-12)
+        assert not state.branch(1).any()
+
+    @pytest.mark.parametrize("j", [0, 1, 3, 5, 6, 100])
+    def test_prefix_matches_hand_run(self, j):
+        state = apply_script(uniform_state(64), self.SCRIPT, self.CFG, identity_queries=j)
+        expected = self.hand_run(j)
+        assert np.array_equal(state.amplitudes, expected.amplitudes)
+        assert state.queries == expected.queries == 6
+
+    def test_reduced_state_refuses_identity_oracle(self):
+        with pytest.raises(ValueError, match="dense"):
+            apply_operator(reduced_init(self.CFG), OperatorTag.ORACLE, self.CFG, identity_oracle=True)
+        with pytest.raises(ValueError, match="dense"):
+            apply_script(reduced_init(self.CFG), self.SCRIPT, self.CFG, identity_queries=1)
 
 
 class TestSuccessEnvelope:
