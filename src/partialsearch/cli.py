@@ -67,12 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--output", default=None, help="write the report here instead of stdout")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument(
+    dense = argparse.ArgumentParser(add_help=False)
+    dense.add_argument(
         "--dense-cap", type=int, default=statevector.DENSE_CAP, help="override the dense backend size cap"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="run the three-step pipeline")
+    p = sub.add_parser("simulate", parents=[common, dense], help="run the three-step pipeline")
     p.add_argument("--n", type=int, default=2**16)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--epsilon", type=float, default=None, help="default: optimizer's choice")
@@ -80,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=None, help="default: drawn from the seed")
     p.add_argument("--exact-theta", action="store_true", help="use the exact post-step-1 angle")
 
-    p = sub.add_parser("grover", parents=[common], help="run plain amplitude amplification")
+    p = sub.add_parser("grover", parents=[common, dense], help="run plain amplitude amplification")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--steps", type=int, default=None, help="default: round((pi/4) sqrt(N))")
@@ -105,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--err", type=float, default=0.01)
     p.add_argument("--hidden-const", type=float, default=1.0)
 
-    p = sub.add_parser("demo", parents=[common], help="narrative walkthrough data")
+    p = sub.add_parser("demo", parents=[common, dense], help="narrative walkthrough data")
     p.add_argument("--which", choices=("twelve-items", "step2-histogram"), default="twelve-items")
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--k", type=int, default=4)
@@ -126,10 +127,14 @@ def _dispatch(args: argparse.Namespace) -> dict:
     }[args.command](args)
 
 
-def _pick_target(args: argparse.Namespace, n: int) -> int:
-    if args.target is not None:
-        return args.target
-    return int(np.random.default_rng(args.seed).integers(0, n))
+def _block_config(args: argparse.Namespace) -> BlockConfig:
+    """The instance given by --n, --k and --target; with no target, one drawn from the seed."""
+    target = args.target
+    if target is None:
+        if args.n < 2:
+            raise InvalidInstanceError(f"need at least 2 addresses, got N={args.n}")
+        target = int(np.random.default_rng(args.seed).integers(0, args.n))
+    return BlockConfig(args.n, args.k, target)
 
 
 def _run_report_payload(report: partial_search.RunReport) -> dict:
@@ -149,7 +154,7 @@ def _run_report_payload(report: partial_search.RunReport) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
-    cfg = BlockConfig(args.n, args.k, _pick_target(args, args.n))
+    cfg = _block_config(args)
     report = partial_search.run_partial_search(
         cfg,
         epsilon=args.epsilon,
@@ -164,7 +169,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
 
 def _cmd_grover(args: argparse.Namespace) -> dict:
     steps = args.steps if args.steps is not None else round((math.pi / 4.0) * math.sqrt(args.n))
-    cfg = BlockConfig(args.n, args.k, _pick_target(args, args.n))
+    cfg = _block_config(args)
     report = partial_search.run_full_grover(cfg, steps, backend=args.backend, dense_cap=args.dense_cap)
     payload = _run_report_payload(report)
     payload["rows"] = _block_rows(payload)
@@ -257,15 +262,7 @@ def _demo_twelve_items() -> dict:
     labels = ["start"] + [op.value for op in partial_search.TWELVE_ITEM_SCRIPT]
     rows = []
     for stage, (label, state) in enumerate(zip(labels, stages)):
-        for slot, amp in enumerate(state.amplitudes.real):
-            rows.append(
-                {
-                    "stage": f"{stage}:{label}",
-                    "block": cfg.block_of(slot),
-                    "slot": slot % cfg.block_size,
-                    "amplitude": float(amp),
-                }
-            )
+        rows += _amplitude_rows(f"{stage}:{label}", state, cfg)
     final = stages[-1]
     root12 = math.sqrt(12.0)
     expected = np.zeros(12)
@@ -284,7 +281,7 @@ def _demo_twelve_items() -> dict:
 
 def _demo_step2_histogram(args: argparse.Namespace) -> dict:
     """Amplitudes just before and just after the blockwise phase."""
-    cfg = BlockConfig(args.n, args.k, _pick_target(args, args.n))
+    cfg = _block_config(args)
     epsilon = args.epsilon
     if epsilon is None:
         epsilon, _ = analysis.optimize_epsilon(args.k)

@@ -10,8 +10,7 @@ queries in total.
 
 Pipelines are expressed as scripts (sequences of operator tags) that run
 on either backend through one runner, `iter_script`, which every run here
-and in `zalka` uses.  Its ``identity_queries`` turns the first oracle calls
-into counted identities for the hybrid-oracle lower-bound runs.
+and in `zalka` uses.
 """
 from __future__ import annotations
 
@@ -110,23 +109,16 @@ def iteration_counts(
     return l1, l2, breakdown
 
 
-def apply_operator(state, op: OperatorTag, cfg: BlockConfig | None = None, identity_oracle: bool = False):
-    """Apply one tagged operator to a dense or reduced state.
-
-    With ``identity_oracle`` an oracle call (ORACLE, or STEP3's move-out)
-    counts its query but leaves the amplitudes alone; diffusions ignore the
-    flag.  Only dense states support it.
-    """
+def apply_operator(state, op: OperatorTag, cfg: BlockConfig | None = None):
+    """Apply one tagged operator to a dense or reduced state."""
     if isinstance(state, ReducedState):
         if cfg is not None and cfg != state.cfg:
             raise InvalidInstanceError("config does not match the reduced state")
-        if identity_oracle:
-            raise ValueError("identity oracle calls need a dense state")
         return reduced_apply(state, op)
     if cfg is None:
         raise ValueError("dense states need an explicit config")
     if op is OperatorTag.ORACLE:
-        return statevector.invert_target(state, cfg, identity_oracle=identity_oracle)
+        return statevector.invert_target(state, cfg)
     if op is OperatorTag.GLOBAL_DIFFUSION:
         return statevector.global_diffusion(state)
     if op is OperatorTag.BLOCK_DIFFUSION:
@@ -134,29 +126,22 @@ def apply_operator(state, op: OperatorTag, cfg: BlockConfig | None = None, ident
     if op is OperatorTag.STEP3:
         if not state.has_ancilla:
             state = statevector.attach_ancilla(state)
-        return statevector.step3_transfer(state, cfg, identity_oracle=identity_oracle)
+        return statevector.step3_transfer(state, cfg)
     raise ValueError(f"unknown operator {op!r}")
 
 
-def iter_script(state, script: Script, cfg: BlockConfig | None = None, identity_queries: int = 0):
-    """Yield the state after each operator of the script, in order.
-
-    The first ``identity_queries`` oracle calls act as the identity (see
-    `apply_operator`): those made while the state's query count is below
-    its starting count plus identity_queries.  Any value >= the script's
-    query count, such as len(script), gives the oracle-free run.
-    """
+def iter_script(state, script: Script, cfg: BlockConfig | None = None):
+    """Yield the state after each operator of the script, in order."""
     script = tuple(script)  # validation must not exhaust a one-shot iterator
     validate_script(script)
-    identity_until = state.queries + identity_queries
     for op in script:
-        state = apply_operator(state, op, cfg, state.queries < identity_until)
+        state = apply_operator(state, op, cfg)
         yield state
 
 
-def apply_script(state, script: Script, cfg: BlockConfig | None = None, identity_queries: int = 0):
+def apply_script(state, script: Script, cfg: BlockConfig | None = None):
     """The state after the whole script (the input state for an empty one)."""
-    for state in iter_script(state, script, cfg, identity_queries):
+    for state in iter_script(state, script, cfg):
         pass
     return state
 

@@ -13,7 +13,7 @@ backing arrays are marked read-only.  Oracle calls (`invert_target`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,16 +139,9 @@ def attach_ancilla(state: DenseState) -> DenseState:
     return DenseState(amp, state.n_addresses, has_ancilla=True, queries=state.queries)
 
 
-def invert_target(state: DenseState, cfg: BlockConfig, identity_oracle: bool = False) -> DenseState:
-    """Oracle call: flip the sign of the target amplitude (both branches).
-
-    Counts one query.  With ``identity_oracle`` the query is still counted but
-    the state is untouched; hybrid-oracle lower-bound runs use this to replace
-    selected oracle calls by the identity.
-    """
+def invert_target(state: DenseState, cfg: BlockConfig) -> DenseState:
+    """Oracle call: flip the sign of the target amplitude (both branches); counts one query."""
     _check_shapes(state, cfg)
-    if identity_oracle:
-        return replace(state, queries=state.queries + 1)
     amp = state.amplitudes.copy()
     if state.has_ancilla:
         t = 2 * cfg.target
@@ -178,7 +171,7 @@ def block_diffusion(state: DenseState, cfg: BlockConfig) -> DenseState:
     return DenseState((2.0 * means - blocks).reshape(-1), state.n_addresses, False, state.queries)
 
 
-def step3_transfer(state: DenseState, cfg: BlockConfig, identity_oracle: bool = False) -> DenseState:
+def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
     """Move the target out to ancilla branch 1, then invert branch 0 about its mean.
 
     The move-out is one oracle query; the following inversion is controlled on
@@ -192,8 +185,7 @@ def step3_transfer(state: DenseState, cfg: BlockConfig, identity_oracle: bool = 
         raise ValueError("ancilla branch 1 must be empty before step 3")
     amp = state.amplitudes.copy()
     t = 2 * cfg.target
-    if not identity_oracle:
-        amp[t], amp[t + 1] = amp[t + 1], amp[t]
+    amp[t], amp[t + 1] = amp[t + 1], amp[t]
     branch0 = amp[0::2]
     amp[0::2] = 2.0 * branch0.mean() - branch0
     return DenseState(amp, state.n_addresses, True, state.queries + 1)

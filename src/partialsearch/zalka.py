@@ -2,9 +2,8 @@
 
 The bound follows Zalka's hybrid style of argument: compare a run of the
 algorithm against runs where the first few oracle calls are replaced by
-the identity: `partial_search.apply_script` on the dense backend with
-``identity_queries`` set to the prefix length.  Three facts carry the
-proof, and each has an exact or sampled check here:
+the identity.  Three facts carry the proof, and each has an exact or
+sampled check here:
 
   * swapping one oracle call changes the final state by an angle of at
     most 2 arcsin sqrt(p), p the probability that the skipped query would
@@ -26,14 +25,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import statevector
-from .partial_search import Script, apply_script, iter_script
+from .partial_search import Script, apply_script
 from .reduced import OperatorTag
 from .statevector import BlockConfig, DenseState
+
+_ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
 
 
 def angle_distance(v, w) -> float:
@@ -60,10 +61,12 @@ def zalka_error_bound(n: int, err: float, hidden_const: float = 1.0) -> float:
     outside that regime the value is still computed but tagged with a
     warning.
     """
-    if err < 0.0:
-        raise ValueError(f"error probability must be >= 0, got {err}")
-    if hidden_const <= 0.0:
-        raise ValueError(f"hidden_const must be positive, got {hidden_const}")
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
+    if not 0.0 <= err <= 1.0:
+        raise ValueError(f"error probability must be in [0, 1], got {err}")
+    if not 0.0 < hidden_const < math.inf:
+        raise ValueError(f"hidden_const must be positive and finite, got {hidden_const}")
     if n < 100 or err > 0.1:
         warnings.warn(
             f"outside the bound's stated regime (N >= 100, err <= 0.1): N={n}, err={err}",
@@ -81,7 +84,8 @@ class HybridTrajectory:
     the identity and the last i are real (T = total query count); so
     states[0] is the oracle-free run and states[T] the real run.
     ``probs[t]`` is the probability that the state of the oracle-free run
-    just before query t+1 puts on the marked address.
+    just before query t+1 puts on the marked address; that state is always
+    the uniform one, since diffusions fix it.
     """
 
     n_addresses: int
@@ -99,17 +103,25 @@ def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) ->
     """Build all T+1 hybrid runs of a script on the dense backend."""
     script = tuple(script)
     cfg = BlockConfig(n, n_blocks, target)
-    start = state = statevector.uniform_state(n)
-    probs = []
-    for after in iter_script(start, script, cfg, identity_queries=len(script)):
-        if after.queries > state.queries:
-            probs.append(float(state.address_probabilities()[target]))
-        state = after
-    n_queries = state.queries
-    states = [state] + [
-        apply_script(start, script, cfg, identity_queries=n_queries - i) for i in range(1, n_queries + 1)
-    ]
-    return HybridTrajectory(n, target, script, tuple(states), tuple(probs))
+    n_queries = sum(op in _ORACLE_CALLS for op in script)
+    states = tuple(_hybrid_run(script, cfg, n_queries - i) for i in range(n_queries + 1))
+    probs = (float(statevector.uniform_state(n).address_probabilities()[target]),) * n_queries
+    return HybridTrajectory(n, target, script, states, probs)
+
+
+def _hybrid_run(script: tuple[OperatorTag, ...], cfg: BlockConfig, identity_calls: int) -> DenseState:
+    """Final dense state when the first ``identity_calls`` oracle calls are the identity.
+
+    Diffusions fix the uniform state and an identity call does nothing, so
+    the run is the uniform state with those queries counted (plus the
+    ancilla if the last of them was STEP3), followed by the script after
+    that call.  Values beyond the script's query count give the oracle-free run.
+    """
+    skipped = [i for i, op in enumerate(script) if op in _ORACLE_CALLS][:identity_calls]
+    start = skipped[-1] + 1 if skipped else 0
+    ancilla = start > 0 and script[start - 1] is OperatorTag.STEP3
+    state = statevector.uniform_state(cfg.n_addresses, with_ancilla=ancilla)
+    return apply_script(replace(state, queries=len(skipped)), script[start:], cfg)
 
 
 def hybrid_step_margins(traj: HybridTrajectory) -> np.ndarray:
@@ -137,7 +149,7 @@ def total_angle_sum(n: int, script: Script, n_blocks: int = 1) -> tuple[float, f
     """
     script = tuple(script)
     uniform = statevector.uniform_state(n)
-    oracle_free = apply_script(uniform, script, BlockConfig(n, n_blocks, 0), identity_queries=len(script))
+    oracle_free = _hybrid_run(script, BlockConfig(n, n_blocks, 0), len(script))
     total = 0.0
     for y in range(n):
         real = apply_script(uniform, script, BlockConfig(n, n_blocks, y))

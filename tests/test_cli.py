@@ -68,6 +68,30 @@ class TestExitCodes:
         assert code == 1
         assert f"cap {cap}" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [("--n", "0"), ("--err", "nan"), ("--err", "1.5"), ("--hidden-const", "inf")],
+    )
+    def test_bad_bounds_input(self, capsys, args):
+        code, out, err = run_cli(capsys, "bounds", "--format", "json", *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "args",
+        [("simulate",), ("grover",), ("demo", "--which", "step2-histogram")],
+    )
+    def test_too_small_n_names_n(self, capsys, args):
+        code, _, err = run_cli(capsys, *args, "--n", "0")
+        assert code == 1
+        assert "N=0" in err
+
+    @pytest.mark.parametrize("command", ["optimize", "table", "classical", "bounds"])
+    def test_dense_cap_only_on_dense_commands(self, capsys, command):
+        code, _, _ = run_cli(capsys, command, "--k", "4", "--dense-cap", "64")
+        assert code == 1
+
     def test_internal_failure_maps_to_2(self, capsys, monkeypatch):
         import partialsearch.cli as cli_mod
 

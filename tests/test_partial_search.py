@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,19 +7,19 @@ import pytest
 from partialsearch import (
     TWELVE_ITEM_SCRIPT,
     BlockConfig,
+    DenseState,
     InfeasibleEpsilonError,
     InvalidInstanceError,
     OperatorTag,
-    apply_operator,
     apply_script,
     attach_ancilla,
     block_diffusion,
     global_diffusion,
     grover_script,
+    hybrid_trajectory,
     invert_target,
     iteration_counts,
     optimize_epsilon,
-    reduced_init,
     run_full_grover,
     run_partial_search,
     run_script,
@@ -190,41 +191,60 @@ class TestRunScript:
 
 
 class TestIdentityQueries:
+    """Hybrid runs against a hand run that skips the first j oracle calls."""
+
     CFG = BlockConfig(64, 4, 21)
     SCRIPT = standard_pipeline_script(3, 2)  # 6 queries, the last one STEP3
 
-    def hand_run(self, identity_calls):
-        cfg, state, calls = self.CFG, uniform_state(64), 0
-        for op in self.SCRIPT:
+    @staticmethod
+    def hand_run(cfg, script, identity_calls):
+        # A skipped call counts its query and leaves the amplitudes alone;
+        # a skipped STEP3 still inverts branch 0 about its mean.
+        state = uniform_state(cfg.n_addresses)
+        for op in script:
+            skip = state.queries < identity_calls
             if op is OperatorTag.ORACLE:
-                state = invert_target(state, cfg, identity_oracle=calls < identity_calls)
-                calls += 1
+                state = replace(state, queries=state.queries + 1) if skip else invert_target(state, cfg)
             elif op is OperatorTag.GLOBAL_DIFFUSION:
                 state = global_diffusion(state)
             elif op is OperatorTag.BLOCK_DIFFUSION:
                 state = block_diffusion(state, cfg)
+            elif skip:
+                amp = attach_ancilla(state).amplitudes.copy()
+                amp[0::2] = 2.0 * amp[0::2].mean() - amp[0::2]
+                state = DenseState(amp, cfg.n_addresses, True, state.queries + 1)
             else:
-                state = step3_transfer(attach_ancilla(state), cfg, identity_oracle=calls < identity_calls)
+                state = step3_transfer(attach_ancilla(state), cfg)
         return state
 
-    def test_all_identity_gives_oracle_free_run(self):
-        state = apply_script(uniform_state(64), self.SCRIPT, self.CFG, identity_queries=6)
+    @pytest.fixture(scope="class")
+    def trajectory(self):
+        return hybrid_trajectory(64, self.SCRIPT, self.CFG.target, n_blocks=4)
+
+    def test_all_identity_gives_oracle_free_run(self, trajectory):
+        state = trajectory.states[0]
         assert state.queries == 6
         assert np.allclose(state.branch(0), uniform_state(64).amplitudes, atol=1e-12)
         assert not state.branch(1).any()
 
-    @pytest.mark.parametrize("j", [0, 1, 3, 5, 6, 100])
-    def test_prefix_matches_hand_run(self, j):
-        state = apply_script(uniform_state(64), self.SCRIPT, self.CFG, identity_queries=j)
-        expected = self.hand_run(j)
-        assert np.array_equal(state.amplitudes, expected.amplitudes)
+    @pytest.mark.parametrize("j", range(7))
+    def test_prefix_matches_hand_run(self, trajectory, j):
+        state = trajectory.states[6 - j]
+        expected = self.hand_run(self.CFG, self.SCRIPT, j)
+        assert np.max(np.abs(state.amplitudes - expected.amplitudes)) < 1e-12
         assert state.queries == expected.queries == 6
+        assert state.has_ancilla and expected.has_ancilla
 
-    def test_reduced_state_refuses_identity_oracle(self):
-        with pytest.raises(ValueError, match="dense"):
-            apply_operator(reduced_init(self.CFG), OperatorTag.ORACLE, self.CFG, identity_oracle=True)
-        with pytest.raises(ValueError, match="dense"):
-            apply_script(reduced_init(self.CFG), self.SCRIPT, self.CFG, identity_queries=1)
+    def test_non_square_n_matches_hand_run(self):
+        # 1/sqrt(48) is not a power of two, so diffusions of the uniform
+        # state round; the hybrid runs must still agree to 1e-12.
+        cfg, script = BlockConfig(48, 3, 40), standard_pipeline_script(2, 1)
+        traj = hybrid_trajectory(48, script, cfg.target, n_blocks=3)
+        assert traj.n_queries == 4
+        for j in range(5):
+            expected = self.hand_run(cfg, script, j)
+            assert np.max(np.abs(traj.states[4 - j].amplitudes - expected.amplitudes)) < 1e-12
+            assert traj.states[4 - j].queries == expected.queries == 4
 
 
 class TestSuccessEnvelope:

@@ -92,12 +92,6 @@ class TestInvertTarget:
         state = invert_target(uniform_state(4), cfg)
         assert np.array_equal(state.amplitudes, np.array([0.5, 0.5, -0.5, 0.5], dtype=complex))
 
-    def test_identity_oracle_counts_query_only(self):
-        cfg = BlockConfig(4, 2, 2)
-        state = invert_target(uniform_state(4), cfg, identity_oracle=True)
-        assert np.array_equal(state.amplitudes, np.full(4, 0.5, dtype=complex))
-        assert state.queries == 1
-
     def test_flips_both_branches(self):
         cfg = BlockConfig(4, 2, 1)
         state = invert_target(uniform_state(4, with_ancilla=True), cfg)

@@ -93,10 +93,21 @@ class TestErrorBound:
             zalka_error_bound(10**4, 0.2)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            zalka_error_bound(100, -0.1)
-        with pytest.raises(ValueError):
-            zalka_error_bound(100, 0.01, hidden_const=0.0)
+        bad = [
+            (100, -0.1, 1.0),
+            (100, 0.01, 0.0),
+            (0, 0.01, 1.0),
+            (-4, 0.01, 1.0),
+            (100, 1.5, 1.0),
+            (100, math.nan, 1.0),
+            (100, math.inf, 1.0),
+            (100, 0.01, -1.0),
+            (100, 0.01, math.nan),
+            (100, 0.01, math.inf),
+        ]
+        for n, err, hidden_const in bad:
+            with pytest.raises(ValueError):
+                zalka_error_bound(n, err, hidden_const)
 
 
 class TestHybridTrajectory:
