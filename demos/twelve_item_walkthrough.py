@@ -17,7 +17,7 @@ labels = ["uniform start"] + [op.value for op in TWELVE_ITEM_SCRIPT]
 
 def histogram(state):
     rows = []
-    for amp in state.amplitudes.real:
+    for amp in state.amplitudes:
         bar = "#" * round(abs(amp) * 24)
         sign = "-" if amp < 0 else " "
         rows.append(f"  {sign}{bar or '.'}  ({amp:+.4f})")

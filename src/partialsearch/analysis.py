@@ -151,8 +151,8 @@ def optimize_epsilon(k: int, tol: float = 1e-9) -> tuple[float, float]:
     so derivative-based methods are unsafe here.  Ties within tol resolve to
     the smallest epsilon (fewer step-2 iterations).
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     lo, hi = feasible_epsilon_interval(k)
     # At huge K the feasible interval is narrower than one grid step; the
     # floor keeps the scan from collapsing onto the single point eps=0.

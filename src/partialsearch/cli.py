@@ -303,7 +303,7 @@ def _amplitude_rows(stage: str, state: statevector.DenseState, cfg: BlockConfig)
             "slot": slot % cfg.block_size,
             "amplitude": float(amp),
         }
-        for slot, amp in enumerate(state.amplitudes.real)
+        for slot, amp in enumerate(state.amplitudes)
     ]
 
 

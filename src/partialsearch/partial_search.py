@@ -94,6 +94,8 @@ def iteration_counts(
         raise InvalidInstanceError(f"partial search needs K >= 2, got K={k}")
     if n % k:
         raise InvalidInstanceError(f"K={k} does not divide N={n}")
+    if not 0.0 <= epsilon <= 1.0:
+        raise InvalidInstanceError(f"epsilon={epsilon} outside [0, 1]")
     l1 = round((math.pi / 4.0) * (1.0 - epsilon) * math.sqrt(n))
     if exact_theta:
         theta = max(0.0, math.pi / 2.0 - (2 * l1 + 1) * math.asin(1.0 / math.sqrt(n)))

@@ -117,14 +117,12 @@ def lift_to_dense(state: ReducedState) -> DenseState:
     n, m = cfg.n_addresses, cfg.block_size
     _check_dense_cap(n)
     block_lo = cfg.target_block * m
+    branch0 = np.full(n, state.c)
+    branch0[block_lo : block_lo + m] = state.b
+    branch0[cfg.target] = state.a
     if not state.moved_out:
-        amp = np.full(n, state.c, dtype=complex)
-        amp[block_lo : block_lo + m] = state.b
-        amp[cfg.target] = state.a
-        return DenseState(amp, n, has_ancilla=False, queries=state.queries)
-    amp = np.zeros(2 * n, dtype=complex)
-    amp[0::2] = state.c
-    amp[2 * block_lo : 2 * (block_lo + m) : 2] = state.b
-    amp[2 * cfg.target] = state.a
+        return DenseState(branch0, n, has_ancilla=False, queries=state.queries)
+    amp = np.zeros(2 * n)
+    amp[0::2] = branch0
     amp[2 * cfg.target + 1] = state.d
     return DenseState(amp, n, has_ancilla=True, queries=state.queries)

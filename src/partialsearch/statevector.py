@@ -1,10 +1,10 @@
 """Dense statevector backend: the slow, trusted ground truth.
 
-States are full complex amplitude arrays over N addresses (optionally
-doubled by one ancilla qubit).  Every operator here is a plain reflection
-acting on the array, so all dynamics stay real-valued; amplitudes are
-nevertheless stored as complex numbers and tests pin the imaginary parts
-to zero.
+States are full amplitude arrays over N addresses (optionally doubled by
+one ancilla qubit).  Every operator here is a real reflection, so a run
+never leaves the real subspace and amplitudes are stored as float64;
+complex input is refused rather than cast, since a cast would silently
+drop imaginary parts.
 
 States are immutable values: each operator returns a fresh state and the
 backing arrays are marked read-only.  Oracle calls (`invert_target`,
@@ -80,6 +80,7 @@ class DenseState:
     Without the ancilla, ``amplitudes`` has length N and entry x is the
     amplitude of address x.  With the ancilla, length is 2N in address-major
     order: entry 2x + b is the amplitude of address x with ancilla bit b.
+    A float64 array is adopted without a copy and marked read-only.
     """
 
     amplitudes: np.ndarray
@@ -88,14 +89,16 @@ class DenseState:
     queries: int = 0
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        if np.iscomplexobj(self.amplitudes):
+            raise InvalidInstanceError("amplitudes must be real; got a complex array")
+        amp = np.asarray(self.amplitudes, dtype=np.float64)
         expected = 2 * self.n_addresses if self.has_ancilla else self.n_addresses
         if amp.shape != (expected,):
             raise InvalidInstanceError(
                 f"amplitude array of length {amp.shape} does not match "
                 f"N={self.n_addresses}, ancilla={self.has_ancilla}"
             )
-        norm2 = float(np.sum(np.abs(amp) ** 2))
+        norm2 = float(amp @ amp)
         if abs(norm2 - 1.0) > _NORM_ATOL:
             raise InvalidInstanceError(f"state is not normalized: |amp|^2 = {norm2!r}")
         amp.setflags(write=False)
@@ -111,30 +114,25 @@ class DenseState:
 
     def address_probabilities(self) -> np.ndarray:
         """Per-address probability, summed over ancilla branches."""
-        p = np.abs(self.amplitudes) ** 2
+        p = self.amplitudes**2
         if self.has_ancilla:
             p = p[0::2] + p[1::2]
         return p
 
 
-def uniform_state(n_addresses: int, with_ancilla: bool = False, cap: int = DENSE_CAP) -> DenseState:
-    """Equal superposition of all addresses (ancilla branch 1 empty); refuses N > cap."""
+def uniform_state(n_addresses: int, cap: int = DENSE_CAP) -> DenseState:
+    """Equal superposition of all addresses, without the ancilla; refuses N > cap."""
     if n_addresses < 2:
         raise InvalidInstanceError(f"need at least 2 addresses, got N={n_addresses}")
     _check_dense_cap(n_addresses, cap)
-    if with_ancilla:
-        amp = np.zeros(2 * n_addresses, dtype=complex)
-        amp[0::2] = 1.0 / math.sqrt(n_addresses)
-    else:
-        amp = np.full(n_addresses, 1.0 / math.sqrt(n_addresses), dtype=complex)
-    return DenseState(amp, n_addresses, has_ancilla=with_ancilla)
+    return DenseState(np.full(n_addresses, 1.0 / math.sqrt(n_addresses)), n_addresses)
 
 
 def attach_ancilla(state: DenseState) -> DenseState:
     """Adjoin an ancilla qubit in state 0 (branch 1 all zero)."""
     if state.has_ancilla:
         raise ValueError("state already has an ancilla")
-    amp = np.zeros(2 * state.n_addresses, dtype=complex)
+    amp = np.zeros(2 * state.n_addresses)
     amp[0::2] = state.amplitudes
     return DenseState(amp, state.n_addresses, has_ancilla=True, queries=state.queries)
 

@@ -38,18 +38,18 @@ _ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
 
 
 def angle_distance(v, w) -> float:
-    """arccos |<v|w>| between unit states (arrays or dense states)."""
+    """arccos |<v|w>| between real unit states (arrays or dense states)."""
     va = _as_unit_array(v)
     wa = _as_unit_array(w)
-    overlap = abs(complex(np.vdot(va, wa)))
+    overlap = abs(float(va @ wa))
     return math.acos(min(1.0, overlap))
 
 
 def _as_unit_array(v) -> np.ndarray:
     arr = np.asarray(getattr(v, "amplitudes", v))
     norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"expected a unit state, got norm {norm!r}")
+    if np.iscomplexobj(arr) or abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"expected a real unit state, got {arr.dtype} with norm {norm!r}")
     return arr
 
 
@@ -119,8 +119,9 @@ def _hybrid_run(script: tuple[OperatorTag, ...], cfg: BlockConfig, identity_call
     """
     skipped = [i for i, op in enumerate(script) if op in _ORACLE_CALLS][:identity_calls]
     start = skipped[-1] + 1 if skipped else 0
-    ancilla = start > 0 and script[start - 1] is OperatorTag.STEP3
-    state = statevector.uniform_state(cfg.n_addresses, with_ancilla=ancilla)
+    state = statevector.uniform_state(cfg.n_addresses)
+    if start > 0 and script[start - 1] is OperatorTag.STEP3:
+        state = statevector.attach_ancilla(state)
     return apply_script(replace(state, queries=len(skipped)), script[start:], cfg)
 
 

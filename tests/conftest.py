@@ -14,4 +14,4 @@ def random_unit_state(rng, n, with_ancilla=False):
     size = 2 * n if with_ancilla else n
     amp = rng.standard_normal(size)
     amp /= np.linalg.norm(amp)
-    return DenseState(amp.astype(complex), n, has_ancilla=with_ancilla)
+    return DenseState(amp, n, has_ancilla=with_ancilla)

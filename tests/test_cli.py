@@ -87,6 +87,24 @@ class TestExitCodes:
         assert code == 1
         assert "N=0" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "args, quantity",
+        [
+            (("simulate", "--epsilon"), "epsilon"),
+            (("demo", "--which", "step2-histogram", "--epsilon"), "epsilon"),
+            (("optimize", "--k", "4", "--tol"), "tol"),
+        ],
+        ids=["simulate", "step2-histogram", "optimize"],
+    )
+    def test_non_finite_float_names_quantity(self, capsys, args, quantity, value):
+        *head, flag = args
+        code, out, err = run_cli(capsys, *head, f"{flag}={value}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert quantity in err
+
     @pytest.mark.parametrize("command", ["optimize", "table", "classical", "bounds"])
     def test_dense_cap_only_on_dense_commands(self, capsys, command):
         code, _, _ = run_cli(capsys, command, "--k", "4", "--dense-cap", "64")

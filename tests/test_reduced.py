@@ -100,6 +100,7 @@ class TestLift:
         cfg = BlockConfig(12, 3, 5)
         lifted = lift_to_dense(reduced_init(cfg))
         assert np.array_equal(lifted.amplitudes, uniform_state(12).amplitudes)
+        assert lifted.amplitudes.dtype == np.float64
 
     def test_twelve_item_matches_dense(self):
         cfg = BlockConfig(12, 3, 5)
@@ -119,6 +120,7 @@ class TestLift:
         state = apply_script(reduced_init(cfg), (ORACLE, GLOBAL, STEP3))
         lifted = lift_to_dense(state)
         assert lifted.has_ancilla
+        assert lifted.amplitudes.dtype == np.float64
         assert lifted.branch(1)[3] == pytest.approx(state.d)
 
 

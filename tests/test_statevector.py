@@ -44,10 +44,21 @@ class TestBlockConfig:
             BlockConfig(n, k, t)
 
 
+class TestDenseState:
+    @pytest.mark.parametrize(
+        "amp",
+        [np.full(4, 0.5, dtype=complex), np.full(4, 0.5j), [0.5 + 0j] * 4],
+        ids=["zero-imaginary", "imaginary", "list"],
+    )
+    def test_refuses_complex_input(self, amp):
+        with pytest.raises(InvalidInstanceError, match="real"):
+            DenseState(amp, 4)
+
+
 class TestUniformState:
     def test_n4_amplitudes(self):
         state = uniform_state(4)
-        assert np.array_equal(state.amplitudes, np.full(4, 0.5, dtype=complex))
+        assert np.array_equal(state.amplitudes, np.full(4, 0.5))
 
     def test_twelve_items(self):
         state = uniform_state(12)
@@ -66,7 +77,7 @@ class TestUniformState:
             uniform_state(DENSE_CAP * 2)
 
     def test_ancilla_branch1_empty(self):
-        state = uniform_state(8, with_ancilla=True)
+        state = attach_ancilla(uniform_state(8))
         assert np.all(state.branch(1) == 0)
         assert np.allclose(state.branch(0), 1.0 / math.sqrt(8))
 
@@ -90,11 +101,11 @@ class TestInvertTarget:
     def test_n4_explicit(self):
         cfg = BlockConfig(4, 2, 2)
         state = invert_target(uniform_state(4), cfg)
-        assert np.array_equal(state.amplitudes, np.array([0.5, 0.5, -0.5, 0.5], dtype=complex))
+        assert np.array_equal(state.amplitudes, np.array([0.5, 0.5, -0.5, 0.5]))
 
     def test_flips_both_branches(self):
         cfg = BlockConfig(4, 2, 1)
-        state = invert_target(uniform_state(4, with_ancilla=True), cfg)
+        state = invert_target(attach_ancilla(uniform_state(4)), cfg)
         assert state.branch(0)[1] == pytest.approx(-0.5)
 
 
@@ -106,7 +117,7 @@ class TestGlobalDiffusion:
     def test_twelve_item_final_step(self):
         # Stage before: target 5 carries -2/sqrt(12), its block-mates 0,
         # non-target blocks 1/sqrt(12).
-        amp = np.full(12, 1.0 / ROOT12, dtype=complex)
+        amp = np.full(12, 1.0 / ROOT12)
         amp[4:8] = 0.0
         amp[5] = -2.0 / ROOT12
         out = global_diffusion(DenseState(amp, 12))
@@ -124,7 +135,7 @@ class TestGlobalDiffusion:
 
     def test_rejects_ancilla(self):
         with pytest.raises(ValueError):
-            global_diffusion(uniform_state(8, with_ancilla=True))
+            global_diffusion(attach_ancilla(uniform_state(8)))
 
 
 class TestBlockDiffusion:
@@ -169,7 +180,7 @@ class TestStep3Transfer:
         n, k = 8, 2
         cfg = BlockConfig(n, k, 1)
         a, b, c = 0.8, 0.0, 0.3
-        amp = np.zeros(2 * n, dtype=complex)
+        amp = np.zeros(2 * n)
         amp[0::2] = c
         amp[0:8:2] = b
         amp[2 * cfg.target] = a
@@ -182,7 +193,7 @@ class TestStep3Transfer:
 
     def test_point_mass_on_target(self):
         cfg = BlockConfig(6, 3, 2)
-        amp = np.zeros(12, dtype=complex)
+        amp = np.zeros(12)
         amp[2 * 2] = 1.0
         state = DenseState(amp, 6, has_ancilla=True)
         out = step3_transfer(state, cfg)
@@ -216,13 +227,13 @@ class TestBlockProbabilities:
 
     def test_point_mass(self):
         cfg = BlockConfig(4, 2, 0)
-        amp = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        amp = np.array([1.0, 0.0, 0.0, 0.0])
         state = DenseState(amp, 4)
         assert np.array_equal(block_probabilities(state, cfg), [1.0, 0.0])
 
     def test_sums_ancilla_branches(self):
         cfg = BlockConfig(4, 2, 3)
-        amp = np.zeros(8, dtype=complex)
+        amp = np.zeros(8)
         amp[2 * 3] = math.sqrt(0.5)
         amp[2 * 3 + 1] = math.sqrt(0.5)
         state = DenseState(amp, 4, has_ancilla=True)
@@ -236,8 +247,8 @@ class TestGroverInvariants:
         state = uniform_state(n)
         for _ in range(30):
             state = global_diffusion(invert_target(state, cfg))
-            assert np.all(state.amplitudes.imag == 0.0)
-            rest = np.delete(state.amplitudes.real, t)
+            assert state.amplitudes.dtype == np.float64
+            rest = np.delete(state.amplitudes, t)
             assert rest.max() - rest.min() < 1e-12
 
     def test_drift_past_target(self):
@@ -265,6 +276,22 @@ class TestGroverInvariants:
         for _ in range(300):
             state = ops[rng.integers(0, 3)](state)
             assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-12
+
+    def test_operators_return_float64(self, rng):
+        cfg = BlockConfig(16, 4, 9)
+        state = random_unit_state(rng, 16)
+        ancilla = attach_ancilla(invert_target(uniform_state(16), cfg))
+        outputs = [
+            uniform_state(16),
+            invert_target(state, cfg),
+            global_diffusion(state),
+            block_diffusion(state, cfg),
+            ancilla,
+            invert_target(ancilla, cfg),
+            step3_transfer(ancilla, cfg),
+        ]
+        for out in outputs:
+            assert out.amplitudes.dtype == np.float64
 
     def test_states_are_immutable(self):
         state = uniform_state(8)

@@ -50,6 +50,11 @@ class TestAngleDistance:
         with pytest.raises(ValueError, match="unit"):
             angle_distance(np.ones(4), basis_state(4, 0))
 
+    def test_rejects_complex_input(self):
+        # <e0|i e0> = i; casting it to float would give 0, an angle of pi/2 instead of 0.
+        with pytest.raises(ValueError, match="real"):
+            angle_distance(basis_state(4, 0), 1j * basis_state(4, 0))
+
     def test_accepts_dense_states(self):
         assert angle_distance(uniform_state(16), uniform_state(16)) == pytest.approx(0.0)
 
