@@ -2,8 +2,8 @@
 
 The lower bound on partial search rests on a hybrid argument: compare the
 algorithm's run against runs whose first oracle calls are replaced by the
-identity.  The pieces are all checkable on the dense backend: the per-swap
-angle bound, the telescoped distance sum, and the concavity fact that the
+identity.  The pieces are all checkable numerically: the per-swap angle
+bound, the telescoped distance sum, and the concavity fact that the
 uniform distribution maximizes sum_y arcsin sqrt(p_y).
 """
 import math

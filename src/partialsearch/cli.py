@@ -390,3 +390,7 @@ def _render_text(payload: dict, meta: dict) -> str:
         for line in table:
             lines.append("  ".join(cell.rjust(width) for cell, width in zip(line, widths)))
     return "\n".join(lines) + "\n"
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -99,16 +99,11 @@ def iteration_counts(
     l1 = round((math.pi / 4.0) * (1.0 - epsilon) * math.sqrt(n))
     if exact_theta:
         theta = max(0.0, math.pi / 2.0 - (2 * l1 + 1) * math.asin(1.0 / math.sqrt(n)))
-        breakdown = analysis.breakdown_for_theta(theta, k, epsilon)
     else:
-        breakdown = analysis.cost_coefficient(epsilon, k)
-    if not breakdown.feasible:
-        # Re-raise with the violated bound named.
-        analysis.theta1(breakdown.theta, k)
-        analysis.theta2(breakdown.theta, k)
-        raise AssertionError("infeasible breakdown without a failing angle")
-    l2 = round((math.sqrt(n / k) / 2.0) * (breakdown.theta1 + breakdown.theta2))
-    return l1, l2, breakdown
+        theta = analysis.theta_of_epsilon(epsilon)
+    # theta1's argument never exceeds 1; theta2 raises naming sin(theta) <= 2/sqrt(K).
+    l2 = round((math.sqrt(n / k) / 2.0) * (analysis.theta1(theta, k) + analysis.theta2(theta, k)))
+    return l1, l2, analysis.breakdown_for_theta(theta, k, epsilon)
 
 
 def apply_operator(state, op: OperatorTag, cfg: BlockConfig | None = None):

@@ -19,7 +19,9 @@ sampled check here:
 exposed as a parameter.
 
 Angles between unit states are measured as arccos |<v|w>|, a metric on
-rays that ignores global sign.
+rays that ignores global sign.  Every run is simulated on the reduced
+backend: hybrid runs are lifted to dense states once, at the end, and the
+angle sum comes from one reduced run, so it holds up to N = 2**52.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import statevector
 from .partial_search import Script, apply_script
-from .reduced import OperatorTag
+from .reduced import OperatorTag, lift_to_dense, reduced_init
 from .statevector import BlockConfig, DenseState
 
 _ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
@@ -100,7 +102,7 @@ class HybridTrajectory:
 
 
 def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) -> HybridTrajectory:
-    """Build all T+1 hybrid runs of a script on the dense backend."""
+    """Build all T+1 hybrid runs of a script, each run reduced and then lifted to a dense state."""
     script = tuple(script)
     cfg = BlockConfig(n, n_blocks, target)
     n_queries = sum(op in _ORACLE_CALLS for op in script)
@@ -113,16 +115,14 @@ def _hybrid_run(script: tuple[OperatorTag, ...], cfg: BlockConfig, identity_call
     """Final dense state when the first ``identity_calls`` oracle calls are the identity.
 
     Diffusions fix the uniform state and an identity call does nothing, so
-    the run is the uniform state with those queries counted (plus the
-    ancilla if the last of them was STEP3), followed by the script after
-    that call.  Values beyond the script's query count give the oracle-free run.
+    the run is the reduced uniform state with those queries counted (moved
+    out if the last was STEP3), then the script after that call, lifted once.
     """
     skipped = [i for i, op in enumerate(script) if op in _ORACLE_CALLS][:identity_calls]
     start = skipped[-1] + 1 if skipped else 0
-    state = statevector.uniform_state(cfg.n_addresses)
-    if start > 0 and script[start - 1] is OperatorTag.STEP3:
-        state = statevector.attach_ancilla(state)
-    return apply_script(replace(state, queries=len(skipped)), script[start:], cfg)
+    moved_out = start > 0 and script[start - 1] is OperatorTag.STEP3
+    state = replace(reduced_init(cfg), moved_out=moved_out, queries=len(skipped))
+    return lift_to_dense(apply_script(state, script[start:], cfg))
 
 
 def hybrid_step_margins(traj: HybridTrajectory) -> np.ndarray:
@@ -146,16 +146,14 @@ def total_angle_sum(n: int, script: Script, n_blocks: int = 1) -> tuple[float, f
 
     Returns (sum, (pi/2) * N).  The bound's hidden constant is not pinned,
     so this is a diagnostic ratio rather than a pass/fail check; a
-    zero-query script gives sum 0.
+    zero-query script gives sum 0.  The oracle-free run ends uniform and the
+    reduced run is the same for every marked address: N times one angle.
     """
-    script = tuple(script)
-    uniform = statevector.uniform_state(n)
-    oracle_free = _hybrid_run(script, BlockConfig(n, n_blocks, 0), len(script))
-    total = 0.0
-    for y in range(n):
-        real = apply_script(uniform, script, BlockConfig(n, n_blocks, y))
-        total += angle_distance(oracle_free, real)
-    return total, (math.pi / 2.0) * n
+    cfg = BlockConfig(n, n_blocks, 0)
+    real = apply_script(reduced_init(cfg), script, cfg)
+    m = cfg.block_size
+    overlap = abs(real.a + (m - 1) * real.b + (n - m) * real.c) / math.sqrt(n)
+    return n * math.acos(min(1.0, overlap)), (math.pi / 2.0) * n
 
 
 def max_arcsin_probability_sum(n: int, samples: int, seed: int) -> float:

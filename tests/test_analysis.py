@@ -128,6 +128,50 @@ class TestFeasibleInterval:
             assert not cost_coefficient(min(1.0, hi + 1e-4), k).feasible
 
 
+WALL_KS = [5, 8, 32, 1024, 2**20, 2**40, 2**52]
+
+
+def reference_breakdown(epsilon, k, mpmath):
+    """theta1, theta2, f and sqrt(1 - arg2^2) at 50 digits, for the float epsilon."""
+    with mpmath.workdps(50):
+        eps = mpmath.mpf(epsilon)
+        s = mpmath.sin(mpmath.pi / 2 * eps)
+        alpha = mpmath.sqrt(1 - mpmath.mpf(k - 1) / k * s**2)
+        arg2 = (k - 2) * s / (2 * alpha * mpmath.sqrt(k))
+        t1 = mpmath.asin(s / (alpha * mpmath.sqrt(k)))
+        t2 = mpmath.asin(arg2)
+        coeff = mpmath.pi / 4 * (1 - eps) + (t1 + t2) / (2 * mpmath.sqrt(k))
+        return t1, t2, coeff, mpmath.sqrt(1 - arg2**2)
+
+
+class TestNearTheWallAgainstMpmath:
+    """f, theta1 and theta2 as epsilon approaches the sin(theta) = 2/sqrt(K) wall.
+
+    j = 0 (the wall itself) is left out: there the double-rounded epsilon
+    puts the exact argument about 5e-17 above 1, which the clamp accepts.
+    """
+
+    @pytest.mark.parametrize("k", WALL_KS)
+    def test_angles_and_coefficient(self, k):
+        mpmath = pytest.importorskip("mpmath")
+        _, wall = feasible_epsilon_interval(k)
+        for j in range(1, 13):
+            bd = cost_coefficient(wall * (1 - 10.0**-j), k)
+            t1, t2, coeff, slack = reference_breakdown(bd.epsilon, k, mpmath)
+            # arcsin's slope is infinite at 1, so theta2 (and f through it)
+            # loses accuracy as 1/sqrt(1 - arg2^2).
+            tol = 1e-14 / float(slack)
+            assert bd.theta1 == pytest.approx(float(t1), rel=1e-14)
+            assert bd.theta2 == pytest.approx(float(t2), rel=tol)
+            assert bd.coefficient == pytest.approx(float(coeff), rel=tol)
+
+    @pytest.mark.parametrize("k", WALL_KS)
+    def test_optimum_coefficient(self, k):
+        mpmath = pytest.importorskip("mpmath")
+        eps, coeff = optimize_epsilon(k)
+        assert coeff == pytest.approx(float(reference_breakdown(eps, k, mpmath)[2]), rel=1e-15)
+
+
 class TestOptimizer:
     def test_k2_boundary_optimum(self):
         eps, coeff = optimize_epsilon(2)

@@ -191,7 +191,7 @@ class TestRunScript:
 
 
 class TestIdentityQueries:
-    """Hybrid runs against a hand run that skips the first j oracle calls."""
+    """Reduced, lifted hybrid runs against a dense hand run that skips the first j oracle calls."""
 
     CFG = BlockConfig(64, 4, 21)
     SCRIPT = standard_pipeline_script(3, 2)  # 6 queries, the last one STEP3

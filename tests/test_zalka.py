@@ -4,20 +4,25 @@ import numpy as np
 import pytest
 
 from partialsearch import (
+    TWELVE_ITEM_SCRIPT,
     BlockConfig,
     OperatorTag,
     angle_distance,
     apply_script,
+    attach_ancilla,
     grover_script,
     hybrid_step_margins,
     hybrid_trajectory,
     max_arcsin_probability_sum,
+    standard_pipeline_script,
+    statevector,
     total_angle_sum,
     uniform_state,
     zalka_error_bound,
 )
 
 PI = math.pi
+ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
 
 
 def basis_state(n, i):
@@ -143,6 +148,21 @@ class TestHybridTrajectory:
         assert all(s.has_ancilla for s in traj.states)
 
 
+DENSE_OPERATORS = ["invert_target", "global_diffusion", "block_diffusion", "step3_transfer", "attach_ancilla"]
+
+
+@pytest.mark.parametrize("name", DENSE_OPERATORS)
+def test_no_dense_operator_is_applied(monkeypatch, name):
+    # Runs stay on the reduced backend; only their final states are lifted.
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"dense {name} called")
+
+    monkeypatch.setattr(statevector, name, refuse)
+    script = standard_pipeline_script(3, 2)
+    hybrid_step_margins(hybrid_trajectory(64, script, 21, n_blocks=4))
+    total_angle_sum(64, script, n_blocks=4)
+
+
 class TestHybridStepBound:
     def test_all_margins_nonnegative_n16(self):
         for y in range(16):
@@ -185,6 +205,44 @@ class TestTotalAngleSum:
         # Each run's endpoint angle is arccos|cos(2 T beta)| with beta = pi/6.
         total, _ = total_angle_sum(4, grover_script(2))
         assert total == pytest.approx(4 * PI / 3, abs=1e-12)
+
+    @staticmethod
+    def dense_angle_sum(n, script, n_blocks):
+        """Brute force on the dense backend: one real run per marked address."""
+        cfg = BlockConfig(n, n_blocks, 0)
+        oracle_free = apply_script(uniform_state(n), [op for op in script if op not in ORACLE_CALLS], cfg)
+        if OperatorTag.STEP3 in script:
+            oracle_free = attach_ancilla(oracle_free)
+        total = 0.0
+        for y in range(n):
+            real = apply_script(uniform_state(n), script, BlockConfig(n, n_blocks, y))
+            total += angle_distance(oracle_free, real)
+        return total
+
+    @pytest.mark.parametrize(
+        "n,k,script",
+        [
+            (12, 3, TWELVE_ITEM_SCRIPT),
+            (48, 3, standard_pipeline_script(3, 2)),
+            (64, 4, standard_pipeline_script(3, 2)),
+        ],
+    )
+    def test_matches_dense_brute_force(self, n, k, script):
+        total, _ = total_angle_sum(n, script, n_blocks=k)
+        assert total == pytest.approx(self.dense_angle_sum(n, script, k), abs=1e-12)
+
+    @pytest.mark.parametrize("exp,fraction", [(30, 1.0), (32, 0.5)])
+    def test_beyond_dense_cap_against_mpmath(self, exp, fraction):
+        # Endpoint angle 2 T beta near pi/2 (full Grover) and pi/4 (half),
+        # where arccos is well conditioned.
+        mpmath = pytest.importorskip("mpmath")
+        n = 2**exp
+        steps = round(fraction * (PI / 4) * math.sqrt(n))
+        total, _ = total_angle_sum(n, grover_script(steps))
+        with mpmath.workdps(50):
+            beta = mpmath.asin(1 / mpmath.sqrt(n))
+            expected = float(n * mpmath.acos(abs(mpmath.cos(2 * steps * beta))))
+        assert total == pytest.approx(expected, rel=1e-12)
 
 
 class TestArcsinSumBound:
