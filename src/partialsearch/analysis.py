@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .statevector import InvalidInstanceError
+
 # Arguments in (1, 1 + _CLAMP] count as exactly 1: floating point grazing the
 # feasibility wall must not turn a boundary optimum into an error.
 _CLAMP = 1e-12
@@ -35,7 +37,7 @@ _MIN_GRID_POINTS = 65
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class InfeasibleEpsilonError(ValueError):
+class InfeasibleEpsilonError(InvalidInstanceError):
     """The requested (epsilon, K) puts an arcsin argument above 1."""
 
 
@@ -70,7 +72,7 @@ def alpha_target(theta: float, k: int) -> float:
     if not 0.0 <= theta <= math.pi / 2.0 + 1e-12:
         raise ValueError(f"theta={theta} outside [0, pi/2]")
     if k < 1:
-        raise ValueError(f"K={k} must be >= 1")
+        raise InvalidInstanceError(f"K={k} must be >= 1")
     return math.sqrt(1.0 - ((k - 1) / k) * math.sin(theta) ** 2)
 
 
@@ -101,9 +103,9 @@ def cost_coefficient(epsilon: float, k: int) -> CostBreakdown:
     with feasible=False and no coefficient.
     """
     if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon={epsilon} outside [0, 1]")
+        raise InvalidInstanceError(f"epsilon={epsilon} outside [0, 1]")
     if k < 2:
-        raise ValueError(f"partial search needs K >= 2, got K={k}")
+        raise InvalidInstanceError(f"partial search needs K >= 2, got K={k}")
     return breakdown_for_theta(theta_of_epsilon(epsilon), k, epsilon)
 
 
@@ -122,7 +124,7 @@ def breakdown_for_theta(theta: float, k: int, epsilon: float) -> CostBreakdown:
 def feasible_epsilon_interval(k: int) -> tuple[float, float]:
     """The closed interval of epsilon values with all arcsin arguments <= 1."""
     if k < 2:
-        raise ValueError(f"partial search needs K >= 2, got K={k}")
+        raise InvalidInstanceError(f"partial search needs K >= 2, got K={k}")
     if k <= 4:
         return 0.0, 1.0
     return 0.0, (2.0 / math.pi) * math.asin(2.0 / math.sqrt(k))
@@ -152,7 +154,7 @@ def optimize_epsilon(k: int, tol: float = 1e-9) -> tuple[float, float]:
     the smallest epsilon (fewer step-2 iterations).
     """
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+        raise InvalidInstanceError(f"tol must be positive and finite, got {tol}")
     lo, hi = feasible_epsilon_interval(k)
     # At huge K the feasible interval is narrower than one grid step; the
     # floor keeps the scan from collapsing onto the single point eps=0.
@@ -196,7 +198,7 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
 def lower_bound_coefficient(k: int) -> float:
     """Query floor per sqrt(N) from reducing full search to repeated partial search."""
     if k < 1:
-        raise ValueError(f"K={k} must be >= 1")
+        raise InvalidInstanceError(f"K={k} must be >= 1")
     return (math.pi / 4.0) * (1.0 - 1.0 / math.sqrt(k))
 
 
@@ -207,7 +209,7 @@ def large_k_guarantee(k: int) -> float:
     (pi/4)(1 - C0/sqrt(K)) with C0 = 1 - (2/pi) arcsin(pi/4) ~ 0.425.
     """
     if k < 2:
-        raise ValueError(f"partial search needs K >= 2, got K={k}")
+        raise InvalidInstanceError(f"partial search needs K >= 2, got K={k}")
     c0 = 1.0 - (2.0 / math.pi) * math.asin(math.pi / 4.0)
     return (math.pi / 4.0) * (1.0 - c0 / math.sqrt(k))
 
@@ -215,7 +217,7 @@ def large_k_guarantee(k: int) -> float:
 def naive_quantum_coefficient(k: int) -> float:
     """Cost of plain amplitude amplification restricted to K-1 random blocks."""
     if k < 2:
-        raise ValueError(f"partial search needs K >= 2, got K={k}")
+        raise InvalidInstanceError(f"partial search needs K >= 2, got K={k}")
     return (math.pi / 4.0) * math.sqrt((k - 1) / k)
 
 
@@ -226,9 +228,9 @@ def reduction_total_queries(alpha_coeff: float, k: int, n: int) -> float:
     a geometric series summing to alpha * sqrt(N) * sqrt(K)/(sqrt(K) - 1).
     """
     if k < 2:
-        raise ValueError(f"the reduction needs K >= 2, got K={k}")
+        raise InvalidInstanceError(f"the reduction needs K >= 2, got K={k}")
     if alpha_coeff <= 0:
-        raise ValueError(f"alpha_coeff must be positive, got {alpha_coeff}")
+        raise InvalidInstanceError(f"alpha_coeff must be positive, got {alpha_coeff}")
     rk = math.sqrt(k)
     return alpha_coeff * math.sqrt(n) * rk / (rk - 1.0)
 

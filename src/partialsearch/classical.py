@@ -96,8 +96,10 @@ def simulate_randomized(n: int, k: int, trials: int, seed: int) -> ClassicalRepo
     errors).
     """
     _check_instance(n, k)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials < 2**63:
+        raise InvalidInstanceError(f"trials must be in [1, 2**63), got {trials}")
+    if n > 2**63:
+        raise InvalidInstanceError(f"N={n} exceeds 2**63, the range of numpy's int64 draws")
     rng = np.random.default_rng(seed)
     m = n - n // k
     targets = rng.integers(0, n, size=trials)

@@ -2,7 +2,8 @@
 
 Every report embeds the tool version, the command line, the seed and the
 backend, and a fixed seed gives byte-identical JSON/CSV output.  Exit
-codes: 0 success, 1 invalid or infeasible input, 2 internal failure.
+codes: 0 success, 1 invalid or infeasible input (`InvalidInstanceError`,
+which `InfeasibleEpsilonError` subclasses), 2 any other exception.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, classical, partial_search, statevector, zalka
-from .analysis import InfeasibleEpsilonError
 from .reduced import OperatorTag
 from .statevector import BlockConfig, InvalidInstanceError
 
@@ -32,7 +32,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 1
     try:
         payload = _dispatch(args)
-    except (InvalidInstanceError, InfeasibleEpsilonError, ValueError) as exc:
+    except InvalidInstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - anything else is an internal failure
@@ -116,6 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> dict:
+    if args.seed < 0:
+        raise InvalidInstanceError(f"seed must be >= 0, got {args.seed}")
     return {
         "simulate": _cmd_simulate,
         "grover": _cmd_grover,
@@ -129,16 +131,15 @@ def _dispatch(args: argparse.Namespace) -> dict:
 
 def _block_config(args: argparse.Namespace) -> BlockConfig:
     """The instance given by --n, --k and --target; with no target, one drawn from the seed."""
-    target = args.target
-    if target is None:
-        if args.n < 2:
-            raise InvalidInstanceError(f"need at least 2 addresses, got N={args.n}")
-        target = int(np.random.default_rng(args.seed).integers(0, args.n))
-    return BlockConfig(args.n, args.k, target)
+    cfg = BlockConfig(args.n, args.k, args.target or 0)  # checks N and K before any draw
+    if args.target is None:
+        cfg = BlockConfig(args.n, args.k, int(np.random.default_rng(args.seed).integers(0, args.n)))
+    return cfg
 
 
 def _run_report_payload(report: partial_search.RunReport) -> dict:
-    return {
+    """The report's fields, plus one row per block repeating the run-wide ones."""
+    payload = {
         "n": report.n_addresses,
         "k": report.n_blocks,
         "target": report.target,
@@ -151,65 +152,47 @@ def _run_report_payload(report: partial_search.RunReport) -> dict:
         "predicted_block": report.predicted_block,
         "block_probs": list(report.block_probs),
     }
+    shared = {key: payload[key] for key in ("n", "k", "target", "queries", "success_prob", "target_prob")}
+    rows = [{**shared, "block": i, "block_prob": p} for i, p in enumerate(report.block_probs)]
+    return {**payload, "rows": rows}
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
-    cfg = _block_config(args)
     report = partial_search.run_partial_search(
-        cfg,
+        _block_config(args),
         epsilon=args.epsilon,
         backend=args.backend,
         exact_theta=args.exact_theta,
         dense_cap=args.dense_cap,
     )
-    payload = _run_report_payload(report)
-    payload["rows"] = _block_rows(payload)
-    return payload
+    return _run_report_payload(report)
 
 
 def _cmd_grover(args: argparse.Namespace) -> dict:
-    steps = args.steps if args.steps is not None else round((math.pi / 4.0) * math.sqrt(args.n))
     cfg = _block_config(args)
+    steps = args.steps if args.steps is not None else round((math.pi / 4.0) * math.sqrt(args.n))
     report = partial_search.run_full_grover(cfg, steps, backend=args.backend, dense_cap=args.dense_cap)
-    payload = _run_report_payload(report)
-    payload["rows"] = _block_rows(payload)
-    return payload
-
-
-def _block_rows(payload: dict) -> list[dict]:
-    keys = ("n", "k", "target", "queries", "success_prob", "target_prob")
-    return [
-        {**{key: payload[key] for key in keys}, "block": i, "block_prob": p}
-        for i, p in enumerate(payload["block_probs"])
-    ]
+    return _run_report_payload(report)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> dict:
-    eps, coeff = analysis.optimize_epsilon(args.k, tol=args.tol)
-    row = {
-        "K": args.k,
-        "epsilon_star": eps,
-        "upper_coeff": coeff,
-        "lower_coeff": analysis.lower_bound_coefficient(args.k),
-        "naive_coeff": analysis.naive_quantum_coefficient(args.k),
-    }
+    row = _coefficient_row(args.k, *analysis.optimize_epsilon(args.k, tol=args.tol))
     return {**row, "rows": [row]}
 
 
 def _cmd_table(args: argparse.Namespace) -> dict:
-    ks = _parse_k_list(args.k)
-    rows = []
-    for row in analysis.build_table(ks):
-        rows.append(
-            {
-                "K": row.k,
-                "epsilon_star": row.epsilon_star,
-                "upper_coeff": row.upper_coeff,
-                "lower_coeff": row.lower_coeff,
-                "naive_coeff": analysis.naive_quantum_coefficient(row.k),
-            }
-        )
-    return {"rows": rows}
+    return {"rows": [_coefficient_row(k, *analysis.optimize_epsilon(k)) for k in _parse_k_list(args.k)]}
+
+
+def _coefficient_row(k: int, epsilon_star: float, upper_coeff: float) -> dict:
+    """Optimizer result for one K beside its lower bound and the naive baseline."""
+    return {
+        "K": k,
+        "epsilon_star": epsilon_star,
+        "upper_coeff": upper_coeff,
+        "lower_coeff": analysis.lower_bound_coefficient(k),
+        "naive_coeff": analysis.naive_quantum_coefficient(k),
+    }
 
 
 def _cmd_classical(args: argparse.Namespace) -> dict:

@@ -57,17 +57,16 @@ class RunReport:
 
 
 def validate_script(script: Script) -> None:
-    ops = list(script)
-    for op in ops:
+    for op in script:
         if not isinstance(op, OperatorTag):
             raise ValueError(f"not an operator tag: {op!r}")
-    if OperatorTag.STEP3 in ops[:-1]:
+    if OperatorTag.STEP3 in script[:-1]:
         raise ValueError("step 3 may appear at most once, as the last operator")
 
 
 def grover_script(steps: int) -> tuple[OperatorTag, ...]:
     if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+        raise InvalidInstanceError(f"steps must be >= 0, got {steps}")
     return (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION) * steps
 
 
@@ -160,8 +159,6 @@ def run_partial_search(
 
     With no epsilon the optimizer's choice for this K is used.
     """
-    if cfg.n_blocks < 2:
-        raise InvalidInstanceError("partial search needs K >= 2 blocks; K=1 carries no information")
     if epsilon is None:
         epsilon, _ = analysis.optimize_epsilon(cfg.n_blocks)
     l1, l2, breakdown = iteration_counts(cfg.n_addresses, cfg.n_blocks, epsilon, exact_theta)

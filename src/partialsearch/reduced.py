@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,38 +77,30 @@ def reduced_apply(state: ReducedState, op: OperatorTag) -> ReducedState:
     """Apply one operator in closed form on the invariant subspace."""
     n, m = state.cfg.n_addresses, state.cfg.block_size
     a, b, c, d = state.a, state.b, state.c, state.d
+    moved_out, queries = state.moved_out, state.queries
 
     if op is OperatorTag.ORACLE:
-        return replace(state, a=-a, d=-d, queries=state.queries + 1)
-
-    if op is OperatorTag.GLOBAL_DIFFUSION:
-        if state.moved_out:
+        a, d, queries = -a, -d, queries + 1
+    elif op is OperatorTag.GLOBAL_DIFFUSION:
+        if moved_out:
             raise ValueError("global diffusion is defined on ancilla-free states")
         mean = (a + (m - 1) * b + (n - m) * c) / n
-        return replace(state, a=2 * mean - a, b=2 * mean - b, c=2 * mean - c)
-
-    if op is OperatorTag.BLOCK_DIFFUSION:
-        if state.moved_out:
+        a, b, c = 2 * mean - a, 2 * mean - b, 2 * mean - c
+    elif op is OperatorTag.BLOCK_DIFFUSION:
+        if moved_out:
             raise ValueError("block diffusion is defined on ancilla-free states")
         # Non-target blocks are uniform at c, so their inversion is the identity.
         mean_t = (a + (m - 1) * b) / m
-        return replace(state, a=2 * mean_t - a, b=2 * mean_t - b)
-
-    if op is OperatorTag.STEP3:
-        if state.moved_out:
+        a, b = 2 * mean_t - a, 2 * mean_t - b
+    elif op is OperatorTag.STEP3:
+        if moved_out:
             raise ValueError("step 3 may be applied at most once")
         mean0 = ((m - 1) * b + (n - m) * c) / n
-        return ReducedState(
-            state.cfg,
-            a=2 * mean0,
-            b=2 * mean0 - b,
-            c=2 * mean0 - c,
-            d=a,
-            moved_out=True,
-            queries=state.queries + 1,
-        )
-
-    raise ValueError(f"unknown operator {op!r}")
+        a, b, c, d = 2 * mean0, 2 * mean0 - b, 2 * mean0 - c, a
+        moved_out, queries = True, queries + 1
+    else:
+        raise ValueError(f"unknown operator {op!r}")
+    return ReducedState(state.cfg, a, b, c, d, moved_out, queries)
 
 
 def lift_to_dense(state: ReducedState) -> DenseState:

@@ -25,8 +25,9 @@ _NORM_ATOL = 1e-9
 
 
 class InvalidInstanceError(ValueError):
-    """Malformed problem instance (bad N, K not dividing N, target out of
-    range, or N beyond the dense backend cap)."""
+    """Invalid user input: a malformed instance (bad N, K not dividing N,
+    target out of range, N beyond the dense backend cap) or a bad parameter
+    such as epsilon, tol or a step count.  The CLI exits 1 on exactly these."""
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,12 @@ sampled check here:
 (pi/4) sqrt(N) (1 - C (sqrt(err) + N^(-1/4))) with the hidden constant C
 exposed as a parameter.
 
-Angles between unit states are measured as arccos |<v|w>|, a metric on
-rays that ignores global sign.  Every run is simulated on the reduced
-backend: hybrid runs are lifted to dense states once, at the end, and the
-angle sum comes from one reduced run, so it holds up to N = 2**52.
+Angles between unit states are the ray angle arccos |<v|w>|, which ignores
+global sign, evaluated as 2 arcsin(min(|v - w|, |v + w|) / 2) to keep full
+precision at small angles, where arccos of an overlap near 1 loses it.
+Every run is simulated on the reduced backend: hybrid runs are lifted to
+dense states once, at the end, and the angle sum comes from one reduced
+run, so it holds up to N = 2**52.
 """
 from __future__ import annotations
 
@@ -31,20 +33,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import statevector
 from .partial_search import Script, apply_script
 from .reduced import OperatorTag, lift_to_dense, reduced_init
-from .statevector import BlockConfig, DenseState
+from .statevector import BlockConfig, DenseState, InvalidInstanceError
 
 _ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
 
 
 def angle_distance(v, w) -> float:
-    """arccos |<v|w>| between real unit states (arrays or dense states)."""
+    """Angle between the rays of real unit states (arrays or dense states)."""
     va = _as_unit_array(v)
     wa = _as_unit_array(w)
-    overlap = abs(float(va @ wa))
-    return math.acos(min(1.0, overlap))
+    return _ray_angle(float(np.sum((va - wa) ** 2)), float(np.sum((va + wa) ** 2)))
+
+
+def _ray_angle(dist2_minus: float, dist2_plus: float) -> float:
+    """arccos |<v|w>| for unit v, w, from |v - w|**2 and |v + w|**2."""
+    return 2.0 * math.asin(min(1.0, math.sqrt(min(dist2_minus, dist2_plus)) / 2.0))
 
 
 def _as_unit_array(v) -> np.ndarray:
@@ -64,11 +69,11 @@ def zalka_error_bound(n: int, err: float, hidden_const: float = 1.0) -> float:
     warning.
     """
     if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
+        raise InvalidInstanceError(f"N must be >= 1, got {n}")
     if not 0.0 <= err <= 1.0:
-        raise ValueError(f"error probability must be in [0, 1], got {err}")
+        raise InvalidInstanceError(f"error probability must be in [0, 1], got {err}")
     if not 0.0 < hidden_const < math.inf:
-        raise ValueError(f"hidden_const must be positive and finite, got {hidden_const}")
+        raise InvalidInstanceError(f"hidden_const must be positive and finite, got {hidden_const}")
     if n < 100 or err > 0.1:
         warnings.warn(
             f"outside the bound's stated regime (N >= 100, err <= 0.1): N={n}, err={err}",
@@ -107,7 +112,8 @@ def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) ->
     cfg = BlockConfig(n, n_blocks, target)
     n_queries = sum(op in _ORACLE_CALLS for op in script)
     states = tuple(_hybrid_run(script, cfg, n_queries - i) for i in range(n_queries + 1))
-    probs = (float(statevector.uniform_state(n).address_probabilities()[target]),) * n_queries
+    uniform_amp = reduced_init(cfg).a
+    probs = (uniform_amp * uniform_amp,) * n_queries
     return HybridTrajectory(n, target, script, states, probs)
 
 
@@ -147,13 +153,19 @@ def total_angle_sum(n: int, script: Script, n_blocks: int = 1) -> tuple[float, f
     Returns (sum, (pi/2) * N).  The bound's hidden constant is not pinned,
     so this is a diagnostic ratio rather than a pass/fail check; a
     zero-query script gives sum 0.  The oracle-free run ends uniform and the
-    reduced run is the same for every marked address: N times one angle.
+    reduced run is the same for every marked address: N times one angle,
+    taken from the multiplicity-weighted distances to the uniform state.
     """
     cfg = BlockConfig(n, n_blocks, 0)
-    real = apply_script(reduced_init(cfg), script, cfg)
-    m = cfg.block_size
-    overlap = abs(real.a + (m - 1) * real.b + (n - m) * real.c) / math.sqrt(n)
-    return n * math.acos(min(1.0, overlap)), (math.pi / 2.0) * n
+    start = reduced_init(cfg)
+    real = apply_script(start, script, cfg)
+    m, u = cfg.block_size, start.a
+
+    def dist2(sign: float) -> float:  # |real - sign * uniform|^2
+        v = sign * u
+        return (real.a - v) ** 2 + (m - 1) * (real.b - v) ** 2 + (n - m) * (real.c - v) ** 2 + real.d**2
+
+    return n * _ray_angle(dist2(1.0), dist2(-1.0)), (math.pi / 2.0) * n
 
 
 def max_arcsin_probability_sum(n: int, samples: int, seed: int) -> float:
@@ -165,7 +177,7 @@ def max_arcsin_probability_sum(n: int, samples: int, seed: int) -> float:
     is N * arcsin(1/sqrt(N)), attained by the uniform vector.
     """
     if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+        raise InvalidInstanceError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     best = _arcsin_sum(np.full((1, n), 1.0 / n))
 

@@ -7,7 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from partialsearch import optimize_epsilon
+from partialsearch import (
+    InvalidInstanceError,
+    grover_script,
+    iteration_counts,
+    lower_bound_coefficient,
+    naive_quantum_coefficient,
+    optimize_epsilon,
+    simulate_randomized,
+    zalka_error_bound,
+)
 from partialsearch.cli import main
 
 
@@ -84,12 +93,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "args",
-        [("simulate",), ("grover",), ("demo", "--which", "step2-histogram")],
+        [
+            ("simulate", "--n", "0"),
+            ("grover", "--n", "0"),
+            ("demo", "--which", "step2-histogram", "--n", "0"),
+            ("grover", "--n", "-4"),
+        ],
     )
     def test_too_small_n_names_n(self, capsys, args):
-        code, _, err = run_cli(capsys, *args, "--n", "0")
+        code, _, err = run_cli(capsys, *args)
         assert code == 1
-        assert "N=0" in err
+        assert f"N={args[-1]}" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "grover", "classical"])
+    def test_negative_seed_names_seed(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -125,6 +146,43 @@ class TestExitCodes:
         assert code == 2
         assert "internal" in err
 
+    def test_internal_value_error_maps_to_2(self, capsys, monkeypatch):
+        # Only InvalidInstanceError is bad input; a failed internal check is not.
+        import partialsearch.cli as cli_mod
+
+        def boom(args):
+            raise ValueError("reduced state is not normalized")
+
+        monkeypatch.setattr(cli_mod, "_dispatch", boom)
+        code, out, err = run_cli(capsys, "optimize", "--k", "4")
+        assert code == 2
+        assert out == ""
+        assert err == "internal error: ValueError: reduced state is not normalized\n"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: optimize_epsilon(1),
+            lambda: optimize_epsilon(4, tol=math.nan),
+            lambda: iteration_counts(65536, 8, 0.9),
+            lambda: simulate_randomized(12, 3, 0, 0),
+            lambda: simulate_randomized(12, 3, 2**63, 0),
+            lambda: simulate_randomized(2**64, 2, 10, 0),
+            lambda: zalka_error_bound(0, 0.1),
+            lambda: grover_script(-1),
+            lambda: naive_quantum_coefficient(1),
+            lambda: lower_bound_coefficient(0),
+        ],
+        ids=[
+            "optimize-k1", "optimize-tol-nan", "infeasible-epsilon", "classical-no-trials",
+            "classical-too-many-trials", "classical-huge-n", "zalka-n0", "grover-steps",
+            "naive-k1", "lower-k0",
+        ],
+    )
+    def test_library_input_errors_are_invalid_instance(self, call):
+        with pytest.raises(InvalidInstanceError):
+            call()
+
     def test_help_exits_zero(self, capsys):
         code, _, _ = run_cli(capsys, "--help")
         assert code == 0
@@ -140,6 +198,112 @@ class TestExitCodes:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["K"] == 4
+
+
+# Printed by the reduced backend with epsilon and target fixed, so neither the
+# optimizer's last digits nor the seeded draw enter.  The literals pin the
+# bytes across code versions; regenerate them only for an intended change.
+GOLDEN_SIMULATE_ARGS = ("simulate", "--n", "65536", "--k", "4", "--epsilon", "0.5", "--target", "777")
+
+GOLDEN_SIMULATE = {
+    "json": """\
+{
+  "backend": "reduced",
+  "block_probs": [
+    0.999983279195,
+    5.5736017818e-06,
+    5.5736017818e-06,
+    5.5736017818e-06
+  ],
+  "command": "simulate --n 65536 --k 4 --epsilon 0.5 --target 777 --format json",
+  "epsilon": 0.5,
+  "k": 4,
+  "l1": 101,
+  "l2": 59,
+  "n": 65536,
+  "predicted_block": 0,
+  "queries": 161,
+  "rows": [
+    {
+      "block": 0,
+      "block_prob": 0.999983279195,
+      "k": 4,
+      "n": 65536,
+      "queries": 161,
+      "success_prob": 0.999983279195,
+      "target": 777,
+      "target_prob": 0.504228810903
+    },
+    {
+      "block": 1,
+      "block_prob": 5.5736017818e-06,
+      "k": 4,
+      "n": 65536,
+      "queries": 161,
+      "success_prob": 0.999983279195,
+      "target": 777,
+      "target_prob": 0.504228810903
+    },
+    {
+      "block": 2,
+      "block_prob": 5.5736017818e-06,
+      "k": 4,
+      "n": 65536,
+      "queries": 161,
+      "success_prob": 0.999983279195,
+      "target": 777,
+      "target_prob": 0.504228810903
+    },
+    {
+      "block": 3,
+      "block_prob": 5.5736017818e-06,
+      "k": 4,
+      "n": 65536,
+      "queries": 161,
+      "success_prob": 0.999983279195,
+      "target": 777,
+      "target_prob": 0.504228810903
+    }
+  ],
+  "seed": 0,
+  "success_prob": 0.999983279195,
+  "target": 777,
+  "target_prob": 0.504228810903,
+  "tool": "partialsearch",
+  "version": "0.1.0"
+}
+""",
+    "csv": """\
+# tool=partialsearch
+# version=0.1.0
+# command=simulate --n 65536 --k 4 --epsilon 0.5 --target 777 --format csv
+# seed=0
+# backend=reduced
+# n=65536
+# k=4
+# target=777
+# epsilon=0.5
+# l1=101
+# l2=59
+# queries=161
+# success_prob=0.999983279195
+# target_prob=0.504228810903
+# predicted_block=0
+n,k,target,queries,success_prob,target_prob,block,block_prob
+65536,4,777,161,0.999983279195,0.504228810903,0,0.999983279195
+65536,4,777,161,0.999983279195,0.504228810903,1,5.5736017818e-06
+65536,4,777,161,0.999983279195,0.504228810903,2,5.5736017818e-06
+65536,4,777,161,0.999983279195,0.504228810903,3,5.5736017818e-06
+""",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_simulate_stdout(self, capsys, fmt):
+        code, out, err = run_cli(capsys, *GOLDEN_SIMULATE_ARGS, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_SIMULATE[fmt]
 
 
 class TestDeterminism:

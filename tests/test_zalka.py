@@ -51,6 +51,12 @@ class TestAngleDistance:
         w /= np.linalg.norm(w)
         assert angle_distance(v, w) == pytest.approx(angle_distance(w, v), abs=1e-15)
 
+    def test_small_angle_keeps_precision(self):
+        # arccos of the overlap cos(1e-9) rounds to arccos(1.0) = 0.
+        phi = 1e-9
+        w = math.cos(phi) * basis_state(4, 0) + math.sin(phi) * basis_state(4, 1)
+        assert angle_distance(basis_state(4, 0), w) == pytest.approx(phi, rel=1e-12)
+
     def test_rejects_non_unit_input(self):
         with pytest.raises(ValueError, match="unit"):
             angle_distance(np.ones(4), basis_state(4, 0))
@@ -231,10 +237,11 @@ class TestTotalAngleSum:
         total, _ = total_angle_sum(n, script, n_blocks=k)
         assert total == pytest.approx(self.dense_angle_sum(n, script, k), abs=1e-12)
 
-    @pytest.mark.parametrize("exp,fraction", [(30, 1.0), (32, 0.5)])
+    @pytest.mark.parametrize("exp,fraction", [(30, 1.0), (32, 0.5), (32, 2e-4), (32, 2e-3)])
     def test_beyond_dense_cap_against_mpmath(self, exp, fraction):
-        # Endpoint angle 2 T beta near pi/2 (full Grover) and pi/4 (half),
-        # where arccos is well conditioned.
+        # Endpoint angle 2 T beta near pi/2 (full Grover), pi/4 (half) and
+        # small (T = 10 and 103 at 2**32), where an arccos of the overlap
+        # would lose up to 7 digits.
         mpmath = pytest.importorskip("mpmath")
         n = 2**exp
         steps = round(fraction * (PI / 4) * math.sqrt(n))
