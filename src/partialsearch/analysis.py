@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import InvalidInstanceError
+from .statevector import MAX_N, InvalidInstanceError
 
 # Arguments in (1, 1 + _CLAMP] count as exactly 1: floating point grazing the
 # feasibility wall must not turn a boundary optimum into an error.
@@ -125,6 +125,8 @@ def feasible_epsilon_interval(k: int) -> tuple[float, float]:
     """The closed interval of epsilon values with all arcsin arguments <= 1."""
     if k < 2:
         raise InvalidInstanceError(f"partial search needs K >= 2, got K={k}")
+    if k > MAX_N:
+        raise InvalidInstanceError(f"K={k} exceeds 2**52, the largest N")
     if k <= 4:
         return 0.0, 1.0
     return 0.0, (2.0 / math.pi) * math.asin(2.0 / math.sqrt(k))

@@ -8,9 +8,12 @@ ancilla and inverts branch 0 about its mean, cancelling the non-target
 blocks; it costs one final query, so a standard run makes l1 + l2 + 1
 queries in total.
 
-Pipelines are expressed as scripts (sequences of operator tags) that run
-on either backend through one runner, `iter_script`, which every run here
-and in `zalka` uses.
+Pipelines are stages: one round of operator tags repeated `count` times,
+so a standard run is three stages.  `apply_stages` is the one runner, for
+either backend: a dense state goes operator by operator, a reduced state
+one stage at a time in closed form (`reduced_run_stage`).  `apply_script`
+groups a flat script (a sequence of tags) into stages and runs them;
+`iter_script` yields the state after every operator instead.
 """
 from __future__ import annotations
 
@@ -22,10 +25,19 @@ import numpy as np
 
 from . import analysis, statevector
 from .analysis import CostBreakdown
-from .reduced import OperatorTag, ReducedState, reduced_apply, reduced_init
+from .reduced import (
+    BLOCK_ROUND,
+    GLOBAL_ROUND,
+    OperatorTag,
+    ReducedState,
+    reduced_apply,
+    reduced_init,
+    reduced_run_stage,
+)
 from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError
 
 Script = Sequence[OperatorTag]
+Stage = tuple[tuple[OperatorTag, ...], int]  # (round_ops, count)
 
 # The two-query walkthrough for tiny instances: one blockwise round, one
 # global round, no ancilla transfer.  On N=12, K=3 it ends with the whole
@@ -49,6 +61,7 @@ class RunReport:
     queries: int
     block_probs: tuple[float, ...]
     success_prob: float
+    miss_prob: float  # summed over the non-target blocks, never 1 - success
     target_prob: float
     predicted_block: int
     epsilon: float | None = None
@@ -64,19 +77,46 @@ def validate_script(script: Script) -> None:
         raise ValueError("step 3 may appear at most once, as the last operator")
 
 
-def grover_script(steps: int) -> tuple[OperatorTag, ...]:
+def grover_stages(steps: int) -> tuple[Stage, ...]:
+    """Plain amplitude amplification: ``steps`` global rounds."""
     if steps < 0:
         raise InvalidInstanceError(f"steps must be >= 0, got {steps}")
-    return (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION) * steps
+    return ((GLOBAL_ROUND, steps),)
+
+
+def standard_pipeline_stages(l1: int, l2: int) -> tuple[Stage, ...]:
+    """l1 global rounds, l2 blockwise rounds, then the ancilla transfer."""
+    return ((GLOBAL_ROUND, l1), (BLOCK_ROUND, l2), ((OperatorTag.STEP3,), 1))
+
+
+def grover_script(steps: int) -> tuple[OperatorTag, ...]:
+    return _flatten(grover_stages(steps))
 
 
 def standard_pipeline_script(l1: int, l2: int) -> tuple[OperatorTag, ...]:
     """l1 global rounds, l2 blockwise rounds, then the ancilla transfer."""
-    return (
-        (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION) * l1
-        + (OperatorTag.ORACLE, OperatorTag.BLOCK_DIFFUSION) * l2
-        + (OperatorTag.STEP3,)
-    )
+    return _flatten(standard_pipeline_stages(l1, l2))
+
+
+def _flatten(stages: Sequence[Stage]) -> tuple[OperatorTag, ...]:
+    return sum((round_ops * count for round_ops, count in stages), ())
+
+
+def _group_stages(script: tuple[OperatorTag, ...]) -> list[Stage]:
+    """Split a flat script into stages: runs of repeated Grover rounds, other operators one by one."""
+    stages: list[Stage] = []
+    i = 0
+    while i < len(script):
+        pair = script[i : i + 2]
+        if pair in (GLOBAL_ROUND, BLOCK_ROUND):
+            start = i
+            while script[i : i + 2] == pair:
+                i += 2
+            stages.append((pair, (i - start) // 2))
+        else:
+            stages.append(((script[i],), 1))
+            i += 1
+    return stages
 
 
 def iteration_counts(
@@ -108,8 +148,7 @@ def iteration_counts(
 def apply_operator(state, op: OperatorTag, cfg: BlockConfig | None = None):
     """Apply one tagged operator to a dense or reduced state."""
     if isinstance(state, ReducedState):
-        if cfg is not None and cfg != state.cfg:
-            raise InvalidInstanceError("config does not match the reduced state")
+        _check_reduced_cfg(state, cfg)
         return reduced_apply(state, op)
     if cfg is None:
         raise ValueError("dense states need an explicit config")
@@ -126,6 +165,11 @@ def apply_operator(state, op: OperatorTag, cfg: BlockConfig | None = None):
     raise ValueError(f"unknown operator {op!r}")
 
 
+def _check_reduced_cfg(state: ReducedState, cfg: BlockConfig | None) -> None:
+    if cfg is not None and cfg != state.cfg:
+        raise InvalidInstanceError("config does not match the reduced state")
+
+
 def iter_script(state, script: Script, cfg: BlockConfig | None = None):
     """Yield the state after each operator of the script, in order."""
     script = tuple(script)  # validation must not exhaust a one-shot iterator
@@ -137,8 +181,22 @@ def iter_script(state, script: Script, cfg: BlockConfig | None = None):
 
 def apply_script(state, script: Script, cfg: BlockConfig | None = None):
     """The state after the whole script (the input state for an empty one)."""
-    for state in iter_script(state, script, cfg):
-        pass
+    script = tuple(script)
+    validate_script(script)
+    return apply_stages(state, _group_stages(script), cfg)
+
+
+def apply_stages(state, stages: Sequence[Stage], cfg: BlockConfig | None = None):
+    """The state after every stage in order: reduced stages in closed form, dense ones per operator."""
+    if isinstance(state, ReducedState):
+        _check_reduced_cfg(state, cfg)
+        for round_ops, count in stages:
+            state = reduced_run_stage(state, round_ops, count)
+        return state
+    for round_ops, count in stages:
+        for _ in range(count):
+            for op in round_ops:
+                state = apply_operator(state, op, cfg)
     return state
 
 
@@ -162,8 +220,7 @@ def run_partial_search(
     if epsilon is None:
         epsilon, _ = analysis.optimize_epsilon(cfg.n_blocks)
     l1, l2, breakdown = iteration_counts(cfg.n_addresses, cfg.n_blocks, epsilon, exact_theta)
-    script = standard_pipeline_script(l1, l2)
-    state = apply_script(_initial_state(cfg, backend, dense_cap), script, cfg)
+    state = apply_stages(_initial_state(cfg, backend, dense_cap), standard_pipeline_stages(l1, l2), cfg)
     return _report(state, cfg, backend, epsilon=epsilon, l1=l1, l2=l2)
 
 
@@ -171,7 +228,7 @@ def run_full_grover(
     cfg: BlockConfig, steps: int, backend: str = "reduced", dense_cap: int = DENSE_CAP
 ) -> RunReport:
     """Plain amplitude amplification for a given number of steps."""
-    state = apply_script(_initial_state(cfg, backend, dense_cap), grover_script(steps), cfg)
+    state = apply_stages(_initial_state(cfg, backend, dense_cap), grover_stages(steps), cfg)
     return _report(state, cfg, backend, l1=steps, l2=0)
 
 
@@ -192,9 +249,11 @@ def _report(state, cfg: BlockConfig, backend: str, **extra) -> RunReport:
     if isinstance(state, ReducedState):
         block_probs = state.block_probabilities()
         target_prob = state.target_probability()
+        miss_prob = (cfg.n_addresses - cfg.block_size) * state.c**2
     else:
         block_probs = statevector.block_probabilities(state, cfg)
         target_prob = float(state.address_probabilities()[cfg.target])
+        miss_prob = math.fsum(p for block, p in enumerate(block_probs) if block != cfg.target_block)
     return RunReport(
         n_addresses=cfg.n_addresses,
         n_blocks=cfg.n_blocks,
@@ -203,6 +262,7 @@ def _report(state, cfg: BlockConfig, backend: str, **extra) -> RunReport:
         queries=state.queries,
         block_probs=tuple(float(p) for p in block_probs),
         success_prob=float(block_probs[cfg.target_block]),
+        miss_prob=float(miss_prob),
         target_prob=target_prob,
         predicted_block=int(np.argmax(block_probs)),
         **extra,

@@ -14,6 +14,16 @@ arithmetic only through sqrt(N), N/K and means, which keeps runs exact up
 to N = 2**52.  Operators are closed-form conjugations of the dense ones
 onto this invariant subspace; `lift_to_dense` expands back for comparison
 against the ground-truth backend.
+
+A run is a few stages, each one round of operators repeated `count` times,
+and `reduced_run_stage` applies a stage in O(1).  A Grover round (oracle,
+then inversion about the mean of M amplitudes) rotates the target and the
+uniform rest of those M amplitudes by 2 arcsin(1/sqrt(M)), so `count`
+rounds are one rotation (Boyer, Brassard, Hoyer, Tapp, quant-ph/9605034).
+Block rounds rotate (a, sqrt(m - 1) b), M = m = N/K, and leave c alone;
+global rounds rotate (a, sqrt(N - 1) mu), M = N, mu the non-target mean,
+and flip the sign of b - mu and c - mu every round.  Any other round,
+step 3 included, is applied operator by operator.
 """
 from __future__ import annotations
 
@@ -101,6 +111,45 @@ def reduced_apply(state: ReducedState, op: OperatorTag) -> ReducedState:
     else:
         raise ValueError(f"unknown operator {op!r}")
     return ReducedState(state.cfg, a, b, c, d, moved_out, queries)
+
+
+BLOCK_ROUND = (OperatorTag.ORACLE, OperatorTag.BLOCK_DIFFUSION)
+GLOBAL_ROUND = (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION)
+
+
+def reduced_run_stage(state: ReducedState, round_ops: tuple[OperatorTag, ...], count: int) -> ReducedState:
+    """Apply ``count`` repetitions of ``round_ops``; Grover rounds run in closed form."""
+    if count < 0:
+        raise ValueError(f"a stage needs count >= 0, got {count}")
+    if count == 0:
+        return state
+    if state.moved_out or round_ops not in (BLOCK_ROUND, GLOBAL_ROUND):
+        # Diffusions after step 3 raise in reduced_apply, on the first round.
+        for _ in range(count):
+            for op in round_ops:
+                state = reduced_apply(state, op)
+        return state
+    n, m = state.cfg.n_addresses, state.cfg.block_size
+    a, b, c = state.a, state.b, state.c
+    if round_ops == BLOCK_ROUND:
+        a, b = _grover_rounds(a, b, m, count)
+    else:
+        mu = ((m - 1) * b + (n - m) * c) / (n - 1)
+        a, mu_out = _grover_rounds(a, mu, n, count)
+        sign = -1.0 if count % 2 else 1.0
+        b, c = mu_out + sign * (b - mu), mu_out + sign * (c - mu)
+    return ReducedState(state.cfg, a, b, c, state.d, False, state.queries + count)
+
+
+def _grover_rounds(a: float, w: float, size: int, count: int) -> tuple[float, float]:
+    """``count`` rounds of negating a, then inverting a and size - 1 copies of w about their mean."""
+    if size == 1:
+        # No w addresses: a round negates a and maps w to -w - 2a (w is never observed).
+        sign = -1.0 if count % 2 else 1.0
+        return sign * a, sign * (w + 2 * count * a)
+    angle = 2 * count * math.asin(1.0 / math.sqrt(size))
+    cos, sin, root = math.cos(angle), math.sin(angle), math.sqrt(size - 1)
+    return cos * a + sin * root * w, cos * w - sin * a / root
 
 
 def lift_to_dense(state: ReducedState) -> DenseState:

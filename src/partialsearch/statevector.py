@@ -20,6 +20,8 @@ import numpy as np
 # Dense arrays above this address count are refused; use the reduced
 # backend for large N.
 DENSE_CAP = 2**24
+# Largest N: every address count stays an exact float.
+MAX_N = 2**52
 
 _NORM_ATOL = 1e-9
 
@@ -48,7 +50,7 @@ class BlockConfig:
         n, k, t = self.n_addresses, self.n_blocks, self.target
         if n < 2:
             raise InvalidInstanceError(f"need at least 2 addresses, got N={n}")
-        if n > 2**52:
+        if n > MAX_N:
             raise InvalidInstanceError(f"N={n} exceeds the float-exact limit 2**52")
         if not 1 <= k <= n:
             raise InvalidInstanceError(f"block count K={k} must be in [1, N={n}]")

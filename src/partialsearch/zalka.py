@@ -35,7 +35,7 @@ import numpy as np
 
 from .partial_search import Script, apply_script
 from .reduced import OperatorTag, lift_to_dense, reduced_init
-from .statevector import BlockConfig, DenseState, InvalidInstanceError
+from .statevector import MAX_N, BlockConfig, DenseState, InvalidInstanceError
 
 _ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
 
@@ -68,8 +68,8 @@ def zalka_error_bound(n: int, err: float, hidden_const: float = 1.0) -> float:
     outside that regime the value is still computed but tagged with a
     warning.
     """
-    if n < 1:
-        raise InvalidInstanceError(f"N must be >= 1, got {n}")
+    if not 1 <= n <= MAX_N:
+        raise InvalidInstanceError(f"N must be in [1, 2**52], got {n}")
     if not 0.0 <= err <= 1.0:
         raise InvalidInstanceError(f"error probability must be in [0, 1], got {err}")
     if not 0.0 < hidden_const < math.inf:

@@ -92,6 +92,22 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize(
+        "args, quantity",
+        [
+            (("optimize", "--k", "1" + "0" * 20), "K="),
+            (("table", "--k", "4," + "1" + "0" * 20), "K="),
+            (("bounds", "--n", "1" + "0" * 400), "N must be"),
+            (("bounds", "--n", str(2**52 + 1)), "N must be"),
+        ],
+        ids=["optimize-k", "table-k", "bounds-n-400-digits", "bounds-n-2**52+1"],
+    )
+    def test_beyond_largest_n_names_quantity(self, capsys, args, quantity):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert quantity in err and "2**52" in err
+
+    @pytest.mark.parametrize(
         "args",
         [
             ("simulate", "--n", "0"),

@@ -1,8 +1,4 @@
-"""Every quick demo script runs to completion against the current package.
-
-`backend_agreement.py` is left out: it runs the reduced backend up to
-N=2**48 and takes well over a minute, too slow for the unit suite.
-"""
+"""Every demo script runs to completion against the current package."""
 import os
 import subprocess
 import sys
@@ -15,7 +11,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "demo",
-    ["classical_baselines", "lower_bound_checks", "query_count_table", "twelve_item_walkthrough"],
+    [
+        "backend_agreement",
+        "classical_baselines",
+        "lower_bound_checks",
+        "query_count_table",
+        "twelve_item_walkthrough",
+    ],
 )
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

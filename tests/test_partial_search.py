@@ -100,6 +100,19 @@ class TestRunPartialSearch:
         report = run_partial_search(BlockConfig(2**18, 8, 123))
         assert sum(report.block_probs) == pytest.approx(1.0, abs=1e-9)
 
+    def test_miss_prob_summed_over_non_target_blocks(self):
+        for backend in ("dense", "reduced"):
+            report = run_partial_search(BlockConfig(4096, 8, 100), backend=backend)
+            non_target = [p for block, p in enumerate(report.block_probs) if block != 0]
+            assert report.miss_prob == pytest.approx(math.fsum(non_target), rel=1e-12)
+            assert 0.0 < report.miss_prob < 1e-2
+
+    def test_miss_prob_backends_agree(self):
+        cfg = BlockConfig(2**16, 4, 40000)
+        dense = run_partial_search(cfg, backend="dense")
+        reduced = run_partial_search(cfg, backend="reduced")
+        assert dense.miss_prob == pytest.approx(reduced.miss_prob, rel=1e-9)
+
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):
             run_partial_search(BlockConfig(64, 2, 0), backend="tensor")
@@ -267,3 +280,36 @@ class TestSuccessEnvelope:
         report = run_partial_search(BlockConfig(n, k, n // 3), epsilon=eps)
         assert report.queries / math.sqrt(n) <= table_coeff + 0.01
         assert report.success_prob >= 1 - 10 / math.sqrt(n)
+
+
+def reference_run(n, k, l1, l2, mpmath):
+    """(success, miss) of a standard run at 50 digits, from the Grover rotation picture."""
+    with mpmath.workdps(50):
+        big_n, m = mpmath.mpf(n), mpmath.mpf(n // k)
+        angle = (2 * l1 + 1) * mpmath.asin(1 / mpmath.sqrt(big_n))
+        a, c = mpmath.sin(angle), mpmath.cos(angle) / mpmath.sqrt(big_n - 1)
+        # Step 2 rotates (a, sqrt(m - 1) b) by 2 asin(1/sqrt(m)) per round, starting from b = c.
+        radius = mpmath.sqrt(a**2 + (m - 1) * c**2)
+        phase = mpmath.atan2(a, mpmath.sqrt(m - 1) * c) + 2 * l2 * mpmath.asin(1 / mpmath.sqrt(m))
+        a, b = radius * mpmath.sin(phase), radius * mpmath.cos(phase) / mpmath.sqrt(m - 1)
+        # Step 3: the target moves out as d = a; branch 0 is inverted about its mean.
+        mean0 = ((m - 1) * b + (big_n - m) * c) / big_n
+        success = (2 * mean0) ** 2 + (m - 1) * (2 * mean0 - b) ** 2 + a**2
+        return success, (big_n - m) * (2 * mean0 - c) ** 2
+
+
+class TestLargestN:
+    """N = 2**52, the package's limit, against a 50-digit reference."""
+
+    @pytest.mark.parametrize("k", [2, 4, 32])
+    def test_success_and_miss_against_mpmath(self, k):
+        mpmath = pytest.importorskip("mpmath")
+        n = 2**52
+        report = run_partial_search(BlockConfig(n, k, n // 3), epsilon=optimize_epsilon(k)[0])
+        success, miss = reference_run(n, k, report.l1, report.l2, mpmath)
+        assert report.success_prob == pytest.approx(float(success), abs=1e-14)
+        # Step 3's c' = 2 mean0 - c cancels terms of size 1/sqrt(N) down to
+        # about 1/N, so the rounding of b and c is magnified about sqrt(N)/2
+        # times; the largest error seen is 1.1e-7 (K = 2).
+        assert report.miss_prob == pytest.approx(float(miss), rel=1e-6)
+        assert 0.0 < report.miss_prob < 1e-15

@@ -19,6 +19,10 @@ from partialsearch import (
     uniform_state,
     iteration_counts,
 )
+from partialsearch import partial_search
+from partialsearch import reduced as reduced_module
+from partialsearch.partial_search import apply_stages, standard_pipeline_stages
+from partialsearch.reduced import BLOCK_ROUND, GLOBAL_ROUND, reduced_run_stage
 
 ORACLE = OperatorTag.ORACLE
 GLOBAL = OperatorTag.GLOBAL_DIFFUSION
@@ -168,6 +172,9 @@ class TestBackendEquivalence:
                     reduced = apply_operator(reduced, op, cfg)
                     diff = np.max(np.abs(lift_to_dense(reduced).amplitudes - dense.amplitudes))
                     assert diff <= 1e-12, f"N={n} K={k} script={script}"
+                staged = apply_script(reduced_init(cfg), script, cfg)
+                assert _max_field_diff(staged, reduced) <= 1e-12, f"N={n} K={k} script={script}"
+                assert (staged.moved_out, staged.queries) == (reduced.moved_out, reduced.queries)
 
 
 class TestGroverRotation:
@@ -179,3 +186,77 @@ class TestGroverRotation:
         for steps in range(1, 60):
             state = reduced_apply(reduced_apply(state, ORACLE), GLOBAL)
             assert state.a == pytest.approx(math.sin((2 * steps + 1) * beta), abs=1e-9)
+
+
+def _iterated(state, script):
+    for op in script:
+        state = reduced_apply(state, op)
+    return state
+
+
+def _max_field_diff(s, t):
+    return max(abs(s.a - t.a), abs(s.b - t.b), abs(s.c - t.c), abs(s.d - t.d))
+
+
+class TestStageRuns:
+    """Closed-form stages against the operator-by-operator reduced run."""
+
+    @pytest.mark.parametrize(
+        "n,k",
+        [(n, k) for n in (64, 256, 4096) for k in (2, 4, 8)] + [(48, 3), (2**16, 32), (2**20, 4)],
+    )
+    def test_standard_pipeline_matches_iterated(self, n, k):
+        cfg = BlockConfig(n, k, n // 3)
+        l1, l2, _ = iteration_counts(n, k, optimize_epsilon(k)[0])
+        iterated = _iterated(reduced_init(cfg), standard_pipeline_script(l1, l2))
+        staged = apply_stages(reduced_init(cfg), standard_pipeline_stages(l1, l2), cfg)
+        assert _max_field_diff(staged, iterated) <= 1e-12
+        assert (staged.moved_out, staged.queries) == (iterated.moved_out, iterated.queries) == (True, l1 + l2 + 1)
+
+    @pytest.mark.parametrize("n", [2, 64, 4096])
+    def test_one_address_blocks(self, n):
+        # K = N: m = 1, the block round only negates a and b tracks the iterated map.
+        cfg = BlockConfig(n, n, n - 1)
+        script = standard_pipeline_script(3, 5)
+        assert _max_field_diff(apply_script(reduced_init(cfg), script), _iterated(reduced_init(cfg), script)) <= 1e-12
+
+    def test_twelve_item_script(self):
+        cfg = BlockConfig(12, 3, 5)
+        staged = apply_script(reduced_init(cfg), TWELVE)
+        assert _max_field_diff(staged, _iterated(reduced_init(cfg), TWELVE)) <= 1e-12
+        assert staged.queries == 2
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 10, 11, 40])
+    def test_global_rounds_flip_the_deviation(self, count):
+        cfg = BlockConfig(4096, 4, 100)
+        start = reduced_run_stage(reduced_init(cfg), BLOCK_ROUND, 7)
+        assert abs(start.b - start.c) > 1e-3
+        staged = reduced_run_stage(start, GLOBAL_ROUND, count)
+        assert _max_field_diff(staged, _iterated(start, grover_script(count))) <= 1e-12
+        assert staged.queries == start.queries + count
+
+    def test_zero_rounds_return_the_state(self):
+        state = reduced_init(BlockConfig(64, 4, 3))
+        assert reduced_run_stage(state, GLOBAL_ROUND, 0) is state
+        with pytest.raises(ValueError, match="count >= 0"):
+            reduced_run_stage(state, GLOBAL_ROUND, -1)
+
+    def test_diffusion_stage_after_step3_rejected(self):
+        state = reduced_apply(reduced_init(BlockConfig(8, 2, 1)), STEP3)
+        for round_ops in (BLOCK_ROUND, GLOBAL_ROUND):
+            with pytest.raises(ValueError, match="ancilla-free"):
+                reduced_run_stage(state, round_ops, 3)
+
+    def test_huge_run_makes_constant_operator_calls(self, monkeypatch):
+        calls = []
+
+        def counting(state, op):
+            calls.append(op)
+            return original(state, op)
+
+        original = reduced_module.reduced_apply
+        monkeypatch.setattr(reduced_module, "reduced_apply", counting)
+        monkeypatch.setattr(partial_search, "reduced_apply", counting)
+        report = run_partial_search(BlockConfig(2**52, 4, 2**50 + 5), epsilon=optimize_epsilon(4)[0])
+        assert calls == [STEP3]
+        assert report.queries == report.l1 + report.l2 + 1 > 10**7
