@@ -9,7 +9,6 @@ which saves only O(1/K) instead of O(1/sqrt(K)).
 import math
 
 from partialsearch import (
-    build_table,
     large_k_guarantee,
     lower_bound_coefficient,
     naive_quantum_coefficient,
@@ -18,11 +17,11 @@ from partialsearch import (
 )
 
 print(f"{'K':>4}  {'eps*':>8}  {'upper':>7}  {'lower':>7}  {'naive':>7}")
-for row in build_table((2, 3, 4, 5, 8, 16, 32, 64)):
-    naive = naive_quantum_coefficient(row.k)
+for k in (2, 3, 4, 5, 8, 16, 32, 64):
+    eps_star, upper = optimize_epsilon(k)
     print(
-        f"{row.k:>4}  {row.epsilon_star:>8.4f}  {row.upper_coeff:>7.4f}"
-        f"  {row.lower_coeff:>7.4f}  {naive:>7.4f}"
+        f"{k:>4}  {eps_star:>8.4f}  {upper:>7.4f}"
+        f"  {lower_bound_coefficient(k):>7.4f}  {naive_quantum_coefficient(k):>7.4f}"
     )
 print(f"\nfull search baseline: pi/4 = {math.pi / 4:.4f} per sqrt(N)")
 

@@ -9,11 +9,9 @@ checks of the erring-search lower-bound machinery.
 """
 
 from .analysis import (
-    BoundsRow,
     CostBreakdown,
     InfeasibleEpsilonError,
     alpha_target,
-    build_table,
     cost_coefficient,
     feasible_epsilon_interval,
     large_k_guarantee,
@@ -74,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockConfig",
-    "BoundsRow",
     "ClassicalReport",
     "CostBreakdown",
     "DENSE_CAP",
@@ -94,7 +91,6 @@ __all__ = [
     "attach_ancilla",
     "block_diffusion",
     "block_probabilities",
-    "build_table",
     "classical_formulas",
     "cost_coefficient",
     "exact_expected_probes",

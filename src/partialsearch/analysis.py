@@ -54,14 +54,6 @@ class CostBreakdown:
     feasible: bool
 
 
-@dataclass(frozen=True)
-class BoundsRow:
-    k: int
-    epsilon_star: float
-    upper_coeff: float
-    lower_coeff: float
-
-
 def theta_of_epsilon(epsilon: float) -> float:
     """Angle left between state and target after step 1 stops early."""
     return (math.pi / 2.0) * epsilon
@@ -185,7 +177,10 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    width = math.inf
+    # A bracket a few ulps wide stops shrinking; a tol below that must not loop forever.
+    while tol < hi - lo < width:
+        width = hi - lo
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
@@ -235,12 +230,3 @@ def reduction_total_queries(alpha_coeff: float, k: int, n: int) -> float:
         raise InvalidInstanceError(f"alpha_coeff must be positive, got {alpha_coeff}")
     rk = math.sqrt(k)
     return alpha_coeff * math.sqrt(n) * rk / (rk - 1.0)
-
-
-def build_table(ks) -> list[BoundsRow]:
-    """Optimizer upper coefficient and closed-form lower coefficient per K."""
-    rows = []
-    for k in ks:
-        eps_star, coeff_star = optimize_epsilon(k)
-        rows.append(BoundsRow(k, eps_star, coeff_star, lower_bound_coefficient(k)))
-    return rows

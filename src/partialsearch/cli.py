@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, classical, partial_search, statevector, zalka
-from .reduced import OperatorTag
 from .statevector import BlockConfig, InvalidInstanceError
 
 _TOOL = "partialsearch"
@@ -253,11 +252,11 @@ def _demo_twelve_items() -> dict:
     expected[5] = 3.0 / root12
     assert np.max(np.abs(final.amplitudes - expected)) < 1e-12, "twelve-item endpoint mismatch"
     assert final.queries == 2, "twelve-item demo must use exactly 2 queries"
-    block_probs = statevector.block_probabilities(final, cfg)
+    report = partial_search.run_script(cfg, partial_search.TWELVE_ITEM_SCRIPT, backend="dense")
     return {
-        "queries": final.queries,
-        "success_prob": float(block_probs[cfg.target_block]),
-        "target_prob": float(final.address_probabilities()[cfg.target]),
+        "queries": report.queries,
+        "success_prob": report.success_prob,
+        "target_prob": report.target_prob,
         "rows": rows,
     }
 
@@ -269,11 +268,10 @@ def _demo_step2_histogram(args: argparse.Namespace) -> dict:
     if epsilon is None:
         epsilon, _ = analysis.optimize_epsilon(args.k)
     l1, l2, _ = partial_search.iteration_counts(args.n, args.k, epsilon)
-    state = partial_search.apply_script(
-        statevector.uniform_state(args.n, cap=args.dense_cap), partial_search.grover_script(l1), cfg
-    )
+    step1, step2, _ = partial_search.standard_pipeline_stages(l1, l2)
+    state = partial_search.apply_stages(statevector.uniform_state(args.n, cap=args.dense_cap), [step1], cfg)
     rows = _amplitude_rows("after_step1", state, cfg)
-    state = partial_search.apply_script(state, (OperatorTag.ORACLE, OperatorTag.BLOCK_DIFFUSION) * l2, cfg)
+    state = partial_search.apply_stages(state, [step2], cfg)
     rows += _amplitude_rows("after_step2", state, cfg)
     return {"n": args.n, "k": args.k, "epsilon": epsilon, "l1": l1, "l2": l2, "rows": rows}
 
@@ -341,7 +339,7 @@ def _render_csv(payload: dict, meta: dict) -> str:
     for key, value in payload.items():
         if key == "rows" or isinstance(value, (list, dict)):
             continue
-        buf.write(f"# {key}={_format_cell(_round_floats(value))}\n")
+        buf.write(f"# {key}={_format_cell(value)}\n")
     rows = payload.get("rows", [])
     writer = csv.writer(buf, lineterminator="\n")
     if rows:
@@ -358,16 +356,16 @@ def _render_text(payload: dict, meta: dict) -> str:
         if key == "rows":
             continue
         if isinstance(value, dict):
-            inner = ", ".join(f"{k}={_format_cell(_round_floats(v))}" for k, v in value.items())
+            inner = ", ".join(f"{k}={_format_cell(v)}" for k, v in value.items())
             lines.append(f"{key:>18}: {inner}")
         elif isinstance(value, list):
-            lines.append(f"{key:>18}: {', '.join(_format_cell(_round_floats(v)) for v in value)}")
+            lines.append(f"{key:>18}: {', '.join(_format_cell(v) for v in value)}")
         else:
-            lines.append(f"{key:>18}: {_format_cell(_round_floats(value))}")
+            lines.append(f"{key:>18}: {_format_cell(value)}")
     rows = payload.get("rows", [])
     if rows:
         header = list(rows[0].keys())
-        table = [header] + [[_format_cell(_round_floats(row.get(k))) for k in header] for row in rows]
+        table = [header] + [[_format_cell(row.get(k)) for k in header] for row in rows]
         widths = [max(len(line[i]) for line in table) for i in range(len(header))]
         lines.append("")
         for line in table:

@@ -13,7 +13,7 @@ so a standard run is three stages.  `apply_stages` is the one runner, for
 either backend: a dense state goes operator by operator, a reduced state
 one stage at a time in closed form (`reduced_run_stage`).  `apply_script`
 groups a flat script (a sequence of tags) into stages and runs them;
-`iter_script` yields the state after every operator instead.
+`script_stages` keeps the state after every operator instead.
 """
 from __future__ import annotations
 
@@ -69,12 +69,15 @@ class RunReport:
     l2: int | None = None
 
 
-def validate_script(script: Script) -> None:
+def validate_script(script: Script) -> tuple[OperatorTag, ...]:
+    """The script as a checked tuple."""
+    script = tuple(script)  # validation must not exhaust a one-shot iterator
     for op in script:
         if not isinstance(op, OperatorTag):
             raise ValueError(f"not an operator tag: {op!r}")
     if OperatorTag.STEP3 in script[:-1]:
         raise ValueError("step 3 may appear at most once, as the last operator")
+    return script
 
 
 def grover_stages(steps: int) -> tuple[Stage, ...]:
@@ -170,20 +173,9 @@ def _check_reduced_cfg(state: ReducedState, cfg: BlockConfig | None) -> None:
         raise InvalidInstanceError("config does not match the reduced state")
 
 
-def iter_script(state, script: Script, cfg: BlockConfig | None = None):
-    """Yield the state after each operator of the script, in order."""
-    script = tuple(script)  # validation must not exhaust a one-shot iterator
-    validate_script(script)
-    for op in script:
-        state = apply_operator(state, op, cfg)
-        yield state
-
-
 def apply_script(state, script: Script, cfg: BlockConfig | None = None):
     """The state after the whole script (the input state for an empty one)."""
-    script = tuple(script)
-    validate_script(script)
-    return apply_stages(state, _group_stages(script), cfg)
+    return apply_stages(state, _group_stages(validate_script(script)), cfg)
 
 
 def apply_stages(state, stages: Sequence[Stage], cfg: BlockConfig | None = None):
@@ -202,8 +194,10 @@ def apply_stages(state, stages: Sequence[Stage], cfg: BlockConfig | None = None)
 
 def script_stages(cfg: BlockConfig, script: Script, backend: str = "dense") -> list:
     """Initial state plus the state after each operator, in order."""
-    state = _initial_state(cfg, backend)
-    return [state, *iter_script(state, script, cfg)]
+    states = [_initial_state(cfg, backend)]
+    for op in validate_script(script):
+        states.append(apply_operator(states[-1], op, cfg))
+    return states
 
 
 def run_partial_search(

@@ -33,9 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import BlockConfig, DenseState, _check_dense_cap
-
-_NORM_ATOL = 1e-9
+from .statevector import _NORM_ATOL, BlockConfig, DenseState, _check_dense_cap
 
 
 class OperatorTag(enum.Enum):

@@ -6,7 +6,6 @@ import pytest
 from partialsearch import (
     InfeasibleEpsilonError,
     alpha_target,
-    build_table,
     cost_coefficient,
     feasible_epsilon_interval,
     large_k_guarantee,
@@ -193,6 +192,15 @@ class TestOptimizer:
         assert coeff <= scan + 1e-9
         assert coeff >= scan - 1e-6
 
+    @pytest.mark.parametrize("tol", [1e-16, 1e-17, 1e-300, 5e-324])
+    @pytest.mark.parametrize("k", [2, 4, 32])
+    def test_tol_below_float_spacing_returns(self, k, tol):
+        # The bracket stops shrinking a few ulps wide; the search must end there.
+        eps_default, coeff_default = optimize_epsilon(k)
+        eps, coeff = optimize_epsilon(k, tol=tol)
+        assert abs(eps - eps_default) <= 1e-9
+        assert coeff <= coeff_default + 1e-12
+
     def test_below_full_search(self):
         for k in (2, 3, 4, 8, 64):
             _, coeff = optimize_epsilon(k)
@@ -262,9 +270,10 @@ class TestBounds:
 
 class TestTable:
     def test_matches_reference(self):
-        rows = build_table(sorted(TABLE))
-        for row in rows:
-            upper, lower = TABLE[row.k]
-            assert row.upper_coeff == pytest.approx(upper, abs=0.01)
-            assert row.lower_coeff == pytest.approx(lower, abs=0.001)
-            assert row.lower_coeff < row.upper_coeff < 0.7854
+        for k in sorted(TABLE):
+            upper, lower = TABLE[k]
+            _, upper_coeff = optimize_epsilon(k)
+            lower_coeff = lower_bound_coefficient(k)
+            assert upper_coeff == pytest.approx(upper, abs=0.01)
+            assert lower_coeff == pytest.approx(lower, abs=0.001)
+            assert lower_coeff < upper_coeff < 0.7854

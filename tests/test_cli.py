@@ -26,6 +26,18 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def run_cli_module(*args):
+    """`python -m partialsearch.cli` in a fresh process; a hang fails after 60 s."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "partialsearch.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--k", "4")
@@ -204,16 +216,13 @@ class TestExitCodes:
         assert code == 0
 
     def test_runs_as_module(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        result = subprocess.run(
-            [sys.executable, "-m", "partialsearch.cli", "optimize", "--k", "4", "--format", "json"],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        result = run_cli_module("optimize", "--k", "4", "--format", "json")
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["K"] == 4
+
+    def test_optimize_tol_below_float_spacing_returns(self):
+        result = run_cli_module("optimize", "--k", "4", "--tol", "1e-16")
+        assert result.returncode == 0, result.stderr
 
 
 # Printed by the reduced backend with epsilon and target fixed, so neither the
@@ -314,12 +323,171 @@ n,k,target,queries,success_prob,target_prob,block,block_prob
 }
 
 
+# The demos' pipelines and the text/CSV cell formatting, pinned the same way:
+# (arguments, expected stdout).
+GOLDEN_OTHER = {
+    "twelve-items-csv": (
+        ("demo", "--which", "twelve-items", "--format", "csv"),
+        """\
+# tool=partialsearch
+# version=0.1.0
+# command=demo --which twelve-items --format csv
+# seed=0
+# backend=
+# queries=2
+# success_prob=1
+# target_prob=0.75
+stage,block,slot,amplitude
+0:start,0,0,0.288675134595
+0:start,0,1,0.288675134595
+0:start,0,2,0.288675134595
+0:start,0,3,0.288675134595
+0:start,1,0,0.288675134595
+0:start,1,1,0.288675134595
+0:start,1,2,0.288675134595
+0:start,1,3,0.288675134595
+0:start,2,0,0.288675134595
+0:start,2,1,0.288675134595
+0:start,2,2,0.288675134595
+0:start,2,3,0.288675134595
+1:oracle,0,0,0.288675134595
+1:oracle,0,1,0.288675134595
+1:oracle,0,2,0.288675134595
+1:oracle,0,3,0.288675134595
+1:oracle,1,0,0.288675134595
+1:oracle,1,1,-0.288675134595
+1:oracle,1,2,0.288675134595
+1:oracle,1,3,0.288675134595
+1:oracle,2,0,0.288675134595
+1:oracle,2,1,0.288675134595
+1:oracle,2,2,0.288675134595
+1:oracle,2,3,0.288675134595
+2:block_diffusion,0,0,0.288675134595
+2:block_diffusion,0,1,0.288675134595
+2:block_diffusion,0,2,0.288675134595
+2:block_diffusion,0,3,0.288675134595
+2:block_diffusion,1,0,0
+2:block_diffusion,1,1,0.57735026919
+2:block_diffusion,1,2,0
+2:block_diffusion,1,3,0
+2:block_diffusion,2,0,0.288675134595
+2:block_diffusion,2,1,0.288675134595
+2:block_diffusion,2,2,0.288675134595
+2:block_diffusion,2,3,0.288675134595
+3:oracle,0,0,0.288675134595
+3:oracle,0,1,0.288675134595
+3:oracle,0,2,0.288675134595
+3:oracle,0,3,0.288675134595
+3:oracle,1,0,0
+3:oracle,1,1,-0.57735026919
+3:oracle,1,2,0
+3:oracle,1,3,0
+3:oracle,2,0,0.288675134595
+3:oracle,2,1,0.288675134595
+3:oracle,2,2,0.288675134595
+3:oracle,2,3,0.288675134595
+4:global_diffusion,0,0,0
+4:global_diffusion,0,1,0
+4:global_diffusion,0,2,0
+4:global_diffusion,0,3,0
+4:global_diffusion,1,0,0.288675134595
+4:global_diffusion,1,1,0.866025403784
+4:global_diffusion,1,2,0.288675134595
+4:global_diffusion,1,3,0.288675134595
+4:global_diffusion,2,0,0
+4:global_diffusion,2,1,0
+4:global_diffusion,2,2,0
+4:global_diffusion,2,3,0
+""",
+    ),
+    "step2-histogram-csv": (
+        ("demo", "--which", "step2-histogram", "--n", "16", "--k", "4", "--format", "csv"),
+        """\
+# tool=partialsearch
+# version=0.1.0
+# command=demo --which step2-histogram --n 16 --k 4 --format csv
+# seed=0
+# backend=
+# n=16
+# k=4
+# epsilon=0.608173461021
+# l1=1
+# l2=1
+stage,block,slot,amplitude
+after_step1,0,0,0.1875
+after_step1,0,1,0.1875
+after_step1,0,2,0.1875
+after_step1,0,3,0.1875
+after_step1,1,0,0.1875
+after_step1,1,1,0.1875
+after_step1,1,2,0.1875
+after_step1,1,3,0.1875
+after_step1,2,0,0.1875
+after_step1,2,1,0.1875
+after_step1,2,2,0.1875
+after_step1,2,3,0.1875
+after_step1,3,0,0.1875
+after_step1,3,1,0.6875
+after_step1,3,2,0.1875
+after_step1,3,3,0.1875
+after_step2,0,0,0.1875
+after_step2,0,1,0.1875
+after_step2,0,2,0.1875
+after_step2,0,3,0.1875
+after_step2,1,0,0.1875
+after_step2,1,1,0.1875
+after_step2,1,2,0.1875
+after_step2,1,3,0.1875
+after_step2,2,0,0.1875
+after_step2,2,1,0.1875
+after_step2,2,2,0.1875
+after_step2,2,3,0.1875
+after_step2,3,0,-0.25
+after_step2,3,1,0.625
+after_step2,3,2,-0.25
+after_step2,3,3,-0.25
+""",
+    ),
+    "table-text": (
+        ("table", "--k", "2,3,4,5,8,32"),
+        """\
+partialsearch 0.1.0  (command: table --k 2,3,4,5,8,32; seed: 0)
+
+ K    epsilon_star     upper_coeff     lower_coeff     naive_coeff
+ 2               1  0.555360359819  0.230037796128   0.55536036727
+ 3  0.732279540784  0.590774502038  0.331948322339  0.641274915081
+ 4  0.608173461021   0.61547970867  0.392699081699  0.680174761588
+ 5  0.531884285291   0.63294423115  0.434157426845  0.702481473104
+ 8  0.407769176876  0.664520840011  0.507717979763  0.734672709909
+32  0.197002523024  0.724870303933   0.64655807158  0.773028915353
+""",
+    ),
+    "bounds-text": (
+        ("bounds", "--k", "4", "--n", "65536"),
+        """\
+partialsearch 0.1.0  (command: bounds --k 4 --n 65536; seed: 0)
+     erring_search: n=65536, err=0.01, hidden_const=1, query_floor=168.389366232
+
+K     lower_coeff     naive_coeff  large_k_coeff
+4  0.392699081699  0.680174761588  0.61853385939
+""",
+    ),
+}
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_simulate_stdout(self, capsys, fmt):
         code, out, err = run_cli(capsys, *GOLDEN_SIMULATE_ARGS, "--format", fmt)
         assert (code, err) == (0, "")
         assert out == GOLDEN_SIMULATE[fmt]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_OTHER))
+    def test_other_stdout(self, capsys, name):
+        args, expected = GOLDEN_OTHER[name]
+        code, out, err = run_cli(capsys, *args)
+        assert (code, err) == (0, "")
+        assert out == expected
 
 
 class TestDeterminism:

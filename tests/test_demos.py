@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script, and README's quick start, runs against the current package."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,15 @@ def test_demo_runs(demo):
         [sys.executable, str(ROOT / "demos" / f"{demo}.py")], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start_output():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    snippet = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    queries, success, block = snippet.strip().splitlines()[-1].removeprefix("# ").split()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", snippet], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    got_queries, got_success, got_block = result.stdout.split()
+    assert (got_queries, got_block) == (queries, block)
+    assert float(got_success) == pytest.approx(float(success), abs=1e-12)

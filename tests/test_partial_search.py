@@ -181,6 +181,15 @@ class TestRunScript:
         assert np.array_equal(state.amplitudes, apply_script(uniform_state(16), ops, cfg).amplitudes)
         assert state.queries == 1
 
+    def test_iterator_script_stages_every_operator(self):
+        cfg = BlockConfig(12, 3, 5)
+        stages = script_stages(cfg, iter(TWELVE_ITEM_SCRIPT))
+        expected = script_stages(cfg, TWELVE_ITEM_SCRIPT)
+        assert len(stages) == len(expected) == 5
+        for got, want in zip(stages, expected):
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+            assert got.queries == want.queries
+
     def test_step3_must_be_last(self):
         with pytest.raises(ValueError, match="last"):
             validate_script((OperatorTag.STEP3, OperatorTag.ORACLE))
