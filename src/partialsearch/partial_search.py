@@ -10,10 +10,11 @@ queries in total.
 
 Pipelines are stages: one round of operator tags repeated `count` times,
 so a standard run is three stages.  `apply_stages` is the one runner, for
-either backend: a dense state goes operator by operator, a reduced state
-one stage at a time in closed form (`reduced_run_stage`).  `apply_script`
-groups a flat script (a sequence of tags) into stages and runs them;
-`script_stages` keeps the state after every operator instead.
+either backend: a reduced state goes one stage at a time in closed form
+(`reduced_run_stage`), a dense one runs Grover-round stages in place on a
+private copy (norm checked once per stage) and anything else per operator.
+`apply_script` groups a flat script (a sequence of tags) into stages and
+runs them; `script_stages` keeps the state after every operator instead.
 """
 from __future__ import annotations
 
@@ -179,17 +180,39 @@ def apply_script(state, script: Script, cfg: BlockConfig | None = None):
 
 
 def apply_stages(state, stages: Sequence[Stage], cfg: BlockConfig | None = None):
-    """The state after every stage in order: reduced stages in closed form, dense ones per operator."""
+    """The state after every stage in order: reduced ones in closed form, dense Grover rounds in place."""
     if isinstance(state, ReducedState):
         _check_reduced_cfg(state, cfg)
         for round_ops, count in stages:
             state = reduced_run_stage(state, round_ops, count)
         return state
     for round_ops, count in stages:
+        if count < 0:
+            raise ValueError(f"a stage needs count >= 0, got {count}")
+        # Without a config apply_operator raises; with the ancilla the diffusions do.
+        if count and cfg is not None and not state.has_ancilla and round_ops in (GLOBAL_ROUND, BLOCK_ROUND):
+            state = _dense_rounds(state, round_ops, count, cfg)
+            continue
         for _ in range(count):
             for op in round_ops:
                 state = apply_operator(state, op, cfg)
     return state
+
+
+def _dense_rounds(
+    state: DenseState, round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig
+) -> DenseState:
+    """``count`` Grover rounds in place on a private copy: the operators' arithmetic, one norm check."""
+    statevector._check_shapes(state, cfg)
+    amp = state.amplitudes.copy()
+    blocks = amp.reshape(cfg.n_blocks, cfg.block_size)
+    for _ in range(count):
+        amp[cfg.target] = -amp[cfg.target]
+        if round_ops == GLOBAL_ROUND:
+            np.subtract(2.0 * amp.mean(), amp, out=amp)
+        else:
+            np.subtract(2.0 * blocks.mean(axis=1, keepdims=True), blocks, out=blocks)
+    return DenseState(amp, state.n_addresses, False, state.queries + count)
 
 
 def script_stages(cfg: BlockConfig, script: Script, backend: str = "dense") -> list:
@@ -245,8 +268,9 @@ def _report(state, cfg: BlockConfig, backend: str, **extra) -> RunReport:
         target_prob = state.target_probability()
         miss_prob = (cfg.n_addresses - cfg.block_size) * state.c**2
     else:
-        block_probs = statevector.block_probabilities(state, cfg)
-        target_prob = float(state.address_probabilities()[cfg.target])
+        per_address = state.address_probabilities()
+        block_probs = per_address.reshape(cfg.n_blocks, cfg.block_size).sum(axis=1)
+        target_prob = float(per_address[cfg.target])
         miss_prob = math.fsum(p for block, p in enumerate(block_probs) if block != cfg.target_block)
     return RunReport(
         n_addresses=cfg.n_addresses,

@@ -6,9 +6,9 @@ never leaves the real subspace and amplitudes are stored as float64;
 complex input is refused rather than cast, since a cast would silently
 drop imaginary parts.
 
-States are immutable values: each operator returns a fresh state and the
-backing arrays are marked read-only.  Oracle calls (`invert_target`,
-`step3_transfer`) carry a query count on the state; diffusions are free.
+States are immutable: each public operator returns a new state on a read-only
+array; `apply_stages` runs Grover rounds in place on a private copy.  Oracle
+calls (`invert_target`, `step3_transfer`) count queries; diffusions are free.
 """
 from __future__ import annotations
 

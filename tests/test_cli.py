@@ -462,6 +462,145 @@ partialsearch 0.1.0  (command: table --k 2,3,4,5,8,32; seed: 0)
 32  0.197002523024  0.724870303933   0.64655807158  0.773028915353
 """,
     ),
+    "simulate-dense-json": (
+        ("simulate", "--n", "4096", "--k", "4", "--target", "1234", "--backend", "dense", "--format", "json"),
+        """\
+{
+  "backend": "dense",
+  "block_probs": [
+    0.000397425447527,
+    0.998807723657,
+    0.000397425447527,
+    0.000397425447527
+  ],
+  "command": "simulate --n 4096 --k 4 --target 1234 --backend dense --format json",
+  "epsilon": 0.608173461021,
+  "k": 4,
+  "l1": 20,
+  "l2": 20,
+  "n": 4096,
+  "predicted_block": 1,
+  "queries": 41,
+  "rows": [
+    {
+      "block": 0,
+      "block_prob": 0.000397425447527,
+      "k": 4,
+      "n": 4096,
+      "queries": 41,
+      "success_prob": 0.998807723657,
+      "target": 1234,
+      "target_prob": 0.323502610116
+    },
+    {
+      "block": 1,
+      "block_prob": 0.998807723657,
+      "k": 4,
+      "n": 4096,
+      "queries": 41,
+      "success_prob": 0.998807723657,
+      "target": 1234,
+      "target_prob": 0.323502610116
+    },
+    {
+      "block": 2,
+      "block_prob": 0.000397425447527,
+      "k": 4,
+      "n": 4096,
+      "queries": 41,
+      "success_prob": 0.998807723657,
+      "target": 1234,
+      "target_prob": 0.323502610116
+    },
+    {
+      "block": 3,
+      "block_prob": 0.000397425447527,
+      "k": 4,
+      "n": 4096,
+      "queries": 41,
+      "success_prob": 0.998807723657,
+      "target": 1234,
+      "target_prob": 0.323502610116
+    }
+  ],
+  "seed": 0,
+  "success_prob": 0.998807723657,
+  "target": 1234,
+  "target_prob": 0.323502610116,
+  "tool": "partialsearch",
+  "version": "0.1.0"
+}
+""",
+    ),
+    "simulate-dense-exact-theta-csv": (
+        (
+            "simulate", "--n", "1024", "--k", "8", "--target", "5",
+            "--backend", "dense", "--exact-theta", "--format", "csv",
+        ),
+        """\
+# tool=partialsearch
+# version=0.1.0
+# command=simulate --n 1024 --k 8 --target 5 --backend dense --exact-theta --format csv
+# seed=0
+# backend=dense
+# n=1024
+# k=8
+# target=5
+# epsilon=0.407769176876
+# l1=15
+# l2=6
+# queries=22
+# success_prob=0.999834847077
+# target_prob=0.331751817819
+# predicted_block=0
+n,k,target,queries,success_prob,target_prob,block,block_prob
+1024,8,5,22,0.999834847077,0.331751817819,0,0.999834847077
+1024,8,5,22,0.999834847077,0.331751817819,1,2.35932747655e-05
+1024,8,5,22,0.999834847077,0.331751817819,2,2.35932747655e-05
+1024,8,5,22,0.999834847077,0.331751817819,3,2.35932747655e-05
+1024,8,5,22,0.999834847077,0.331751817819,4,2.35932747655e-05
+1024,8,5,22,0.999834847077,0.331751817819,5,2.35932747655e-05
+1024,8,5,22,0.999834847077,0.331751817819,6,2.35932747655e-05
+1024,8,5,22,0.999834847077,0.331751817819,7,2.35932747655e-05
+""",
+    ),
+    "grover-dense-json": (
+        ("grover", "--n", "1024", "--target", "3", "--backend", "dense", "--format", "json"),
+        """\
+{
+  "backend": "dense",
+  "block_probs": [
+    1.0
+  ],
+  "command": "grover --n 1024 --target 3 --backend dense --format json",
+  "epsilon": null,
+  "k": 1,
+  "l1": 25,
+  "l2": 0,
+  "n": 1024,
+  "predicted_block": 0,
+  "queries": 25,
+  "rows": [
+    {
+      "block": 0,
+      "block_prob": 1.0,
+      "k": 1,
+      "n": 1024,
+      "queries": 25,
+      "success_prob": 1.0,
+      "target": 3,
+      "target_prob": 0.999461244744
+    }
+  ],
+  "seed": 0,
+  "success_prob": 1.0,
+  "target": 3,
+  "target_prob": 0.999461244744,
+  "tool": "partialsearch",
+  "version": "0.1.0"
+}
+""",
+    ),
     "bounds-text": (
         ("bounds", "--k", "4", "--n", "65536"),
         """\

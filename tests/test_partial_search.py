@@ -27,7 +27,14 @@ from partialsearch import (
     step3_transfer,
     uniform_state,
 )
-from partialsearch.partial_search import standard_pipeline_script, validate_script
+from partialsearch.partial_search import (
+    apply_operator,
+    apply_stages,
+    standard_pipeline_script,
+    standard_pipeline_stages,
+    validate_script,
+)
+from partialsearch.reduced import BLOCK_ROUND, GLOBAL_ROUND, reduced_init
 
 PI = math.pi
 
@@ -210,6 +217,67 @@ class TestRunScript:
         report = run_script(BlockConfig(12, 3, 5), TWELVE_ITEM_SCRIPT, backend="reduced")
         assert report.success_prob == pytest.approx(1.0, abs=1e-12)
         assert report.queries == 2
+
+
+def per_operator_stages(state, stages, cfg):
+    """Reference runner: every operator of every stage through apply_operator."""
+    for round_ops, count in stages:
+        for _ in range(count):
+            for op in round_ops:
+                state = apply_operator(state, op, cfg)
+    return state
+
+
+class TestDenseStages:
+    @pytest.mark.parametrize("count", [0, 1, 2, 7])
+    @pytest.mark.parametrize("n, k", [(48, 3), (64, 64), (4096, 8), (2**16, 32)])
+    def test_bit_equal_to_per_operator_run(self, n, k, count):
+        cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
+        stages = standard_pipeline_stages(count, count)
+        for prefix in (stages[:1], stages[:2], stages):
+            got = apply_stages(uniform_state(n), prefix, cfg)
+            want = per_operator_stages(uniform_state(n), prefix, cfg)
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+            assert (got.queries, got.has_ancilla) == (want.queries, want.has_ancilla)
+        assert got.queries == 2 * count + 1
+
+    def test_input_unchanged_and_arrays_read_only(self):
+        cfg = BlockConfig(64, 4, 9)
+        start = invert_target(uniform_state(64), cfg)
+        before = start.amplitudes.copy()
+        out = apply_stages(start, [(GLOBAL_ROUND, 3), (BLOCK_ROUND, 2)], cfg)
+        assert np.array_equal(start.amplitudes, before)
+        assert not start.amplitudes.flags.writeable
+        assert not out.amplitudes.flags.writeable
+        assert not np.shares_memory(start.amplitudes, out.amplitudes)
+        assert out.queries == start.queries + 5
+
+    @pytest.mark.parametrize(
+        "round_ops, message",
+        [(GLOBAL_ROUND, "global diffusion is defined on ancilla-free states"),
+         (BLOCK_ROUND, "block diffusion is defined on ancilla-free states")],
+    )
+    def test_rounds_with_ancilla_rejected(self, round_ops, message):
+        state = attach_ancilla(uniform_state(16))
+        with pytest.raises(ValueError, match=message):
+            apply_stages(state, [(round_ops, 1)], BlockConfig(16, 4, 3))
+
+    @pytest.mark.parametrize("round_ops", [GLOBAL_ROUND, BLOCK_ROUND])
+    def test_config_of_another_n_rejected(self, round_ops):
+        with pytest.raises(InvalidInstanceError, match="config has N=32"):
+            apply_stages(uniform_state(16), [(round_ops, 2)], BlockConfig(32, 4, 3))
+
+    def test_rounds_without_config_rejected(self):
+        with pytest.raises(ValueError, match="explicit config"):
+            apply_stages(uniform_state(16), [(GLOBAL_ROUND, 1)])
+
+    @pytest.mark.parametrize("backend", ["dense", "reduced"])
+    @pytest.mark.parametrize("round_ops", [GLOBAL_ROUND, BLOCK_ROUND, (OperatorTag.STEP3,)])
+    def test_negative_count_rejected(self, backend, round_ops):
+        cfg = BlockConfig(16, 4, 3)
+        state = uniform_state(16) if backend == "dense" else reduced_init(cfg)
+        with pytest.raises(ValueError, match="a stage needs count >= 0, got -1"):
+            apply_stages(state, [(round_ops, -1)], cfg)
 
 
 class TestIdentityQueries:
