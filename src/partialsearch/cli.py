@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -30,7 +31,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 1
     try:
-        payload = _dispatch(args)
+        with warnings.catch_warnings():  # one line per warning, like the errors below; no source path
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            payload = _dispatch(args)
     except InvalidInstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,12 +9,12 @@ blocks; it costs one final query, so a standard run makes l1 + l2 + 1
 queries in total.
 
 Pipelines are stages: one round of operator tags repeated `count` times,
-so a standard run is three stages.  `apply_stages` is the one runner, for
-either backend: a reduced state goes one stage at a time in closed form
-(`reduced_run_stage`), a dense one runs Grover-round stages in place on a
-private copy (norm checked once per stage) and anything else per operator.
-`apply_script` groups a flat script (a sequence of tags) into stages and
-runs them; `script_stages` keeps the state after every operator instead.
+so a standard run is three stages.  `apply_stages` is the one stage loop,
+for both backends: it sends a stage of Grover rounds on an ancilla-free
+state to its backend's kernel (one closed-form rotation of a reduced state,
+an in-place loop on a private dense copy, norm checked once) and every
+other stage through `apply_operator`.  `apply_script` groups a flat script
+into stages and runs them; `script_stages` keeps every operator's state.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .reduced import (
     ReducedState,
     reduced_apply,
     reduced_init,
-    reduced_run_stage,
+    _reduced_rounds,
 )
 from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError
 
@@ -180,22 +180,23 @@ def apply_script(state, script: Script, cfg: BlockConfig | None = None):
 
 
 def apply_stages(state, stages: Sequence[Stage], cfg: BlockConfig | None = None):
-    """The state after every stage in order: reduced ones in closed form, dense Grover rounds in place."""
-    if isinstance(state, ReducedState):
+    """The state after every stage: Grover rounds without the ancilla by one kernel, the rest per operator."""
+    reduced = isinstance(state, ReducedState)
+    if reduced:
         _check_reduced_cfg(state, cfg)
-        for round_ops, count in stages:
-            state = reduced_run_stage(state, round_ops, count)
-        return state
     for round_ops, count in stages:
         if count < 0:
             raise ValueError(f"a stage needs count >= 0, got {count}")
         # Without a config apply_operator raises; with the ancilla the diffusions do.
-        if count and cfg is not None and not state.has_ancilla and round_ops in (GLOBAL_ROUND, BLOCK_ROUND):
+        rounds = count > 0 and round_ops in (GLOBAL_ROUND, BLOCK_ROUND)
+        if rounds and reduced and not state.moved_out:
+            state = _reduced_rounds(state, round_ops, count)
+        elif rounds and not reduced and cfg is not None and not state.has_ancilla:
             state = _dense_rounds(state, round_ops, count, cfg)
-            continue
-        for _ in range(count):
-            for op in round_ops:
-                state = apply_operator(state, op, cfg)
+        else:
+            for _ in range(count):
+                for op in round_ops:
+                    state = apply_operator(state, op, cfg)
     return state
 
 
@@ -238,7 +239,7 @@ def run_partial_search(
         epsilon, _ = analysis.optimize_epsilon(cfg.n_blocks)
     l1, l2, breakdown = iteration_counts(cfg.n_addresses, cfg.n_blocks, epsilon, exact_theta)
     state = apply_stages(_initial_state(cfg, backend, dense_cap), standard_pipeline_stages(l1, l2), cfg)
-    return _report(state, cfg, backend, epsilon=epsilon, l1=l1, l2=l2)
+    return _report(state, cfg, epsilon=epsilon, l1=l1, l2=l2)
 
 
 def run_full_grover(
@@ -246,12 +247,12 @@ def run_full_grover(
 ) -> RunReport:
     """Plain amplitude amplification for a given number of steps."""
     state = apply_stages(_initial_state(cfg, backend, dense_cap), grover_stages(steps), cfg)
-    return _report(state, cfg, backend, l1=steps, l2=0)
+    return _report(state, cfg, l1=steps, l2=0)
 
 
 def run_script(cfg: BlockConfig, script: Script, backend: str = "dense") -> RunReport:
     state = apply_script(_initial_state(cfg, backend), script, cfg)
-    return _report(state, cfg, backend)
+    return _report(state, cfg)
 
 
 def _initial_state(cfg: BlockConfig, backend: str, dense_cap: int = DENSE_CAP):
@@ -262,8 +263,9 @@ def _initial_state(cfg: BlockConfig, backend: str, dense_cap: int = DENSE_CAP):
     raise ValueError(f"unknown backend {backend!r}; expected 'dense' or 'reduced'")
 
 
-def _report(state, cfg: BlockConfig, backend: str, **extra) -> RunReport:
-    if isinstance(state, ReducedState):
+def _report(state, cfg: BlockConfig, **extra) -> RunReport:
+    reduced = isinstance(state, ReducedState)
+    if reduced:
         block_probs = state.block_probabilities()
         target_prob = state.target_probability()
         miss_prob = (cfg.n_addresses - cfg.block_size) * state.c**2
@@ -276,7 +278,7 @@ def _report(state, cfg: BlockConfig, backend: str, **extra) -> RunReport:
         n_addresses=cfg.n_addresses,
         n_blocks=cfg.n_blocks,
         target=cfg.target,
-        backend=backend,
+        backend="reduced" if reduced else "dense",
         queries=state.queries,
         block_probs=tuple(float(p) for p in block_probs),
         success_prob=float(block_probs[cfg.target_block]),

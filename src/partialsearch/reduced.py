@@ -15,15 +15,15 @@ to N = 2**52.  Operators are closed-form conjugations of the dense ones
 onto this invariant subspace; `lift_to_dense` expands back for comparison
 against the ground-truth backend.
 
-A run is a few stages, each one round of operators repeated `count` times,
-and `reduced_run_stage` applies a stage in O(1).  A Grover round (oracle,
-then inversion about the mean of M amplitudes) rotates the target and the
-uniform rest of those M amplitudes by 2 arcsin(1/sqrt(M)), so `count`
-rounds are one rotation (Boyer, Brassard, Hoyer, Tapp, quant-ph/9605034).
-Block rounds rotate (a, sqrt(m - 1) b), M = m = N/K, and leave c alone;
-global rounds rotate (a, sqrt(N - 1) mu), M = N, mu the non-target mean,
-and flip the sign of b - mu and c - mu every round.  Any other round,
-step 3 included, is applied operator by operator.
+A run is a few stages, each one round of operators repeated `count` times.
+A Grover round (oracle, then inversion about the mean of M amplitudes)
+rotates the target and the uniform rest of those M amplitudes by
+2 arcsin(1/sqrt(M)), so `_reduced_rounds` applies `count` rounds as one
+rotation (Boyer, Brassard, Hoyer, Tapp, quant-ph/9605034).  Block rounds
+rotate (a, sqrt(m - 1) b), M = m = N/K, and leave c alone; global rounds
+rotate (a, sqrt(N - 1) mu), M = N, mu the non-target mean, and flip the
+sign of b - mu and c - mu every round.  `partial_search.apply_stages`
+picks the stages it gets and applies the rest operator by operator.
 """
 from __future__ import annotations
 
@@ -115,18 +115,8 @@ BLOCK_ROUND = (OperatorTag.ORACLE, OperatorTag.BLOCK_DIFFUSION)
 GLOBAL_ROUND = (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION)
 
 
-def reduced_run_stage(state: ReducedState, round_ops: tuple[OperatorTag, ...], count: int) -> ReducedState:
-    """Apply ``count`` repetitions of ``round_ops``; Grover rounds run in closed form."""
-    if count < 0:
-        raise ValueError(f"a stage needs count >= 0, got {count}")
-    if count == 0:
-        return state
-    if state.moved_out or round_ops not in (BLOCK_ROUND, GLOBAL_ROUND):
-        # Diffusions after step 3 raise in reduced_apply, on the first round.
-        for _ in range(count):
-            for op in round_ops:
-                state = reduced_apply(state, op)
-        return state
+def _reduced_rounds(state: ReducedState, round_ops: tuple[OperatorTag, ...], count: int) -> ReducedState:
+    """``count`` block or global Grover rounds of a state before step 3, as one rotation."""
     n, m = state.cfg.n_addresses, state.cfg.block_size
     a, b, c = state.a, state.b, state.c
     if round_ops == BLOCK_ROUND:

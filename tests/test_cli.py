@@ -104,6 +104,19 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--n", "50"), "N=50, err=0.01"),
+            (("--err", "0.5"), "N=65536, err=0.5"),
+        ],
+    )
+    def test_bounds_outside_regime_warns_in_one_line(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "bounds", *args)
+        assert code == 0
+        assert "query_floor" in out
+        assert err == f"warning: outside the bound's stated regime (N >= 100, err <= 0.1): {message}\n"
+
+    @pytest.mark.parametrize(
         "args, quantity",
         [
             (("optimize", "--k", "1" + "0" * 20), "K="),

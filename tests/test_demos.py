@@ -1,13 +1,19 @@
-"""Every demo script, and README's quick start, runs against the current package."""
+"""Every demo script, and README's quick start and command lines, run against the current package."""
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from partialsearch.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
+README_COMMANDS = re.search(
+    r"## Command line\n\n```bash\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S
+).group(1)
 
 
 @pytest.mark.parametrize(
@@ -38,3 +44,13 @@ def test_readme_quick_start_output():
     got_queries, got_success, got_block = result.stdout.split()
     assert (got_queries, got_block) == (queries, block)
     assert float(got_success) == pytest.approx(float(success), abs=1e-12)
+
+
+@pytest.mark.parametrize("line", README_COMMANDS.splitlines())
+def test_readme_command_line_runs(capsys, line):
+    prog, *argv = shlex.split(line)
+    assert prog == "partial-search"
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.strip()

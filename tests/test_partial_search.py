@@ -27,6 +27,7 @@ from partialsearch import (
     step3_transfer,
     uniform_state,
 )
+from partialsearch import partial_search
 from partialsearch.partial_search import (
     apply_operator,
     apply_stages,
@@ -278,6 +279,44 @@ class TestDenseStages:
         state = uniform_state(16) if backend == "dense" else reduced_init(cfg)
         with pytest.raises(ValueError, match="a stage needs count >= 0, got -1"):
             apply_stages(state, [(round_ops, -1)], cfg)
+
+
+class TestStageDispatch:
+    """apply_stages sends each Grover-round stage to its backend's kernel and only step 3 per operator."""
+
+    @pytest.mark.parametrize("backend", ["dense", "reduced"])
+    @pytest.mark.parametrize(
+        "run, kernel_calls, operator_calls",
+        [
+            (lambda cfg, backend: run_partial_search(cfg, backend=backend), 2, [OperatorTag.STEP3]),
+            (lambda cfg, backend: run_full_grover(cfg, 9, backend=backend), 1, []),
+        ],
+        ids=["partial_search", "full_grover"],
+    )
+    def test_kernel_and_operator_calls(self, monkeypatch, backend, run, kernel_calls, operator_calls):
+        calls = {"_dense_rounds": 0, "_reduced_rounds": 0}
+        ops = []
+
+        def counting(name):
+            original = getattr(partial_search, name)
+
+            def kernel(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return kernel
+
+        def counting_operator(state, op, cfg=None):
+            ops.append(op)
+            return apply_operator(state, op, cfg)
+
+        for name in calls:
+            monkeypatch.setattr(partial_search, name, counting(name))
+        monkeypatch.setattr(partial_search, "apply_operator", counting_operator)
+        report = run(BlockConfig(256, 4, 37), backend)
+        assert calls[f"_{backend}_rounds"] == sum(calls.values()) == kernel_calls
+        assert ops == operator_calls
+        assert report.backend == backend
 
 
 class TestIdentityQueries:

@@ -22,7 +22,7 @@ from partialsearch import (
 from partialsearch import partial_search
 from partialsearch import reduced as reduced_module
 from partialsearch.partial_search import apply_stages, standard_pipeline_stages
-from partialsearch.reduced import BLOCK_ROUND, GLOBAL_ROUND, reduced_run_stage
+from partialsearch.reduced import BLOCK_ROUND, GLOBAL_ROUND
 
 ORACLE = OperatorTag.ORACLE
 GLOBAL = OperatorTag.GLOBAL_DIFFUSION
@@ -229,23 +229,26 @@ class TestStageRuns:
     @pytest.mark.parametrize("count", [1, 2, 3, 10, 11, 40])
     def test_global_rounds_flip_the_deviation(self, count):
         cfg = BlockConfig(4096, 4, 100)
-        start = reduced_run_stage(reduced_init(cfg), BLOCK_ROUND, 7)
+        start = apply_stages(reduced_init(cfg), [(BLOCK_ROUND, 7)], cfg)
         assert abs(start.b - start.c) > 1e-3
-        staged = reduced_run_stage(start, GLOBAL_ROUND, count)
+        staged = apply_stages(start, [(GLOBAL_ROUND, count)], cfg)
         assert _max_field_diff(staged, _iterated(start, grover_script(count))) <= 1e-12
         assert staged.queries == start.queries + count
 
     def test_zero_rounds_return_the_state(self):
-        state = reduced_init(BlockConfig(64, 4, 3))
-        assert reduced_run_stage(state, GLOBAL_ROUND, 0) is state
-        with pytest.raises(ValueError, match="count >= 0"):
-            reduced_run_stage(state, GLOBAL_ROUND, -1)
+        cfg = BlockConfig(64, 4, 3)
+        for state in (reduced_init(cfg), uniform_state(64)):  # both backends share the stage loop
+            assert apply_stages(state, [(GLOBAL_ROUND, 0)], cfg) is state
+            with pytest.raises(ValueError, match="count >= 0"):
+                apply_stages(state, [(GLOBAL_ROUND, -1)], cfg)
 
     def test_diffusion_stage_after_step3_rejected(self):
-        state = reduced_apply(reduced_init(BlockConfig(8, 2, 1)), STEP3)
+        # The dense twin is TestDenseStages::test_rounds_with_ancilla_rejected.
+        cfg = BlockConfig(8, 2, 1)
+        state = reduced_apply(reduced_init(cfg), STEP3)
         for round_ops in (BLOCK_ROUND, GLOBAL_ROUND):
             with pytest.raises(ValueError, match="ancilla-free"):
-                reduced_run_stage(state, round_ops, 3)
+                apply_stages(state, [(round_ops, 3)], cfg)
 
     def test_huge_run_makes_constant_operator_calls(self, monkeypatch):
         calls = []
