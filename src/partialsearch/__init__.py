@@ -8,121 +8,77 @@ and matching lower bounds, zero-error classical baselines, and numeric
 checks of the erring-search lower-bound machinery.
 """
 
-from .analysis import (
-    CostBreakdown,
-    InfeasibleEpsilonError,
-    alpha_target,
-    cost_coefficient,
-    feasible_epsilon_interval,
-    large_k_guarantee,
-    lower_bound_coefficient,
-    naive_quantum_coefficient,
-    optimize_epsilon,
-    reduction_total_queries,
-    theta1,
-    theta2,
-    theta_of_epsilon,
-)
-from .classical import (
-    ClassicalReport,
-    classical_formulas,
-    exact_expected_probes,
-    simulate_randomized,
-    two_case_expectation,
-)
-from .partial_search import (
-    TWELVE_ITEM_SCRIPT,
-    RunReport,
-    Script,
-    apply_operator,
-    apply_script,
-    grover_script,
-    iteration_counts,
-    run_full_grover,
-    run_partial_search,
-    run_script,
-    script_stages,
-    standard_pipeline_script,
-)
-from .reduced import OperatorTag, ReducedState, lift_to_dense, reduced_apply, reduced_init
-from .statevector import (
-    DENSE_CAP,
-    BlockConfig,
-    DenseState,
-    InvalidInstanceError,
-    attach_ancilla,
-    block_diffusion,
-    block_probabilities,
-    global_diffusion,
-    invert_target,
-    step3_transfer,
-    uniform_state,
-)
-from .zalka import (
-    HybridTrajectory,
-    angle_distance,
-    hybrid_step_margins,
-    hybrid_trajectory,
-    max_arcsin_probability_sum,
-    total_angle_sum,
-    zalka_error_bound,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockConfig",
-    "ClassicalReport",
-    "CostBreakdown",
-    "DENSE_CAP",
-    "DenseState",
-    "HybridTrajectory",
-    "InfeasibleEpsilonError",
-    "InvalidInstanceError",
-    "OperatorTag",
-    "ReducedState",
-    "RunReport",
-    "Script",
-    "TWELVE_ITEM_SCRIPT",
-    "alpha_target",
-    "angle_distance",
-    "apply_operator",
-    "apply_script",
-    "attach_ancilla",
-    "block_diffusion",
-    "block_probabilities",
-    "classical_formulas",
-    "cost_coefficient",
-    "exact_expected_probes",
-    "feasible_epsilon_interval",
-    "global_diffusion",
-    "grover_script",
-    "hybrid_step_margins",
-    "hybrid_trajectory",
-    "invert_target",
-    "iteration_counts",
-    "large_k_guarantee",
-    "lift_to_dense",
-    "lower_bound_coefficient",
-    "max_arcsin_probability_sum",
-    "naive_quantum_coefficient",
-    "optimize_epsilon",
-    "reduced_apply",
-    "reduced_init",
-    "reduction_total_queries",
-    "run_full_grover",
-    "run_partial_search",
-    "run_script",
-    "script_stages",
-    "simulate_randomized",
-    "standard_pipeline_script",
-    "step3_transfer",
-    "theta1",
-    "theta2",
-    "theta_of_epsilon",
-    "total_angle_sum",
-    "two_case_expectation",
-    "uniform_state",
-    "zalka_error_bound",
-    "__version__",
-]
+# Every public name and the submodule that defines it.  The submodule is
+# imported on first use, and nothing is cached here: each access reads the
+# submodule's current binding, so a patched function is seen as patched.
+_SUBMODULE_OF = {
+    "CostBreakdown": "analysis",
+    "InfeasibleEpsilonError": "analysis",
+    "alpha_target": "analysis",
+    "cost_coefficient": "analysis",
+    "feasible_epsilon_interval": "analysis",
+    "large_k_guarantee": "analysis",
+    "lower_bound_coefficient": "analysis",
+    "naive_quantum_coefficient": "analysis",
+    "optimize_epsilon": "analysis",
+    "reduction_total_queries": "analysis",
+    "theta1": "analysis",
+    "theta2": "analysis",
+    "theta_of_epsilon": "analysis",
+    "ClassicalReport": "classical",
+    "classical_formulas": "classical",
+    "exact_expected_probes": "classical",
+    "simulate_randomized": "classical",
+    "two_case_expectation": "classical",
+    "TWELVE_ITEM_SCRIPT": "partial_search",
+    "RunReport": "partial_search",
+    "Script": "partial_search",
+    "apply_operator": "partial_search",
+    "apply_script": "partial_search",
+    "grover_script": "partial_search",
+    "iteration_counts": "partial_search",
+    "run_full_grover": "partial_search",
+    "run_partial_search": "partial_search",
+    "run_script": "partial_search",
+    "script_stages": "partial_search",
+    "standard_pipeline_script": "partial_search",
+    "OperatorTag": "reduced",
+    "ReducedState": "reduced",
+    "lift_to_dense": "reduced",
+    "reduced_apply": "reduced",
+    "reduced_init": "reduced",
+    "DENSE_CAP": "statevector",
+    "BlockConfig": "statevector",
+    "DenseState": "statevector",
+    "InvalidInstanceError": "statevector",
+    "attach_ancilla": "statevector",
+    "block_diffusion": "statevector",
+    "block_probabilities": "statevector",
+    "global_diffusion": "statevector",
+    "invert_target": "statevector",
+    "step3_transfer": "statevector",
+    "uniform_state": "statevector",
+    "HybridTrajectory": "zalka",
+    "angle_distance": "zalka",
+    "hybrid_step_margins": "zalka",
+    "hybrid_trajectory": "zalka",
+    "max_arcsin_probability_sum": "zalka",
+    "total_angle_sum": "zalka",
+    "zalka_error_bound": "zalka",
+}
+
+__all__ = [*_SUBMODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_SUBMODULE_OF[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,17 +14,17 @@ and the cost per sqrt(N) of the whole run is
     f(eps, K) = (pi/4)(1 - eps) + (theta1 + theta2) / (2 sqrt(K)).
 
 theta2's arcsin argument stays within 1 only while sin theta <= 2/sqrt(K);
-beyond that the parameter choice is infeasible.  `optimize_epsilon` minimizes
-f over the feasible interval and reproduces the known query-count table;
-the remaining functions give the matching lower bound, the naive
-block-restricted baseline, and the large-K guarantee in closed form.
+beyond that the parameter choice is infeasible.  f is written once, in
+`breakdown_for_theta`; `optimize_epsilon` minimizes it over the feasible
+interval, one scalar evaluation at a time, and reproduces the known
+query-count table.  The remaining functions give the matching lower bound,
+the naive block-restricted baseline, and the large-K guarantee in closed form.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .statevector import MAX_N, InvalidInstanceError
 
@@ -124,44 +124,50 @@ def feasible_epsilon_interval(k: int) -> tuple[float, float]:
     return 0.0, (2.0 / math.pi) * math.asin(2.0 / math.sqrt(k))
 
 
-def _coefficient_grid(eps: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized f(eps, K); nan where infeasible."""
-    theta = (np.pi / 2.0) * eps
-    s = np.sin(theta)
-    alpha = np.sqrt(1.0 - ((k - 1) / k) * s**2)
-    arg1 = s / (alpha * np.sqrt(k))
-    arg2 = (k - 2) * s / (2.0 * alpha * np.sqrt(k))
-    bad = (arg1 > 1.0 + _CLAMP) | (arg2 > 1.0 + _CLAMP)
-    t1 = np.arcsin(np.clip(arg1, -1.0, 1.0))
-    t2 = np.arcsin(np.clip(arg2, -1.0, 1.0))
-    out = (np.pi / 4.0) * (1.0 - eps) + (t1 + t2) / (2.0 * np.sqrt(k))
-    out[bad] = np.nan
-    return out
-
-
 def optimize_epsilon(k: int, tol: float = 1e-9) -> tuple[float, float]:
     """Minimize f(eps, K) over the feasible interval.
 
-    Grid scan at 1e-4 resolution plus golden-section refinement: f can take
-    its optimum on the boundary (K=2) and has an infinite-slope arcsin wall,
-    so derivative-based methods are unsafe here.  Ties within tol resolve to
-    the smallest epsilon (fewer step-2 iterations).
+    A 1e-4 grid locates the minimum, then golden-section search refines it:
+    f can take its optimum on the boundary (K=2) and has an infinite-slope
+    arcsin wall, so derivative-based methods are unsafe here.  f is unimodal
+    on the grid, so bisection over grid indices finds the grid minimum and
+    the 8 best grid points are the run around it.  Ties within tol resolve
+    to the smallest epsilon (fewer step-2 iterations).
     """
     if not 0.0 < tol < math.inf:
         raise InvalidInstanceError(f"tol must be positive and finite, got {tol}")
     lo, hi = feasible_epsilon_interval(k)
     # At huge K the feasible interval is narrower than one grid step; the
-    # floor keeps the scan from collapsing onto the single point eps=0.
+    # floor keeps the grid from collapsing onto the single point eps=0.
     n_pts = max(int(round((hi - lo) / _GRID_STEP)) + 1, _MIN_GRID_POINTS)
-    grid = np.linspace(lo, hi, n_pts)
-    values = _coefficient_grid(grid, k)
-    best = int(np.nanargmin(values))
+    step = (hi - lo) / (n_pts - 1)
 
-    bracket_lo = float(grid[max(best - 1, 0)])
-    bracket_hi = float(grid[min(best + 1, n_pts - 1)])
+    def point(i: int) -> float:  # the grid np.linspace(lo, hi, n_pts) would give
+        return hi if i == n_pts - 1 else lo + i * step
+
+    @functools.cache
+    def value(i: int) -> float:
+        return _scalar_coefficient(point(i), k)
+
+    best, right = 0, n_pts - 1  # bisect for the first index where f stops falling
+    while best < right:
+        mid = (best + right) // 2
+        if value(mid) <= value(mid + 1):
+            right = mid
+        else:
+            best = mid + 1
+    run_lo = run_hi = best  # grow the 8 best grid points from the minimum
+    for _ in range(7):
+        if run_hi == n_pts - 1 or (run_lo > 0 and value(run_lo - 1) <= value(run_hi + 1)):
+            run_lo -= 1
+        else:
+            run_hi += 1
+
+    bracket_lo = point(max(best - 1, 0))
+    bracket_hi = point(min(best + 1, n_pts - 1))
     refined = _golden_section(lambda e: _scalar_coefficient(e, k), bracket_lo, bracket_hi, tol)
 
-    candidates = [(float(grid[i]), float(values[i])) for i in np.argsort(values)[:8]]
+    candidates = [(point(i), value(i)) for i in range(run_lo, run_hi + 1)]
     candidates.append((refined, _scalar_coefficient(refined, k)))
     best_val = min(v for _, v in candidates)
     eps_star, coeff_star = min((e, v) for e, v in candidates if v <= best_val + tol)

@@ -340,9 +340,11 @@ def _render_csv(payload: dict, meta: dict) -> str:
     for key in ("tool", "version", "command", "seed", "backend"):
         buf.write(f"# {key}={_format_cell(meta[key])}\n")
     for key, value in payload.items():
-        if key == "rows" or isinstance(value, (list, dict)):
-            continue
-        buf.write(f"# {key}={_format_cell(value)}\n")
+        if isinstance(value, dict):
+            for field, item in value.items():
+                buf.write(f"# {key}.{field}={_format_cell(item)}\n")
+        elif key != "rows" and not isinstance(value, list):
+            buf.write(f"# {key}={_format_cell(value)}\n")
     rows = payload.get("rows", [])
     writer = csv.writer(buf, lineterminator="\n")
     if rows:

@@ -270,9 +270,8 @@ def _report(state, cfg: BlockConfig, **extra) -> RunReport:
         target_prob = state.target_probability()
         miss_prob = (cfg.n_addresses - cfg.block_size) * state.c**2
     else:
-        per_address = state.address_probabilities()
-        block_probs = per_address.reshape(cfg.n_blocks, cfg.block_size).sum(axis=1)
-        target_prob = float(per_address[cfg.target])
+        block_probs = statevector.block_probabilities(state, cfg)
+        target_prob = float(state.address_probabilities()[cfg.target])
         miss_prob = math.fsum(p for block, p in enumerate(block_probs) if block != cfg.target_block)
     return RunReport(
         n_addresses=cfg.n_addresses,

@@ -17,6 +17,7 @@ from partialsearch import (
     theta2,
     theta_of_epsilon,
 )
+from partialsearch import analysis
 
 PI = math.pi
 
@@ -212,6 +213,56 @@ class TestOptimizer:
 
     def test_deterministic(self):
         assert optimize_epsilon(8) == optimize_epsilon(8)
+
+
+def grid_coefficients(eps, k):
+    """Vectorized f(eps, K) over a whole grid; nan where infeasible."""
+    theta = (np.pi / 2.0) * eps
+    s = np.sin(theta)
+    alpha = np.sqrt(1.0 - ((k - 1) / k) * s**2)
+    arg1 = s / (alpha * np.sqrt(k))
+    arg2 = (k - 2) * s / (2.0 * alpha * np.sqrt(k))
+    bad = (arg1 > 1.0 + 1e-12) | (arg2 > 1.0 + 1e-12)
+    t1 = np.arcsin(np.clip(arg1, -1.0, 1.0))
+    t2 = np.arcsin(np.clip(arg2, -1.0, 1.0))
+    out = (np.pi / 4.0) * (1.0 - eps) + (t1 + t2) / (2.0 * np.sqrt(k))
+    out[bad] = np.nan
+    return out
+
+
+def full_grid_optimum(k, tol=1e-9):
+    """Reference optimizer: f on every point of the 1e-4 grid, then the same refinement."""
+    lo, hi = feasible_epsilon_interval(k)
+    n_pts = max(int(round((hi - lo) / 1e-4)) + 1, 65)
+    grid = np.linspace(lo, hi, n_pts)
+    values = grid_coefficients(grid, k)
+    best = int(np.nanargmin(values))
+
+    def f(e):
+        bd = cost_coefficient(e, k)
+        return bd.coefficient if bd.feasible else math.inf
+
+    bracket = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, n_pts - 1)])
+    refined = analysis._golden_section(f, *bracket, tol)
+    candidates = [(float(grid[i]), float(values[i])) for i in np.argsort(values)[:8]]
+    candidates.append((refined, f(refined)))
+    best_val = min(v for _, v in candidates)
+    return min((e, v) for e, v in candidates if v <= best_val + tol)
+
+
+class TestOptimizerAgainstFullGrid:
+    """Bisection over grid indices finds what evaluating every grid point finds."""
+
+    def test_bit_equal(self):
+        mismatched = []
+        for k in [*range(2, 2049), *(2**e for e in range(11, 53)), 10**9]:
+            (eps, coeff), (ref_eps, ref_coeff) = optimize_epsilon(k), full_grid_optimum(k)
+            # At K=438 the winning grid value comes from numpy's sin and arcsin
+            # in the reference and from math's here; they differ in the last bit.
+            coeff_ok = coeff == ref_coeff or (k == 438 and abs(coeff - ref_coeff) <= math.ulp(ref_coeff))
+            if eps != ref_eps or not coeff_ok:
+                mismatched.append((k, eps, ref_eps, coeff, ref_coeff))
+        assert mismatched == []
 
 
 class TestBounds:

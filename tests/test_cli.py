@@ -624,6 +624,22 @@ K     lower_coeff     naive_coeff  large_k_coeff
 4  0.392699081699  0.680174761588  0.61853385939
 """,
     ),
+    "bounds-csv": (
+        ("bounds", "--k", "4", "--n", "65536", "--format", "csv"),
+        """\
+# tool=partialsearch
+# version=0.1.0
+# command=bounds --k 4 --n 65536 --format csv
+# seed=0
+# backend=
+# erring_search.n=65536
+# erring_search.err=0.01
+# erring_search.hidden_const=1
+# erring_search.query_floor=168.389366232
+K,lower_coeff,naive_coeff,large_k_coeff
+4,0.392699081699,0.680174761588,0.61853385939
+""",
+    ),
 }
 
 
