@@ -4,6 +4,10 @@ Every report embeds the tool version, the command line, the seed and the
 backend, and a fixed seed gives byte-identical JSON/CSV output.  Exit
 codes: 0 success, 1 invalid or infeasible input (`InvalidInstanceError`,
 which `InfeasibleEpsilonError` subclasses), 2 any other exception.
+
+numpy is imported only where a command needs it (dense states, the seeded
+target draw, `classical`, `bounds`, `demo`), so a reduced run with a given
+target, `optimize` and `table` start without it.
 """
 from __future__ import annotations
 
@@ -15,9 +19,7 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
-from . import __version__, analysis, classical, partial_search, statevector, zalka
+from . import __version__, analysis, partial_search, statevector
 from .statevector import BlockConfig, InvalidInstanceError
 
 _TOOL = "partialsearch"
@@ -135,6 +137,7 @@ def _block_config(args: argparse.Namespace) -> BlockConfig:
     """The instance given by --n, --k and --target; with no target, one drawn from the seed."""
     cfg = BlockConfig(args.n, args.k, args.target or 0)  # checks N and K before any draw
     if args.target is None:
+        import numpy as np
         cfg = BlockConfig(args.n, args.k, int(np.random.default_rng(args.seed).integers(0, args.n)))
     return cfg
 
@@ -198,6 +201,7 @@ def _coefficient_row(k: int, epsilon_star: float, upper_coeff: float) -> dict:
 
 
 def _cmd_classical(args: argparse.Namespace) -> dict:
+    from . import classical
     report = classical.simulate_randomized(args.n, args.k, args.trials, args.seed)
     row = {
         "n": report.n,
@@ -213,6 +217,7 @@ def _cmd_classical(args: argparse.Namespace) -> dict:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> dict:
+    from . import zalka
     rows = [
         {
             "K": k,
@@ -242,6 +247,7 @@ def _cmd_demo(args: argparse.Namespace) -> dict:
 
 def _demo_twelve_items() -> dict:
     """Walk the two-query, twelve-item search and assert its exact endpoint."""
+    import numpy as np
     cfg = BlockConfig(12, 3, 5)
     stages = partial_search.script_stages(cfg, partial_search.TWELVE_ITEM_SCRIPT, backend="dense")
     labels = ["start"] + [op.value for op in partial_search.TWELVE_ITEM_SCRIPT]

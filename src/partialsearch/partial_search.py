@@ -15,14 +15,14 @@ state to its backend's kernel (one closed-form rotation of a reduced state,
 an in-place loop on a private dense copy, norm checked once) and every
 other stage through `apply_operator`.  `apply_script` groups a flat script
 into stages and runs them; `script_stages` keeps every operator's state.
+
+Dense work imports numpy on first use, so a reduced run never loads it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from . import analysis, statevector
 from .analysis import CostBreakdown
@@ -204,6 +204,7 @@ def _dense_rounds(
     state: DenseState, round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig
 ) -> DenseState:
     """``count`` Grover rounds in place on a private copy: the operators' arithmetic, one norm check."""
+    import numpy as np
     statevector._check_shapes(state, cfg)
     amp = state.amplitudes.copy()
     blocks = amp.reshape(cfg.n_blocks, cfg.block_size)
@@ -270,7 +271,7 @@ def _report(state, cfg: BlockConfig, **extra) -> RunReport:
         target_prob = state.target_probability()
         miss_prob = (cfg.n_addresses - cfg.block_size) * state.c**2
     else:
-        block_probs = statevector.block_probabilities(state, cfg)
+        block_probs = tuple(statevector.block_probabilities(state, cfg).tolist())
         target_prob = float(state.address_probabilities()[cfg.target])
         miss_prob = math.fsum(p for block, p in enumerate(block_probs) if block != cfg.target_block)
     return RunReport(
@@ -279,10 +280,10 @@ def _report(state, cfg: BlockConfig, **extra) -> RunReport:
         target=cfg.target,
         backend="reduced" if reduced else "dense",
         queries=state.queries,
-        block_probs=tuple(float(p) for p in block_probs),
-        success_prob=float(block_probs[cfg.target_block]),
+        block_probs=block_probs,
+        success_prob=block_probs[cfg.target_block],
         miss_prob=float(miss_prob),
         target_prob=target_prob,
-        predicted_block=int(np.argmax(block_probs)),
+        predicted_block=block_probs.index(max(block_probs)),  # ties go to the lowest index
         **extra,
     )

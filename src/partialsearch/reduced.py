@@ -31,9 +31,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .statevector import _NORM_ATOL, BlockConfig, DenseState, _check_dense_cap
+from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError
+from .statevector import _NORM_ATOL, _check_dense_cap
 
 
 class OperatorTag(enum.Enum):
@@ -67,12 +66,14 @@ class ReducedState:
     def target_probability(self) -> float:
         return self.a**2 + self.d**2
 
-    def block_probabilities(self) -> np.ndarray:
-        """Probability of each block index, summed over ancilla branches."""
-        n, k, m = self.cfg.n_addresses, self.cfg.n_blocks, self.cfg.block_size
-        probs = np.full(k, m * self.c**2)
+    def block_probabilities(self) -> tuple[float, ...]:
+        """Probability of each block index, summed over ancilla branches; refuses K > DENSE_CAP."""
+        k, m = self.cfg.n_blocks, self.cfg.block_size
+        if k > DENSE_CAP:
+            raise InvalidInstanceError(f"K={k} exceeds {DENSE_CAP}, the most blocks a report lists")
+        probs = [m * self.c**2] * k
         probs[self.cfg.target_block] = self.a**2 + (m - 1) * self.b**2 + self.d**2
-        return probs
+        return tuple(probs)
 
 
 def reduced_init(cfg: BlockConfig) -> ReducedState:
@@ -145,6 +146,7 @@ def lift_to_dense(state: ReducedState) -> DenseState:
     cfg = state.cfg
     n, m = cfg.n_addresses, cfg.block_size
     _check_dense_cap(n)
+    import numpy as np
     block_lo = cfg.target_block * m
     branch0 = np.full(n, state.c)
     branch0[block_lo : block_lo + m] = state.b

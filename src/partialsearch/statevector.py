@@ -9,13 +9,19 @@ drop imaginary parts.
 States are immutable: each public operator returns a new state on a read-only
 array; `apply_stages` runs Grover rounds in place on a private copy.  Oracle
 calls (`invert_target`, `step3_transfer`) count queries; diffusions are free.
+
+The instance types (`BlockConfig`, `InvalidInstanceError`, the limits) need
+no arrays, so the dense functions import numpy on first use and a reduced
+run, which uses only those types, never loads it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Dense arrays above this address count are refused; use the reduced
 # backend for large N.
@@ -92,6 +98,7 @@ class DenseState:
     queries: int = 0
 
     def __post_init__(self) -> None:
+        import numpy as np
         if np.iscomplexobj(self.amplitudes):
             raise InvalidInstanceError("amplitudes must be real; got a complex array")
         amp = np.asarray(self.amplitudes, dtype=np.float64)
@@ -128,6 +135,7 @@ def uniform_state(n_addresses: int, cap: int = DENSE_CAP) -> DenseState:
     if n_addresses < 2:
         raise InvalidInstanceError(f"need at least 2 addresses, got N={n_addresses}")
     _check_dense_cap(n_addresses, cap)
+    import numpy as np
     return DenseState(np.full(n_addresses, 1.0 / math.sqrt(n_addresses)), n_addresses)
 
 
@@ -135,6 +143,7 @@ def attach_ancilla(state: DenseState) -> DenseState:
     """Adjoin an ancilla qubit in state 0 (branch 1 all zero)."""
     if state.has_ancilla:
         raise ValueError("state already has an ancilla")
+    import numpy as np
     amp = np.zeros(2 * state.n_addresses)
     amp[0::2] = state.amplitudes
     return DenseState(amp, state.n_addresses, has_ancilla=True, queries=state.queries)
@@ -182,7 +191,7 @@ def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
     _check_shapes(state, cfg)
     if not state.has_ancilla:
         raise ValueError("step 3 needs the ancilla qubit; call attach_ancilla first")
-    if float(np.max(np.abs(state.branch(1)))) > _NORM_ATOL:
+    if float(abs(state.branch(1)).max()) > _NORM_ATOL:
         raise ValueError("ancilla branch 1 must be empty before step 3")
     amp = state.amplitudes.copy()
     t = 2 * cfg.target

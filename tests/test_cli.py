@@ -70,6 +70,19 @@ class TestExitCodes:
         assert code == 1
         assert "reduced" in err
 
+    def test_more_blocks_than_a_report_lists_names_k(self, capsys):
+        # N = 2**52, K = 2**51 is a valid instance, but its report cannot list 2**51 blocks.
+        code, out, err = run_cli(capsys, "simulate", "--n", str(2**52), "--k", str(2**51))
+        assert (code, out) == (1, "")
+        assert err == f"error: K={2**51} exceeds {2**24}, the most blocks a report lists\n"
+
+    def test_a_thousand_blocks_still_run(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", str(2**20), "--k", "1024", "--target", "5", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["block_probs"]) == 1024
+
     def test_dense_cap_overridable(self, capsys, tmp_path):
         out_path = tmp_path / "r.json"
         code, _, _ = run_cli(
@@ -640,6 +653,32 @@ K,lower_coeff,naive_coeff,large_k_coeff
 4,0.392699081699,0.680174761588,0.61853385939
 """,
     ),
+    # No --target: the target is drawn from the seed.
+    "simulate-seeded-csv": (
+        ("simulate", "--n", "4096", "--k", "4", "--seed", "9", "--format", "csv"),
+        """\
+# tool=partialsearch
+# version=0.1.0
+# command=simulate --n 4096 --k 4 --seed 9 --format csv
+# seed=9
+# backend=reduced
+# n=4096
+# k=4
+# target=1726
+# epsilon=0.608173461021
+# l1=20
+# l2=20
+# queries=41
+# success_prob=0.998807723657
+# target_prob=0.323502610116
+# predicted_block=1
+n,k,target,queries,success_prob,target_prob,block,block_prob
+4096,4,1726,41,0.998807723657,0.323502610116,0,0.000397425447527
+4096,4,1726,41,0.998807723657,0.323502610116,1,0.998807723657
+4096,4,1726,41,0.998807723657,0.323502610116,2,0.000397425447527
+4096,4,1726,41,0.998807723657,0.323502610116,3,0.000397425447527
+""",
+    ),
 }
 
 
@@ -656,6 +695,46 @@ class TestGoldenOutput:
         code, out, err = run_cli(capsys, *args)
         assert (code, err) == (0, "")
         assert out == expected
+
+
+# Runs that need no arrays: reduced runs with a given target and the optimizer.
+NUMPY_FREE_RUNS = [
+    ["simulate", "--n", str(2**34), "--k", "4", "--target", "5", "--format", "json"],
+    ["grover", "--n", "1024", "--k", "4", "--target", "3", "--format", "csv"],
+    ["optimize", "--k", "4"],
+    ["table"],
+]
+
+RUN_IN_FRESH_PROCESS = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None  # every later numpy import raises ImportError
+from partialsearch.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        results.append([main(argv), out.getvalue()])
+print(json.dumps({"results": results, "numpy_loaded": sys.modules.get("numpy") is not None}))
+"""
+
+
+@pytest.mark.parametrize("mode", ["block", "allow"])
+def test_reduced_runs_load_no_numpy(capsys, mode):
+    # Dense runs and the seeded target draw, which do load numpy, keep their
+    # bytes in GOLDEN_OTHER ("simulate-dense-json", "simulate-seeded-csv").
+    expected = [[0, run_cli(capsys, *argv)[1]] for argv in NUMPY_FREE_RUNS]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_IN_FRESH_PROCESS, mode, json.dumps(NUMPY_FREE_RUNS)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {"results": expected, "numpy_loaded": False}
 
 
 class TestDeterminism:

@@ -157,6 +157,15 @@ class TestRunFullGrover:
         with pytest.raises(ValueError):
             run_full_grover(BlockConfig(64, 1, 0), steps=-1)
 
+    @pytest.mark.parametrize("target", [5, 63], ids=["first-block", "last-block"])
+    def test_equal_blocks_predict_the_lowest_index(self, target):
+        # No rounds leave all four blocks at exactly 1/4; ties go to block 0, as np.argmax's do.
+        cfg = BlockConfig(64, 4, target)
+        reduced = run_full_grover(cfg, steps=0)
+        dense = run_full_grover(cfg, steps=0, backend="dense")
+        assert reduced.block_probs == dense.block_probs == (0.25,) * 4
+        assert reduced.predicted_block == dense.predicted_block == 0
+
 
 class TestRunScript:
     def test_twelve_item_walkthrough(self):

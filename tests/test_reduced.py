@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from partialsearch import (
+    DENSE_CAP,
     BlockConfig,
+    InvalidInstanceError,
     OperatorTag,
     ReducedState,
     apply_operator,
@@ -45,6 +47,17 @@ class TestInit:
     def test_huge_n_normalized(self):
         state = reduced_init(BlockConfig(2**40, 16, 123456789))
         assert abs(state.norm_squared() - 1.0) < 1e-12
+
+    def test_block_probabilities_are_python_floats(self):
+        probs = reduced_init(BlockConfig(64, 4, 37)).block_probabilities()
+        assert probs == (0.25,) * 4
+        assert type(probs) is tuple and all(type(p) is float for p in probs)
+
+    def test_block_probabilities_refuse_more_blocks_than_dense_cap(self):
+        # Refused before any per-block list is built.
+        k = DENSE_CAP + 1
+        with pytest.raises(InvalidInstanceError, match=f"K={k} exceeds {DENSE_CAP}"):
+            reduced_init(BlockConfig(k, k, 0)).block_probabilities()
 
 
 class TestApply:
