@@ -46,7 +46,6 @@ _SUBMODULE_OF = {
     "run_script": "partial_search",
     "script_stages": "partial_search",
     "standard_pipeline_script": "partial_search",
-    "OperatorTag": "reduced",
     "ReducedState": "reduced",
     "lift_to_dense": "reduced",
     "reduced_apply": "reduced",
@@ -55,6 +54,7 @@ _SUBMODULE_OF = {
     "BlockConfig": "statevector",
     "DenseState": "statevector",
     "InvalidInstanceError": "statevector",
+    "OperatorTag": "statevector",
     "attach_ancilla": "statevector",
     "block_diffusion": "statevector",
     "block_probabilities": "statevector",

@@ -6,8 +6,8 @@ codes: 0 success, 1 invalid or infeasible input (`InvalidInstanceError`,
 which `InfeasibleEpsilonError` subclasses), 2 any other exception.
 
 numpy is imported only where a command needs it (dense states, the seeded
-target draw, `classical`, `bounds`, `demo`), so a reduced run with a given
-target, `optimize` and `table` start without it.
+target draw, `classical`, `demo`), so a reduced run with a given target,
+`optimize`, `table` and `bounds` start without it.
 """
 from __future__ import annotations
 

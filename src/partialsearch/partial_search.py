@@ -10,11 +10,12 @@ queries in total.
 
 Pipelines are stages: one round of operator tags repeated `count` times,
 so a standard run is three stages.  `apply_stages` is the one stage loop,
-for both backends: it sends a stage of Grover rounds on an ancilla-free
-state to its backend's kernel (one closed-form rotation of a reduced state,
-an in-place loop on a private dense copy, norm checked once) and every
-other stage through `apply_operator`.  `apply_script` groups a flat script
-into stages and runs them; `script_stages` keeps every operator's state.
+for both backends.  A dense stage is one in-place `statevector.apply_rounds`
+call, the ancilla attached first if the stage holds step 3.  A reduced stage
+of Grover rounds before step 3 is one closed-form rotation; other reduced
+stages run through `reduced_apply` one operator at a time.  `apply_operator`
+is a one-operator stage, `apply_script` groups a flat script into stages,
+and `script_stages` keeps every operator's state.
 
 Dense work imports numpy on first use, so a reduced run never loads it.
 """
@@ -26,16 +27,8 @@ from typing import Sequence
 
 from . import analysis, statevector
 from .analysis import CostBreakdown
-from .reduced import (
-    BLOCK_ROUND,
-    GLOBAL_ROUND,
-    OperatorTag,
-    ReducedState,
-    reduced_apply,
-    reduced_init,
-    _reduced_rounds,
-)
-from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError
+from .reduced import ReducedState, reduced_apply, reduced_init, _reduced_rounds
+from .statevector import BLOCK_ROUND, DENSE_CAP, GLOBAL_ROUND, BlockConfig, InvalidInstanceError, OperatorTag
 
 Script = Sequence[OperatorTag]
 Stage = tuple[tuple[OperatorTag, ...], int]  # (round_ops, count)
@@ -151,27 +144,7 @@ def iteration_counts(
 
 def apply_operator(state, op: OperatorTag, cfg: BlockConfig | None = None):
     """Apply one tagged operator to a dense or reduced state."""
-    if isinstance(state, ReducedState):
-        _check_reduced_cfg(state, cfg)
-        return reduced_apply(state, op)
-    if cfg is None:
-        raise ValueError("dense states need an explicit config")
-    if op is OperatorTag.ORACLE:
-        return statevector.invert_target(state, cfg)
-    if op is OperatorTag.GLOBAL_DIFFUSION:
-        return statevector.global_diffusion(state)
-    if op is OperatorTag.BLOCK_DIFFUSION:
-        return statevector.block_diffusion(state, cfg)
-    if op is OperatorTag.STEP3:
-        if not state.has_ancilla:
-            state = statevector.attach_ancilla(state)
-        return statevector.step3_transfer(state, cfg)
-    raise ValueError(f"unknown operator {op!r}")
-
-
-def _check_reduced_cfg(state: ReducedState, cfg: BlockConfig | None) -> None:
-    if cfg is not None and cfg != state.cfg:
-        raise InvalidInstanceError("config does not match the reduced state")
+    return apply_stages(state, [((op,), 1)], cfg)
 
 
 def apply_script(state, script: Script, cfg: BlockConfig | None = None):
@@ -180,41 +153,28 @@ def apply_script(state, script: Script, cfg: BlockConfig | None = None):
 
 
 def apply_stages(state, stages: Sequence[Stage], cfg: BlockConfig | None = None):
-    """The state after every stage: Grover rounds without the ancilla by one kernel, the rest per operator."""
+    """The state after every stage: each dense stage and each reduced Grover-round stage by one kernel call."""
     reduced = isinstance(state, ReducedState)
-    if reduced:
-        _check_reduced_cfg(state, cfg)
+    if reduced and cfg is not None and cfg != state.cfg:
+        raise InvalidInstanceError("config does not match the reduced state")
     for round_ops, count in stages:
         if count < 0:
             raise ValueError(f"a stage needs count >= 0, got {count}")
-        # Without a config apply_operator raises; with the ancilla the diffusions do.
-        rounds = count > 0 and round_ops in (GLOBAL_ROUND, BLOCK_ROUND)
-        if rounds and reduced and not state.moved_out:
+        if count == 0:
+            continue
+        if not reduced:
+            if cfg is None:
+                raise ValueError("dense states need an explicit config")
+            if OperatorTag.STEP3 in round_ops and not state.has_ancilla:
+                state = statevector.attach_ancilla(state)
+            state = statevector.apply_rounds(state, round_ops, count, cfg)
+        elif round_ops in (GLOBAL_ROUND, BLOCK_ROUND) and not state.moved_out:
             state = _reduced_rounds(state, round_ops, count)
-        elif rounds and not reduced and cfg is not None and not state.has_ancilla:
-            state = _dense_rounds(state, round_ops, count, cfg)
         else:
             for _ in range(count):
                 for op in round_ops:
-                    state = apply_operator(state, op, cfg)
+                    state = reduced_apply(state, op)
     return state
-
-
-def _dense_rounds(
-    state: DenseState, round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig
-) -> DenseState:
-    """``count`` Grover rounds in place on a private copy: the operators' arithmetic, one norm check."""
-    import numpy as np
-    statevector._check_shapes(state, cfg)
-    amp = state.amplitudes.copy()
-    blocks = amp.reshape(cfg.n_blocks, cfg.block_size)
-    for _ in range(count):
-        amp[cfg.target] = -amp[cfg.target]
-        if round_ops == GLOBAL_ROUND:
-            np.subtract(2.0 * amp.mean(), amp, out=amp)
-        else:
-            np.subtract(2.0 * blocks.mean(axis=1, keepdims=True), blocks, out=blocks)
-    return DenseState(amp, state.n_addresses, False, state.queries + count)
 
 
 def script_stages(cfg: BlockConfig, script: Script, backend: str = "dense") -> list:

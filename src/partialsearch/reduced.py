@@ -27,21 +27,12 @@ picks the stages it gets and applies the rest operator by operator.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
+from .statevector import BLOCK_ROUND, GLOBAL_ROUND, OperatorTag  # noqa: F401 - GLOBAL_ROUND re-exported
 from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError
 from .statevector import _NORM_ATOL, _check_dense_cap
-
-
-class OperatorTag(enum.Enum):
-    """The operators a pipeline script may contain."""
-
-    ORACLE = "oracle"
-    GLOBAL_DIFFUSION = "global_diffusion"
-    BLOCK_DIFFUSION = "block_diffusion"
-    STEP3 = "step3"
 
 
 @dataclass(frozen=True)
@@ -110,10 +101,6 @@ def reduced_apply(state: ReducedState, op: OperatorTag) -> ReducedState:
     else:
         raise ValueError(f"unknown operator {op!r}")
     return ReducedState(state.cfg, a, b, c, d, moved_out, queries)
-
-
-BLOCK_ROUND = (OperatorTag.ORACLE, OperatorTag.BLOCK_DIFFUSION)
-GLOBAL_ROUND = (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION)
 
 
 def _reduced_rounds(state: ReducedState, round_ops: tuple[OperatorTag, ...], count: int) -> ReducedState:

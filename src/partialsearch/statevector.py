@@ -6,16 +6,19 @@ never leaves the real subspace and amplitudes are stored as float64;
 complex input is refused rather than cast, since a cast would silently
 drop imaginary parts.
 
-States are immutable: each public operator returns a new state on a read-only
-array; `apply_stages` runs Grover rounds in place on a private copy.  Oracle
+States are immutable values on read-only arrays.  All operator arithmetic is
+in `apply_rounds`, which repeats a round of operator tags in place on one
+private copy and checks the norm once, at the end; each public operator and
+each dense stage of `partial_search.apply_stages` is one such call.  Oracle
 calls (`invert_target`, `step3_transfer`) count queries; diffusions are free.
 
-The instance types (`BlockConfig`, `InvalidInstanceError`, the limits) need
-no arrays, so the dense functions import numpy on first use and a reduced
-run, which uses only those types, never loads it.
+The instance types (`BlockConfig`, `OperatorTag`, `InvalidInstanceError`,
+the limits) need no arrays, so the dense functions import numpy on first use
+and a reduced run, which uses only those types, never loads it.
 """
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -80,6 +83,19 @@ class BlockConfig:
 
     def block_of(self, address: int) -> int:
         return address // self.block_size
+
+
+class OperatorTag(enum.Enum):
+    """The operators a pipeline script may contain."""
+
+    ORACLE = "oracle"
+    GLOBAL_DIFFUSION = "global_diffusion"
+    BLOCK_DIFFUSION = "block_diffusion"
+    STEP3 = "step3"
+
+
+BLOCK_ROUND = (OperatorTag.ORACLE, OperatorTag.BLOCK_DIFFUSION)
+GLOBAL_ROUND = (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION)
 
 
 @dataclass(frozen=True)
@@ -151,34 +167,18 @@ def attach_ancilla(state: DenseState) -> DenseState:
 
 def invert_target(state: DenseState, cfg: BlockConfig) -> DenseState:
     """Oracle call: flip the sign of the target amplitude (both branches); counts one query."""
-    _check_shapes(state, cfg)
-    amp = state.amplitudes.copy()
-    if state.has_ancilla:
-        t = 2 * cfg.target
-        amp[t] = -amp[t]
-        amp[t + 1] = -amp[t + 1]
-    else:
-        amp[cfg.target] = -amp[cfg.target]
-    return DenseState(amp, state.n_addresses, state.has_ancilla, state.queries + 1)
+    return apply_rounds(state, (OperatorTag.ORACLE,), 1, cfg)
 
 
 def global_diffusion(state: DenseState) -> DenseState:
     """Inversion about the global average: x -> 2m - x over all addresses."""
-    if state.has_ancilla:
-        raise ValueError("global diffusion is defined on ancilla-free states")
-    amp = state.amplitudes
-    mean = amp.mean()
-    return DenseState(2.0 * mean - amp, state.n_addresses, False, state.queries)
+    # Any config of this N will do: the inversion reads neither blocks nor target.
+    return apply_rounds(state, (OperatorTag.GLOBAL_DIFFUSION,), 1, BlockConfig(state.n_addresses, 1, 0))
 
 
 def block_diffusion(state: DenseState, cfg: BlockConfig) -> DenseState:
     """Inversion about the average within each block, blocks in parallel."""
-    _check_shapes(state, cfg)
-    if state.has_ancilla:
-        raise ValueError("block diffusion is defined on ancilla-free states")
-    blocks = state.amplitudes.reshape(cfg.n_blocks, cfg.block_size)
-    means = blocks.mean(axis=1, keepdims=True)
-    return DenseState((2.0 * means - blocks).reshape(-1), state.n_addresses, False, state.queries)
+    return apply_rounds(state, (OperatorTag.BLOCK_DIFFUSION,), 1, cfg)
 
 
 def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
@@ -188,17 +188,46 @@ def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
     the ancilla being 0.  When the branch-0 mean equals half the amplitude of
     the non-target-block states, those states end at exactly zero.
     """
+    return apply_rounds(state, (OperatorTag.STEP3,), 1, cfg)
+
+
+def apply_rounds(
+    state: DenseState, round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig
+) -> DenseState:
+    """``count`` repeats of ``round_ops`` in place on one private copy; the norm is checked once, at the end."""
     _check_shapes(state, cfg)
-    if not state.has_ancilla:
-        raise ValueError("step 3 needs the ancilla qubit; call attach_ancilla first")
-    if float(abs(state.branch(1)).max()) > _NORM_ATOL:
-        raise ValueError("ancilla branch 1 must be empty before step 3")
+    import numpy as np
     amp = state.amplitudes.copy()
-    t = 2 * cfg.target
-    amp[t], amp[t + 1] = amp[t + 1], amp[t]
-    branch0 = amp[0::2]
-    amp[0::2] = 2.0 * branch0.mean() - branch0
-    return DenseState(amp, state.n_addresses, True, state.queries + 1)
+    ancilla, queries = state.has_ancilla, state.queries
+    t = 2 * cfg.target if ancilla else cfg.target
+    for _ in range(count):
+        for op in round_ops:
+            if op is OperatorTag.ORACLE:
+                amp[t] = -amp[t]
+                if ancilla:
+                    amp[t + 1] = -amp[t + 1]
+                queries += 1
+            elif op is OperatorTag.GLOBAL_DIFFUSION:
+                if ancilla:
+                    raise ValueError("global diffusion is defined on ancilla-free states")
+                np.subtract(2.0 * amp.mean(), amp, out=amp)
+            elif op is OperatorTag.BLOCK_DIFFUSION:
+                if ancilla:
+                    raise ValueError("block diffusion is defined on ancilla-free states")
+                blocks = amp.reshape(cfg.n_blocks, cfg.block_size)
+                np.subtract(2.0 * blocks.mean(axis=1, keepdims=True), blocks, out=blocks)
+            elif op is OperatorTag.STEP3:
+                if not ancilla:
+                    raise ValueError("step 3 needs the ancilla qubit; call attach_ancilla first")
+                if float(abs(amp[1::2]).max()) > _NORM_ATOL:
+                    raise ValueError("ancilla branch 1 must be empty before step 3")
+                amp[t], amp[t + 1] = amp[t + 1], amp[t]
+                branch0 = amp[0::2]
+                np.subtract(2.0 * branch0.mean(), branch0, out=branch0)
+                queries += 1
+            else:
+                raise ValueError(f"unknown operator {op!r}")
+    return DenseState(amp, state.n_addresses, ancilla, queries)
 
 
 def block_probabilities(state: DenseState, cfg: BlockConfig) -> np.ndarray:

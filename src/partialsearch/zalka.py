@@ -23,15 +23,18 @@ global sign, evaluated as 2 arcsin(min(|v - w|, |v + w|) / 2) to keep full
 precision at small angles, where arccos of an overlap near 1 loses it.
 Every run is simulated on the reduced backend: hybrid runs are lifted to
 dense states once, at the end, and the angle sum comes from one reduced
-run, so it holds up to N = 2**52.
+run, so it holds up to N = 2**52.  The array checks import numpy on first
+use, so `zalka_error_bound` and `total_angle_sum` run without it.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .partial_search import Script, apply_script
 from .reduced import OperatorTag, lift_to_dense, reduced_init
@@ -42,6 +45,7 @@ _ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
 
 def angle_distance(v, w) -> float:
     """Angle between the rays of real unit states (arrays or dense states)."""
+    import numpy as np
     va = _as_unit_array(v)
     wa = _as_unit_array(w)
     return _ray_angle(float(np.sum((va - wa) ** 2)), float(np.sum((va + wa) ** 2)))
@@ -53,6 +57,7 @@ def _ray_angle(dist2_minus: float, dist2_plus: float) -> float:
 
 
 def _as_unit_array(v) -> np.ndarray:
+    import numpy as np
     arr = np.asarray(getattr(v, "amplitudes", v))
     norm = float(np.linalg.norm(arr))
     if np.iscomplexobj(arr) or abs(norm - 1.0) > 1e-6:
@@ -138,6 +143,7 @@ def hybrid_step_margins(traj: HybridTrajectory) -> np.ndarray:
     against 2 arcsin sqrt(probs[T-i]).  All entries should be >= -1e-9; a
     negative margin beyond floating error falsifies the bound.
     """
+    import numpy as np
     t = traj.n_queries
     margins = np.empty(t)
     for i in range(1, t + 1):
@@ -178,6 +184,7 @@ def max_arcsin_probability_sum(n: int, samples: int, seed: int) -> float:
     """
     if samples < 1:
         raise InvalidInstanceError(f"samples must be >= 1, got {samples}")
+    import numpy as np
     rng = np.random.default_rng(seed)
     best = _arcsin_sum(np.full((1, n), 1.0 / n))
 
@@ -199,4 +206,5 @@ def max_arcsin_probability_sum(n: int, samples: int, seed: int) -> float:
 
 
 def _arcsin_sum(p: np.ndarray) -> float:
+    import numpy as np
     return float(np.arcsin(np.sqrt(np.clip(p, 0.0, 1.0))).sum(axis=1).max())

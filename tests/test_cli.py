@@ -697,12 +697,13 @@ class TestGoldenOutput:
         assert out == expected
 
 
-# Runs that need no arrays: reduced runs with a given target and the optimizer.
+# Runs that need no arrays: reduced runs with a given target, the optimizer and the closed-form bounds.
 NUMPY_FREE_RUNS = [
     ["simulate", "--n", str(2**34), "--k", "4", "--target", "5", "--format", "json"],
     ["grover", "--n", "1024", "--k", "4", "--target", "3", "--format", "csv"],
     ["optimize", "--k", "4"],
     ["table"],
+    ["bounds"],
 ]
 
 RUN_IN_FRESH_PROCESS = """

@@ -27,7 +27,7 @@ from partialsearch import (
     step3_transfer,
     uniform_state,
 )
-from partialsearch import partial_search
+from partialsearch import partial_search, statevector
 from partialsearch.partial_search import (
     apply_operator,
     apply_stages,
@@ -291,41 +291,75 @@ class TestDenseStages:
 
 
 class TestStageDispatch:
-    """apply_stages sends each Grover-round stage to its backend's kernel and only step 3 per operator."""
+    """apply_stages: each dense stage is one dense kernel call; reduced Grover rounds go to theirs, the rest per operator."""
 
     @pytest.mark.parametrize("backend", ["dense", "reduced"])
     @pytest.mark.parametrize(
-        "run, kernel_calls, operator_calls",
+        "run, expected",
         [
-            (lambda cfg, backend: run_partial_search(cfg, backend=backend), 2, [OperatorTag.STEP3]),
-            (lambda cfg, backend: run_full_grover(cfg, 9, backend=backend), 1, []),
+            (lambda cfg, backend: run_partial_search(cfg, backend=backend),
+             {"dense": (3, []), "reduced": (2, [OperatorTag.STEP3])}),
+            (lambda cfg, backend: run_full_grover(cfg, 9, backend=backend),
+             {"dense": (1, []), "reduced": (1, [])}),
         ],
         ids=["partial_search", "full_grover"],
     )
-    def test_kernel_and_operator_calls(self, monkeypatch, backend, run, kernel_calls, operator_calls):
-        calls = {"_dense_rounds": 0, "_reduced_rounds": 0}
-        ops = []
+    def test_kernel_and_operator_calls(self, monkeypatch, backend, run, expected):
+        calls = []
 
-        def counting(name):
-            original = getattr(partial_search, name)
+        def spy(module, name):
+            original = getattr(module, name)
 
-            def kernel(*args):
-                calls[name] += 1
+            def wrapper(*args):
+                calls.append((name, args))
                 return original(*args)
 
-            return kernel
+            monkeypatch.setattr(module, name, wrapper)
 
-        def counting_operator(state, op, cfg=None):
-            ops.append(op)
-            return apply_operator(state, op, cfg)
-
-        for name in calls:
-            monkeypatch.setattr(partial_search, name, counting(name))
-        monkeypatch.setattr(partial_search, "apply_operator", counting_operator)
+        spy(statevector, "apply_rounds")
+        spy(partial_search, "_reduced_rounds")
+        spy(partial_search, "reduced_apply")
+        for name in ("invert_target", "global_diffusion", "block_diffusion", "step3_transfer"):
+            spy(statevector, name)
         report = run(BlockConfig(256, 4, 37), backend)
-        assert calls[f"_{backend}_rounds"] == sum(calls.values()) == kernel_calls
-        assert ops == operator_calls
+        kernel = "apply_rounds" if backend == "dense" else "_reduced_rounds"
+        kernel_calls, reduced_ops = expected[backend]
+        assert [name for name, _ in calls if name != "reduced_apply"] == [kernel] * kernel_calls
+        assert [args[1] for name, args in calls if name == "reduced_apply"] == reduced_ops
         assert report.backend == backend
+
+
+class TestOtherStages:
+    """Stages that are not Grover rounds, through apply_stages on both backends."""
+
+    CFG = BlockConfig(16, 4, 3)
+
+    @classmethod
+    def start(cls, backend):
+        return uniform_state(16) if backend == "dense" else reduced_init(cls.CFG)
+
+    @pytest.mark.parametrize(
+        "backend, message", [("dense", "branch 1 must be empty"), ("reduced", "at most once")]
+    )
+    def test_step3_twice_rejected(self, backend, message):
+        with pytest.raises(ValueError, match=message):
+            apply_stages(self.start(backend), [((OperatorTag.STEP3,), 2)], self.CFG)
+
+    @pytest.mark.parametrize("backend", ["dense", "reduced"])
+    def test_unknown_tag_in_a_stage_rejected(self, backend):
+        with pytest.raises(ValueError, match="unknown operator 'hadamard'"):
+            apply_stages(self.start(backend), [((OperatorTag.ORACLE, "hadamard"), 2)], self.CFG)
+
+    def test_dense_oracle_stage_equals_oracle_calls(self):
+        got = apply_stages(uniform_state(16), [((OperatorTag.ORACLE,), 3)], self.CFG)
+        want = invert_target(invert_target(invert_target(uniform_state(16), self.CFG), self.CFG), self.CFG)
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+        assert (got.queries, got.has_ancilla) == (want.queries, want.has_ancilla) == (3, False)
+
+    @pytest.mark.parametrize("backend", ["dense", "reduced"])
+    def test_empty_step3_stage_returns_the_input(self, backend):
+        state = self.start(backend)
+        assert apply_stages(state, [((OperatorTag.STEP3,), 0)], self.CFG) is state
 
 
 class TestIdentityQueries:

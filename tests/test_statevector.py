@@ -8,6 +8,7 @@ from partialsearch import (
     BlockConfig,
     DenseState,
     InvalidInstanceError,
+    OperatorTag,
     attach_ancilla,
     block_diffusion,
     block_probabilities,
@@ -16,6 +17,7 @@ from partialsearch import (
     step3_transfer,
     uniform_state,
 )
+from partialsearch.partial_search import apply_stages, standard_pipeline_stages
 from conftest import random_unit_state
 
 ROOT12 = math.sqrt(12.0)
@@ -25,6 +27,86 @@ def reference_inversion(amplitudes, lo, hi):
     """Independent two-line inversion about the average of a slice."""
     mean = sum(amplitudes[lo:hi]) / (hi - lo)
     return [2 * mean - a if lo <= i < hi else a for i, a in enumerate(amplitudes)]
+
+
+def reference_oracle(amp, cfg):
+    out = amp.copy()
+    if amp.size == 2 * cfg.n_addresses:
+        t = 2 * cfg.target
+        out[t], out[t + 1] = -amp[t], -amp[t + 1]
+    else:
+        out[cfg.target] = -amp[cfg.target]
+    return out
+
+
+def reference_block_diffusion(amp, cfg):
+    blocks = amp.reshape(cfg.n_blocks, cfg.block_size)
+    return (2.0 * blocks.mean(axis=1, keepdims=True) - blocks).reshape(-1)
+
+
+def reference_step3(amp, cfg):
+    out = amp.copy()
+    t = 2 * cfg.target
+    out[t], out[t + 1] = amp[t + 1], amp[t]
+    branch0 = out[0::2]
+    out[0::2] = 2.0 * branch0.mean() - branch0
+    return out
+
+
+# Out-of-place numpy versions of the four operators, independent of the
+# in-place kernel behind the public ones; they must agree to the last bit.
+REFERENCE = {
+    OperatorTag.ORACLE: reference_oracle,
+    OperatorTag.GLOBAL_DIFFUSION: lambda amp, cfg: 2.0 * amp.mean() - amp,
+    OperatorTag.BLOCK_DIFFUSION: reference_block_diffusion,
+    OperatorTag.STEP3: reference_step3,
+}
+
+
+def reference_stages(n, stages, cfg):
+    """Amplitudes after running the stages from the uniform state, one reference operator at a time."""
+    amp = np.full(n, 1.0 / math.sqrt(n))
+    for round_ops, count in stages:
+        for _ in range(count):
+            for op in round_ops:
+                if op is OperatorTag.STEP3 and amp.size == n:
+                    amp = np.column_stack([amp, np.zeros(n)]).reshape(-1)
+                amp = REFERENCE[op](amp, cfg)
+    return amp
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "op, public, with_ancilla",
+        [
+            (OperatorTag.ORACLE, invert_target, False),
+            (OperatorTag.ORACLE, invert_target, True),
+            (OperatorTag.GLOBAL_DIFFUSION, lambda state, cfg: global_diffusion(state), False),
+            (OperatorTag.BLOCK_DIFFUSION, block_diffusion, False),
+            (OperatorTag.STEP3, step3_transfer, True),
+        ],
+        ids=["oracle", "oracle-ancilla", "global", "block", "step3"],
+    )
+    @pytest.mark.parametrize("n, k", [(48, 3), (64, 64), (4096, 8)])
+    def test_public_operators_bit_equal(self, rng, op, public, with_ancilla, n, k):
+        cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
+        for _ in range(5):
+            state = random_unit_state(rng, n, with_ancilla=with_ancilla and op is OperatorTag.ORACLE)
+            if op is OperatorTag.STEP3:
+                state = attach_ancilla(state)  # branch 1 must start empty
+            out = public(state, cfg)
+            assert np.array_equal(out.amplitudes, REFERENCE[op](state.amplitudes, cfg))
+            assert out.has_ancilla == with_ancilla
+            assert out.queries == (op in (OperatorTag.ORACLE, OperatorTag.STEP3))
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 7])
+    @pytest.mark.parametrize("n, k", [(48, 3), (64, 64), (4096, 8), (2**16, 32)])
+    def test_pipeline_stages_bit_equal(self, n, k, count):
+        cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
+        stages = standard_pipeline_stages(count, count)
+        for prefix in (stages[:1], stages[:2], stages):
+            got = apply_stages(uniform_state(n), prefix, cfg)
+            assert np.array_equal(got.amplitudes, reference_stages(n, prefix, cfg))
 
 
 class TestBlockConfig:
