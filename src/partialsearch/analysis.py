@@ -43,11 +43,9 @@ class InfeasibleEpsilonError(InvalidInstanceError):
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Every quantity entering the query count for one (epsilon, K)."""
+    """Step-2 angles and queries per sqrt(N) for one (epsilon, K); None where infeasible."""
 
     epsilon: float
-    theta: float
-    alpha_t: float
     theta1: float | None
     theta2: float | None
     coefficient: float | None
@@ -102,15 +100,14 @@ def cost_coefficient(epsilon: float, k: int) -> CostBreakdown:
 
 
 def breakdown_for_theta(theta: float, k: int, epsilon: float) -> CostBreakdown:
-    """Breakdown with an explicitly supplied theta (exact-angle studies)."""
-    alpha = alpha_target(theta, k)
+    """Breakdown with an explicitly supplied theta in [0, pi/2] (exact-angle studies)."""
     try:
         t1 = theta1(theta, k)
         t2 = theta2(theta, k)
     except InfeasibleEpsilonError:
-        return CostBreakdown(epsilon, theta, alpha, None, None, None, feasible=False)
+        return CostBreakdown(epsilon, None, None, None, feasible=False)
     coeff = (math.pi / 4.0) * (1.0 - epsilon) + (t1 + t2) / (2.0 * math.sqrt(k))
-    return CostBreakdown(epsilon, theta, alpha, t1, t2, coeff, feasible=True)
+    return CostBreakdown(epsilon, t1, t2, coeff, feasible=True)
 
 
 def feasible_epsilon_interval(k: int) -> tuple[float, float]:

@@ -13,7 +13,7 @@ drops) is `exact_expected_probes`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class ClassicalReport:
     sample_mean: float | None = None
     sample_std_err: float | None = None
     trials: int = 0
-    seed: int | None = None
 
 
 def classical_formulas(n: int, k: int) -> ClassicalReport:
@@ -93,7 +92,7 @@ def simulate_randomized(n: int, k: int, trials: int, seed: int) -> ClassicalRepo
     target within a uniformly random order of the M probed cells is uniform
     on 1..M, so each trial draws (target, unprobed block, position) directly.
     Every trial's returned block is asserted correct (the strategy makes no
-    errors).
+    errors).  It returns `classical_formulas(n, k)` with the sample fields filled in.
     """
     _check_instance(n, k)
     if not 1 <= trials < 2**63:
@@ -109,18 +108,9 @@ def simulate_randomized(n: int, k: int, trials: int, seed: int) -> ClassicalRepo
     assert np.array_equal(returned, targets // (n // k)), "classical search returned a wrong block"
 
     probes = probes.astype(float)
-    mean = float(probes.mean())
     std_err = float(probes.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    base = classical_formulas(n, k)
-    return ClassicalReport(
-        n=n,
-        k=k,
-        expected_randomized=base.expected_randomized,
-        deterministic=base.deterministic,
-        sample_mean=mean,
-        sample_std_err=std_err,
-        trials=trials,
-        seed=seed,
+    return replace(
+        classical_formulas(n, k), sample_mean=float(probes.mean()), sample_std_err=std_err, trials=trials
     )
 
 

@@ -23,6 +23,9 @@ from . import __version__, analysis, partial_search, statevector
 from .statevector import BlockConfig, InvalidInstanceError
 
 _TOOL = "partialsearch"
+# Longest row table a report builds.  Reports are built in memory, about 2.5 KB
+# a row: a reduced `simulate --format json` with K = 2**20 peaks at 2.6 GB.
+MAX_REPORT_ROWS = 2**20
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -142,6 +145,14 @@ def _block_config(args: argparse.Namespace) -> BlockConfig:
     return cfg
 
 
+def _check_report_rows(quantity: str, rows: int) -> None:
+    """Refuse, before any run, a report longer than MAX_REPORT_ROWS rows."""
+    if rows > MAX_REPORT_ROWS:
+        raise InvalidInstanceError(
+            f"{quantity} asks for {rows} report rows, more than the {MAX_REPORT_ROWS} a report may list"
+        )
+
+
 def _run_report_payload(report: partial_search.RunReport) -> dict:
     """The report's fields, plus one row per block repeating the run-wide ones."""
     payload = {
@@ -163,8 +174,10 @@ def _run_report_payload(report: partial_search.RunReport) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
+    cfg = _block_config(args)
+    _check_report_rows(f"K={args.k}", args.k)
     report = partial_search.run_partial_search(
-        _block_config(args),
+        cfg,
         epsilon=args.epsilon,
         backend=args.backend,
         exact_theta=args.exact_theta,
@@ -175,6 +188,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
 
 def _cmd_grover(args: argparse.Namespace) -> dict:
     cfg = _block_config(args)
+    _check_report_rows(f"K={args.k}", args.k)
     steps = args.steps if args.steps is not None else round((math.pi / 4.0) * math.sqrt(args.n))
     report = partial_search.run_full_grover(cfg, steps, backend=args.backend, dense_cap=args.dense_cap)
     return _run_report_payload(report)
@@ -273,6 +287,7 @@ def _demo_twelve_items() -> dict:
 def _demo_step2_histogram(args: argparse.Namespace) -> dict:
     """Amplitudes just before and just after the blockwise phase."""
     cfg = _block_config(args)
+    _check_report_rows(f"N={args.n}", 2 * args.n)  # N amplitudes after each of steps 1 and 2
     epsilon = args.epsilon
     if epsilon is None:
         epsilon, _ = analysis.optimize_epsilon(args.k)

@@ -34,6 +34,10 @@ from .statevector import BLOCK_ROUND, GLOBAL_ROUND, OperatorTag  # noqa: F401 - 
 from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError
 from .statevector import _NORM_ATOL, _check_dense_cap
 
+# Largest rotation of one closed-form stage: float64 loses about 1e-16 per radian,
+# so 2**12 rad keeps all 12 printed digits of a probability.
+_MAX_ROTATION = 2.0**12
+
 
 @dataclass(frozen=True)
 class ReducedState:
@@ -123,7 +127,13 @@ def _grover_rounds(a: float, w: float, size: int, count: int) -> tuple[float, fl
         # No w addresses: a round negates a and maps w to -w - 2a (w is never observed).
         sign = -1.0 if count % 2 else 1.0
         return sign * a, sign * (w + 2 * count * a)
-    angle = 2 * count * math.asin(1.0 / math.sqrt(size))
+    step = 2 * math.asin(1.0 / math.sqrt(size))
+    most = int(_MAX_ROTATION / step)
+    if count > most:  # checked before count meets a float: it may exceed any float
+        raise InvalidInstanceError(
+            f"{count} Grover rounds exceed {most}, the most one reduced stage turns at full precision"
+        )
+    angle = count * step
     cos, sin, root = math.cos(angle), math.sin(angle), math.sqrt(size - 1)
     return cos * a + sin * root * w, cos * w - sin * a / root
 

@@ -76,11 +76,6 @@ class BlockConfig:
     def target_block(self) -> int:
         return self.target // self.block_size
 
-    @property
-    def target_slot(self) -> int:
-        """In-block address of the target."""
-        return self.target % self.block_size
-
     def block_of(self, address: int) -> int:
         return address // self.block_size
 

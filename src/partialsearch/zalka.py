@@ -97,12 +97,10 @@ class HybridTrajectory:
     states[0] is the oracle-free run and states[T] the real run.
     ``probs[t]`` is the probability that the state of the oracle-free run
     just before query t+1 puts on the marked address; that state is always
-    the uniform one, since diffusions fix it.
+    the uniform one, since diffusions fix it.  N, the target and the script
+    are the caller's own arguments, so the record does not repeat them.
     """
 
-    n_addresses: int
-    target: int
-    script: tuple[OperatorTag, ...]
     states: tuple[DenseState, ...]
     probs: tuple[float, ...]
 
@@ -119,7 +117,7 @@ def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) ->
     states = tuple(_hybrid_run(script, cfg, n_queries - i) for i in range(n_queries + 1))
     uniform_amp = reduced_init(cfg).a
     probs = (uniform_amp * uniform_amp,) * n_queries
-    return HybridTrajectory(n, target, script, states, probs)
+    return HybridTrajectory(states, probs)
 
 
 def _hybrid_run(script: tuple[OperatorTag, ...], cfg: BlockConfig, identity_calls: int) -> DenseState:

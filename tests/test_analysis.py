@@ -110,6 +110,11 @@ class TestCostCoefficient:
         with pytest.raises(ValueError):
             cost_coefficient(0.5, 1)
 
+    @pytest.mark.parametrize("theta", [-1e-3, PI / 2 + 1e-6])
+    def test_explicit_theta_outside_quarter_turn_names_theta(self, theta):
+        with pytest.raises(ValueError, match=f"theta={theta}"):
+            analysis.breakdown_for_theta(theta, 4, 0.5)
+
 
 class TestFeasibleInterval:
     def test_small_k_whole_interval(self):

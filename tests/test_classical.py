@@ -93,6 +93,15 @@ class TestSimulator:
         c = simulate_randomized(120, 4, 5000, seed=12)
         assert c.sample_mean != a.sample_mean
 
+    @pytest.mark.parametrize("n,k", [(12, 3), (12, 1), (1200, 4), (64, 64)])
+    def test_closed_form_fields_come_from_classical_formulas(self, n, k):
+        report = simulate_randomized(n, k, 1000, seed=2)
+        base = classical_formulas(n, k)
+        assert (report.n, report.k, report.expected_randomized, report.deterministic) == (
+            base.n, base.k, base.expected_randomized, base.deterministic
+        )
+        assert report.trials == 1000
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             simulate_randomized(12, 3, 0, seed=0)

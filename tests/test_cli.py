@@ -17,6 +17,7 @@ from partialsearch import (
     simulate_randomized,
     zalka_error_bound,
 )
+from partialsearch import partial_search, statevector
 from partialsearch.cli import main
 
 
@@ -74,7 +75,52 @@ class TestExitCodes:
         # N = 2**52, K = 2**51 is a valid instance, but its report cannot list 2**51 blocks.
         code, out, err = run_cli(capsys, "simulate", "--n", str(2**52), "--k", str(2**51))
         assert (code, out) == (1, "")
-        assert err == f"error: K={2**51} exceeds {2**24}, the most blocks a report lists\n"
+        assert err == f"error: K={2**51} asks for {2**51} report rows, more than the {2**20} a report may list\n"
+
+    @pytest.mark.parametrize(
+        "args, quantity, rows",
+        [
+            (("simulate", "--n", str(2**52), "--k", str(2**24), "--target", "5"), f"K={2**24}", 2**24),
+            (("grover", "--n", str(2**52), "--k", str(2**21)), f"K={2**21}", 2**21),
+            (("demo", "--which", "step2-histogram", "--n", str(2**20)), f"N={2**20}", 2**21),
+        ],
+        ids=["simulate", "grover", "step2-histogram"],
+    )
+    def test_long_reports_are_refused_before_the_run(self, capsys, monkeypatch, args, quantity, rows):
+        def never(*_args, **_kwargs):
+            raise AssertionError("the run started")
+
+        for name in ("run_partial_search", "run_full_grover", "apply_stages"):
+            monkeypatch.setattr(partial_search, name, never)
+        monkeypatch.setattr(statevector, "uniform_state", never)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err == f"error: {quantity} asks for {rows} report rows, more than the {2**20} a report may list\n"
+
+    @pytest.mark.parametrize(
+        "args, entry",
+        [
+            (("simulate", "--n", str(2**52), "--k", str(2**20), "--target", "5"), "run_partial_search"),
+            (("grover", "--n", str(2**52), "--k", str(2**20), "--target", "5"), "run_full_grover"),
+            (("demo", "--which", "step2-histogram", "--n", str(2**19)), "uniform_state"),
+        ],
+        ids=["simulate", "grover", "step2-histogram"],
+    )
+    def test_reports_at_the_row_limit_reach_the_run(self, capsys, monkeypatch, args, entry):
+        # The longest accepted reports take tens of seconds and GBs to build; stop at the run's entry.
+        def reached(*_args, **_kwargs):
+            raise InvalidInstanceError("reached the run")
+
+        monkeypatch.setattr(statevector if entry == "uniform_state" else partial_search, entry, reached)
+        assert run_cli(capsys, *args) == (1, "", "error: reached the run\n")
+
+    def test_reduced_grover_refuses_a_step_count_beyond_float_precision(self, capsys):
+        # 10**20 rounds turn 2.5e19 rad; float64 would print target_prob 0.0277 for 0.9925.
+        code, out, err = run_cli(capsys, "grover", "--n", "64", "--steps", str(10**20), "--target", "3")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {10**20} Grover rounds exceed 16341, the most one reduced stage turns at full precision\n"
+        )
 
     def test_a_thousand_blocks_still_run(self, capsys):
         code, out, err = run_cli(

@@ -1,4 +1,5 @@
 """The package namespace: one table of public names, submodules loaded on first use."""
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -26,9 +27,25 @@ PUBLIC = [
     "total_angle_sum", "two_case_expectation", "uniform_state", "zalka_error_bound",
 ]
 
+# The fields of the public records: each one is read by a program, demo or test.
+RECORD_FIELDS = {
+    "BlockConfig": ["n_addresses", "n_blocks", "target"],
+    "ClassicalReport": [
+        "n", "k", "expected_randomized", "deterministic", "sample_mean", "sample_std_err", "trials",
+    ],
+    "CostBreakdown": ["epsilon", "theta1", "theta2", "coefficient", "feasible"],
+    "HybridTrajectory": ["states", "probs"],
+}
+
 
 def test_all_is_the_public_list():
     assert sorted(partialsearch.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FIELDS))
+def test_records_keep_their_fields(name):
+    record = getattr(partialsearch, name)
+    assert [field.name for field in dataclasses.fields(record)] == RECORD_FIELDS[name]
 
 
 def test_bare_import_loads_no_submodule_and_no_numpy():

@@ -16,6 +16,7 @@ from partialsearch import (
     optimize_epsilon,
     reduced_apply,
     reduced_init,
+    run_full_grover,
     run_partial_search,
     standard_pipeline_script,
     uniform_state,
@@ -199,6 +200,43 @@ class TestGroverRotation:
         for steps in range(1, 60):
             state = reduced_apply(reduced_apply(state, ORACLE), GLOBAL)
             assert state.a == pytest.approx(math.sin((2 * steps + 1) * beta), abs=1e-9)
+
+
+class TestRotationBound:
+    """A closed-form stage turns at most 2**12 rad, where float64 still holds 12 printed digits."""
+
+    @staticmethod
+    def _most_rounds(size):
+        return int(reduced_module._MAX_ROTATION / (2 * math.asin(1.0 / math.sqrt(size))))
+
+    @pytest.mark.parametrize("exponent", [2, 6, 20, 40, 52])
+    def test_grover_up_to_the_bound_matches_mpmath(self, exponent):
+        mpmath = pytest.importorskip("mpmath")
+        n = 2**exponent
+        top = self._most_rounds(n)
+        cfg = BlockConfig(n, 1, 3)
+        with mpmath.workdps(50):
+            beta = mpmath.asin(1 / mpmath.sqrt(n))
+            for steps in (top, top - 1, top // 3 + 7):
+                expected = float(mpmath.sin((2 * steps + 1) * beta) ** 2)
+                assert run_full_grover(cfg, steps).target_prob == pytest.approx(expected, abs=1e-12)
+        with pytest.raises(InvalidInstanceError, match=f"^{top + 1} Grover rounds exceed {top}, "):
+            run_full_grover(cfg, top + 1)
+
+    def test_block_rounds_up_to_the_bound_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        cfg = BlockConfig(2**20, 4, 5)
+        top = self._most_rounds(cfg.block_size)
+        with mpmath.workdps(50):
+            beta = mpmath.asin(1 / mpmath.sqrt(cfg.block_size))
+            expected = float(mpmath.sin((2 * top + 1) * beta) / 2)  # the target block holds 1/sqrt(K) = 1/2
+        assert apply_stages(reduced_init(cfg), [(BLOCK_ROUND, top)], cfg).a == pytest.approx(expected, abs=1e-12)
+        with pytest.raises(InvalidInstanceError, match="Grover rounds exceed"):
+            apply_stages(reduced_init(cfg), [(BLOCK_ROUND, top + 1)], cfg)
+
+    def test_counts_beyond_any_float_are_refused(self):
+        with pytest.raises(InvalidInstanceError, match=f"^{10**400} Grover rounds"):
+            run_full_grover(BlockConfig(64, 1, 3), 10**400)
 
 
 def _iterated(state, script):

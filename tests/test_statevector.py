@@ -114,7 +114,6 @@ class TestBlockConfig:
         cfg = BlockConfig(12, 3, 5)
         assert cfg.block_size == 4
         assert cfg.target_block == 1
-        assert cfg.target_slot == 1
         assert [cfg.block_of(x) for x in range(12)] == [0] * 4 + [1] * 4 + [2] * 4
 
     @pytest.mark.parametrize(
