@@ -43,9 +43,8 @@ class InfeasibleEpsilonError(InvalidInstanceError):
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Step-2 angles and queries per sqrt(N) for one (epsilon, K); None where infeasible."""
+    """Step-2 angles and queries per sqrt(N) for the caller's (epsilon, K); None where infeasible."""
 
-    epsilon: float
     theta1: float | None
     theta2: float | None
     coefficient: float | None
@@ -105,9 +104,9 @@ def breakdown_for_theta(theta: float, k: int, epsilon: float) -> CostBreakdown:
         t1 = theta1(theta, k)
         t2 = theta2(theta, k)
     except InfeasibleEpsilonError:
-        return CostBreakdown(epsilon, None, None, None, feasible=False)
+        return CostBreakdown(None, None, None, feasible=False)
     coeff = (math.pi / 4.0) * (1.0 - epsilon) + (t1 + t2) / (2.0 * math.sqrt(k))
-    return CostBreakdown(epsilon, t1, t2, coeff, feasible=True)
+    return CostBreakdown(t1, t2, coeff, feasible=True)
 
 
 def feasible_epsilon_interval(k: int) -> tuple[float, float]:

@@ -22,24 +22,18 @@ from .statevector import InvalidInstanceError
 
 @dataclass(frozen=True)
 class ClassicalReport:
-    n: int
-    k: int
+    """Probe counts for the caller's (N, K); the sample fields only from a Monte Carlo run."""
+
     expected_randomized: float
     deterministic: float
     sample_mean: float | None = None
     sample_std_err: float | None = None
-    trials: int = 0
 
 
 def classical_formulas(n: int, k: int) -> ClassicalReport:
     """Closed-form expected (randomized) and worst-case (deterministic) counts."""
     _check_instance(n, k)
-    return ClassicalReport(
-        n=n,
-        k=k,
-        expected_randomized=(n / 2.0) * (1.0 - 1.0 / k**2),
-        deterministic=n * (1.0 - 1.0 / k),
-    )
+    return ClassicalReport((n / 2.0) * (1.0 - 1.0 / k**2), n * (1.0 - 1.0 / k))
 
 
 def two_case_expectation(n: int, k: int) -> float:
@@ -109,9 +103,7 @@ def simulate_randomized(n: int, k: int, trials: int, seed: int) -> ClassicalRepo
 
     probes = probes.astype(float)
     std_err = float(probes.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return replace(
-        classical_formulas(n, k), sample_mean=float(probes.mean()), sample_std_err=std_err, trials=trials
-    )
+    return replace(classical_formulas(n, k), sample_mean=float(probes.mean()), sample_std_err=std_err)
 
 
 def _check_instance(n: int, k: int) -> None:

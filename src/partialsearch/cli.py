@@ -153,12 +153,12 @@ def _check_report_rows(quantity: str, rows: int) -> None:
         )
 
 
-def _run_report_payload(report: partial_search.RunReport) -> dict:
-    """The report's fields, plus one row per block repeating the run-wide ones."""
+def _run_report_payload(cfg: BlockConfig, report: partial_search.RunReport) -> dict:
+    """The instance and the report's fields, plus one row per block repeating the run-wide ones."""
     payload = {
-        "n": report.n_addresses,
-        "k": report.n_blocks,
-        "target": report.target,
+        "n": cfg.n_addresses,
+        "k": cfg.n_blocks,
+        "target": cfg.target,
         "epsilon": report.epsilon,
         "l1": report.l1,
         "l2": report.l2,
@@ -183,7 +183,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
         exact_theta=args.exact_theta,
         dense_cap=args.dense_cap,
     )
-    return _run_report_payload(report)
+    return _run_report_payload(cfg, report)
 
 
 def _cmd_grover(args: argparse.Namespace) -> dict:
@@ -191,7 +191,7 @@ def _cmd_grover(args: argparse.Namespace) -> dict:
     _check_report_rows(f"K={args.k}", args.k)
     steps = args.steps if args.steps is not None else round((math.pi / 4.0) * math.sqrt(args.n))
     report = partial_search.run_full_grover(cfg, steps, backend=args.backend, dense_cap=args.dense_cap)
-    return _run_report_payload(report)
+    return _run_report_payload(cfg, report)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> dict:
@@ -218,9 +218,9 @@ def _cmd_classical(args: argparse.Namespace) -> dict:
     from . import classical
     report = classical.simulate_randomized(args.n, args.k, args.trials, args.seed)
     row = {
-        "n": report.n,
-        "k": report.k,
-        "trials": report.trials,
+        "n": args.n,
+        "k": args.k,
+        "trials": args.trials,
         "expected_randomized": report.expected_randomized,
         "exact_expected": classical.exact_expected_probes(args.n, args.k),
         "deterministic": report.deterministic,

@@ -13,9 +13,10 @@ so a standard run is three stages.  `apply_stages` is the one stage loop,
 for both backends.  A dense stage is one in-place `statevector.apply_rounds`
 call, the ancilla attached first if the stage holds step 3.  A reduced stage
 of Grover rounds before step 3 is one closed-form rotation; other reduced
-stages run through `reduced_apply` one operator at a time.  `apply_operator`
-is a one-operator stage, `apply_script` groups a flat script into stages,
-and `script_stages` keeps every operator's state.
+stages run through `reduced_apply` one operator at a time.  On either
+backend a Grover stage that would turn more than 2**12 rad is refused before
+it runs.  `apply_operator` is a one-operator stage, `apply_script` groups a
+flat script into stages, and `script_stages` keeps every operator's state.
 
 Dense work imports numpy on first use, so a reduced run never loads it.
 """
@@ -27,7 +28,7 @@ from typing import Sequence
 
 from . import analysis, statevector
 from .analysis import CostBreakdown
-from .reduced import ReducedState, reduced_apply, reduced_init, _reduced_rounds
+from .reduced import ReducedState, _check_grover_rounds, _reduced_rounds, reduced_apply, reduced_init
 from .statevector import BLOCK_ROUND, DENSE_CAP, GLOBAL_ROUND, BlockConfig, InvalidInstanceError, OperatorTag
 
 Script = Sequence[OperatorTag]
@@ -46,12 +47,8 @@ TWELVE_ITEM_SCRIPT: tuple[OperatorTag, ...] = (
 
 @dataclass(frozen=True)
 class RunReport:
-    """Measurement summary of one pipeline run."""
+    """What one pipeline run measured; the instance and backend are the caller's own arguments."""
 
-    n_addresses: int
-    n_blocks: int
-    target: int
-    backend: str
     queries: int
     block_probs: tuple[float, ...]
     success_prob: float
@@ -155,16 +152,19 @@ def apply_script(state, script: Script, cfg: BlockConfig | None = None):
 def apply_stages(state, stages: Sequence[Stage], cfg: BlockConfig | None = None):
     """The state after every stage: each dense stage and each reduced Grover-round stage by one kernel call."""
     reduced = isinstance(state, ReducedState)
-    if reduced and cfg is not None and cfg != state.cfg:
+    if reduced and cfg not in (None, state.cfg):
         raise InvalidInstanceError("config does not match the reduced state")
+    cfg = state.cfg if reduced else cfg
     for round_ops, count in stages:
         if count < 0:
             raise ValueError(f"a stage needs count >= 0, got {count}")
         if count == 0:
             continue
+        if cfg is None:
+            raise ValueError("dense states need an explicit config")
+        if round_ops in (GLOBAL_ROUND, BLOCK_ROUND):
+            _check_grover_rounds(count, cfg.n_addresses if round_ops == GLOBAL_ROUND else cfg.block_size)
         if not reduced:
-            if cfg is None:
-                raise ValueError("dense states need an explicit config")
             if OperatorTag.STEP3 in round_ops and not state.has_ancilla:
                 state = statevector.attach_ancilla(state)
             state = statevector.apply_rounds(state, round_ops, count, cfg)
@@ -198,7 +198,7 @@ def run_partial_search(
     """
     if epsilon is None:
         epsilon, _ = analysis.optimize_epsilon(cfg.n_blocks)
-    l1, l2, breakdown = iteration_counts(cfg.n_addresses, cfg.n_blocks, epsilon, exact_theta)
+    l1, l2, _ = iteration_counts(cfg.n_addresses, cfg.n_blocks, epsilon, exact_theta)
     state = apply_stages(_initial_state(cfg, backend, dense_cap), standard_pipeline_stages(l1, l2), cfg)
     return _report(state, cfg, epsilon=epsilon, l1=l1, l2=l2)
 
@@ -225,8 +225,7 @@ def _initial_state(cfg: BlockConfig, backend: str, dense_cap: int = DENSE_CAP):
 
 
 def _report(state, cfg: BlockConfig, **extra) -> RunReport:
-    reduced = isinstance(state, ReducedState)
-    if reduced:
+    if isinstance(state, ReducedState):
         block_probs = state.block_probabilities()
         target_prob = state.target_probability()
         miss_prob = (cfg.n_addresses - cfg.block_size) * state.c**2
@@ -235,10 +234,6 @@ def _report(state, cfg: BlockConfig, **extra) -> RunReport:
         target_prob = float(state.address_probabilities()[cfg.target])
         miss_prob = math.fsum(p for block, p in enumerate(block_probs) if block != cfg.target_block)
     return RunReport(
-        n_addresses=cfg.n_addresses,
-        n_blocks=cfg.n_blocks,
-        target=cfg.target,
-        backend="reduced" if reduced else "dense",
         queries=state.queries,
         block_probs=block_probs,
         success_prob=block_probs[cfg.target_block],

@@ -34,8 +34,8 @@ from .statevector import BLOCK_ROUND, GLOBAL_ROUND, OperatorTag  # noqa: F401 - 
 from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError
 from .statevector import _NORM_ATOL, _check_dense_cap
 
-# Largest rotation of one closed-form stage: float64 loses about 1e-16 per radian,
-# so 2**12 rad keeps all 12 printed digits of a probability.
+# Largest rotation of one Grover stage, on either backend: float64 loses about
+# 1e-16 per radian, so 2**12 rad keeps all 12 printed digits of a probability.
 _MAX_ROTATION = 2.0**12
 
 
@@ -121,19 +121,22 @@ def _reduced_rounds(state: ReducedState, round_ops: tuple[OperatorTag, ...], cou
     return ReducedState(state.cfg, a, b, c, state.d, False, state.queries + count)
 
 
+def _check_grover_rounds(count: int, size: int) -> None:
+    """Refuse more Grover rounds of size ``size`` than turn _MAX_ROTATION (size 1 turns pi a round)."""
+    most = int(_MAX_ROTATION / (2 * math.asin(1.0 / math.sqrt(size))))
+    if count > most:  # checked before count meets a float: it may exceed any float
+        raise InvalidInstanceError(
+            f"{count} Grover rounds exceed {most}, the most one stage turns at full precision"
+        )
+
+
 def _grover_rounds(a: float, w: float, size: int, count: int) -> tuple[float, float]:
     """``count`` rounds of negating a, then inverting a and size - 1 copies of w about their mean."""
     if size == 1:
         # No w addresses: a round negates a and maps w to -w - 2a (w is never observed).
         sign = -1.0 if count % 2 else 1.0
         return sign * a, sign * (w + 2 * count * a)
-    step = 2 * math.asin(1.0 / math.sqrt(size))
-    most = int(_MAX_ROTATION / step)
-    if count > most:  # checked before count meets a float: it may exceed any float
-        raise InvalidInstanceError(
-            f"{count} Grover rounds exceed {most}, the most one reduced stage turns at full precision"
-        )
-    angle = count * step
+    angle = count * (2 * math.asin(1.0 / math.sqrt(size)))
     cos, sin, root = math.cos(angle), math.sin(angle), math.sqrt(size - 1)
     return cos * a + sin * root * w, cos * w - sin * a / root
 

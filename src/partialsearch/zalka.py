@@ -22,9 +22,10 @@ Angles between unit states are the ray angle arccos |<v|w>|, which ignores
 global sign, evaluated as 2 arcsin(min(|v - w|, |v + w|) / 2) to keep full
 precision at small angles, where arccos of an overlap near 1 loses it.
 Every run is simulated on the reduced backend: hybrid runs are lifted to
-dense states once, at the end, and the angle sum comes from one reduced
-run, so it holds up to N = 2**52.  The array checks import numpy on first
-use, so `zalka_error_bound` and `total_angle_sum` run without it.
+dense states once, at the end, at most 2**28 amplitudes (2 GiB) in all, and
+the angle sum comes from one reduced run, so it holds up to N = 2**52.  The
+array checks import numpy on first use, so `zalka_error_bound` and
+`total_angle_sum` run without it.
 """
 from __future__ import annotations
 
@@ -41,6 +42,8 @@ from .reduced import OperatorTag, lift_to_dense, reduced_init
 from .statevector import MAX_N, BlockConfig, DenseState, InvalidInstanceError
 
 _ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
+# Most amplitudes the lifted runs of one trajectory hold in all: 2 GiB of float64.
+MAX_TRAJECTORY_AMPLITUDES = 2**28
 
 
 def angle_distance(v, w) -> float:
@@ -94,60 +97,59 @@ class HybridTrajectory:
 
     ``states[i]`` is the final state when the first T-i oracle calls are
     the identity and the last i are real (T = total query count); so
-    states[0] is the oracle-free run and states[T] the real run.
-    ``probs[t]`` is the probability that the state of the oracle-free run
-    just before query t+1 puts on the marked address; that state is always
-    the uniform one, since diffusions fix it.  N, the target and the script
-    are the caller's own arguments, so the record does not repeat them.
+    states[0] is the oracle-free run and states[T] the real run.  N, the
+    target and the script are the caller's own arguments.
     """
 
     states: tuple[DenseState, ...]
-    probs: tuple[float, ...]
 
     @property
     def n_queries(self) -> int:
-        return len(self.probs)
+        return len(self.states) - 1
 
 
 def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) -> HybridTrajectory:
-    """Build all T+1 hybrid runs of a script, each run reduced and then lifted to a dense state."""
+    """Build all T+1 hybrid runs of a script, each run reduced and then lifted to a dense state.
+
+    Diffusions fix the uniform state and an identity call does nothing, so the
+    run with j identity calls is the reduced uniform state with j queries
+    counted (moved out if call j was STEP3), then the script after call j.
+    The lifted runs are held at once: more than MAX_TRAJECTORY_AMPLITUDES
+    amplitudes in all are refused before any run.
+    """
     script = tuple(script)
     cfg = BlockConfig(n, n_blocks, target)
-    n_queries = sum(op in _ORACLE_CALLS for op in script)
-    states = tuple(_hybrid_run(script, cfg, n_queries - i) for i in range(n_queries + 1))
-    uniform_amp = reduced_init(cfg).a
-    probs = (uniform_amp * uniform_amp,) * n_queries
-    return HybridTrajectory(states, probs)
-
-
-def _hybrid_run(script: tuple[OperatorTag, ...], cfg: BlockConfig, identity_calls: int) -> DenseState:
-    """Final dense state when the first ``identity_calls`` oracle calls are the identity.
-
-    Diffusions fix the uniform state and an identity call does nothing, so
-    the run is the reduced uniform state with those queries counted (moved
-    out if the last was STEP3), then the script after that call, lifted once.
-    """
-    skipped = [i for i, op in enumerate(script) if op in _ORACLE_CALLS][:identity_calls]
-    start = skipped[-1] + 1 if skipped else 0
-    moved_out = start > 0 and script[start - 1] is OperatorTag.STEP3
-    state = replace(reduced_init(cfg), moved_out=moved_out, queries=len(skipped))
-    return lift_to_dense(apply_script(state, script[start:], cfg))
+    calls = [i for i, op in enumerate(script) if op in _ORACLE_CALLS]
+    amplitudes = (len(calls) + 1) * (2 * n if OperatorTag.STEP3 in script else n)
+    if amplitudes > MAX_TRAJECTORY_AMPLITUDES:
+        raise InvalidInstanceError(
+            f"N={n} with T={len(calls)} queries needs {amplitudes} amplitudes of hybrid runs, "
+            f"more than the {MAX_TRAJECTORY_AMPLITUDES} a trajectory may hold"
+        )
+    uniform = reduced_init(cfg)
+    states = []
+    for j in range(len(calls), -1, -1):  # j leading oracle calls are the identity
+        start = calls[j - 1] + 1 if j else 0
+        moved_out = j > 0 and script[start - 1] is OperatorTag.STEP3
+        state = replace(uniform, moved_out=moved_out, queries=j)
+        states.append(lift_to_dense(apply_script(state, script[start:], cfg)))
+    return HybridTrajectory(tuple(states))
 
 
 def hybrid_step_margins(traj: HybridTrajectory) -> np.ndarray:
     """Slack in the per-swap bound angle <= 2 arcsin sqrt(p), one entry per query.
 
     Entry i-1 compares states i-1 and i (the runs differing in query T-i+1)
-    against 2 arcsin sqrt(probs[T-i]).  All entries should be >= -1e-9; a
+    against 2 arcsin sqrt(1/N): the oracle-free run is uniform before every
+    query, since diffusions fix it.  All entries should be >= -1e-9; a
     negative margin beyond floating error falsifies the bound.
     """
     import numpy as np
-    t = traj.n_queries
-    margins = np.empty(t)
-    for i in range(1, t + 1):
-        lhs = angle_distance(traj.states[i - 1], traj.states[i])
-        rhs = 2.0 * math.asin(math.sqrt(traj.probs[t - i]))
-        margins[i - 1] = rhs - lhs
+    u = 1.0 / math.sqrt(traj.states[0].n_addresses)
+    bound = 2.0 * math.asin(math.sqrt(u * u))
+    margins = np.empty(traj.n_queries)
+    for i in range(1, traj.n_queries + 1):
+        margins[i - 1] = bound - angle_distance(traj.states[i - 1], traj.states[i])
     return margins
 
 

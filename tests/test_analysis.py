@@ -161,8 +161,9 @@ class TestNearTheWallAgainstMpmath:
         mpmath = pytest.importorskip("mpmath")
         _, wall = feasible_epsilon_interval(k)
         for j in range(1, 13):
-            bd = cost_coefficient(wall * (1 - 10.0**-j), k)
-            t1, t2, coeff, slack = reference_breakdown(bd.epsilon, k, mpmath)
+            epsilon = wall * (1 - 10.0**-j)
+            bd = cost_coefficient(epsilon, k)
+            t1, t2, coeff, slack = reference_breakdown(epsilon, k, mpmath)
             # arcsin's slope is infinite at 1, so theta2 (and f through it)
             # loses accuracy as 1/sqrt(1 - arg2^2).
             tol = 1e-14 / float(slack)

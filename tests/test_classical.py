@@ -97,10 +97,8 @@ class TestSimulator:
     def test_closed_form_fields_come_from_classical_formulas(self, n, k):
         report = simulate_randomized(n, k, 1000, seed=2)
         base = classical_formulas(n, k)
-        assert (report.n, report.k, report.expected_randomized, report.deterministic) == (
-            base.n, base.k, base.expected_randomized, base.deterministic
-        )
-        assert report.trials == 1000
+        assert report.expected_randomized == base.expected_randomized
+        assert report.deterministic == base.deterministic
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

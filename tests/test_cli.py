@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -119,8 +120,22 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "grover", "--n", "64", "--steps", str(10**20), "--target", "3")
         assert (code, out) == (1, "")
         assert err == (
-            f"error: {10**20} Grover rounds exceed 16341, the most one reduced stage turns at full precision\n"
+            f"error: {10**20} Grover rounds exceed 16341, the most one stage turns at full precision\n"
         )
+
+    @pytest.mark.parametrize("backend", ["dense", "reduced"])
+    def test_grover_step_bound_is_the_same_on_both_backends(self, capsys, backend):
+        args = ("grover", "--n", "64", "--target", "3", "--backend", backend, "--format", "json")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *args, "--steps", str(10**20))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {10**20} Grover rounds exceed 16341, the most one stage turns at full precision\n"
+        )
+        code, out, err = run_cli(capsys, *args, "--steps", "16341")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["target_prob"] == 0.270811631605
 
     def test_a_thousand_blocks_still_run(self, capsys):
         code, out, err = run_cli(
@@ -723,6 +738,76 @@ n,k,target,queries,success_prob,target_prob,block,block_prob
 4096,4,1726,41,0.998807723657,0.323502610116,1,0.998807723657
 4096,4,1726,41,0.998807723657,0.323502610116,2,0.000397425447527
 4096,4,1726,41,0.998807723657,0.323502610116,3,0.000397425447527
+""",
+    ),
+    # The instance columns come from the command line, the rest from the run.
+    "classical-json": (
+        ("classical", "--n", "1200", "--k", "3", "--trials", "100000", "--seed", "0", "--format", "json"),
+        """\
+{
+  "backend": null,
+  "command": "classical --n 1200 --k 3 --trials 100000 --seed 0 --format json",
+  "deterministic": 800.0,
+  "exact_expected": 533.666666667,
+  "expected_randomized": 533.333333333,
+  "k": 3,
+  "n": 1200,
+  "rows": [
+    {
+      "deterministic": 800.0,
+      "exact_expected": 533.666666667,
+      "expected_randomized": 533.333333333,
+      "k": 3,
+      "n": 1200,
+      "sample_mean": 532.88108,
+      "sample_std_err": 0.841938996717,
+      "trials": 100000
+    }
+  ],
+  "sample_mean": 532.88108,
+  "sample_std_err": 0.841938996717,
+  "seed": 0,
+  "tool": "partialsearch",
+  "trials": 100000,
+  "version": "0.1.0"
+}
+""",
+    ),
+    "classical-csv": (
+        ("classical", "--n", "1200", "--k", "3", "--trials", "100000", "--seed", "0", "--format", "csv"),
+        """\
+# tool=partialsearch
+# version=0.1.0
+# command=classical --n 1200 --k 3 --trials 100000 --seed 0 --format csv
+# seed=0
+# backend=
+# n=1200
+# k=3
+# trials=100000
+# expected_randomized=533.333333333
+# exact_expected=533.666666667
+# deterministic=800
+# sample_mean=532.88108
+# sample_std_err=0.841938996717
+n,k,trials,expected_randomized,exact_expected,deterministic,sample_mean,sample_std_err
+1200,3,100000,533.333333333,533.666666667,800,532.88108,0.841938996717
+""",
+    ),
+    "optimize-csv": (
+        ("optimize", "--k", "4", "--format", "csv"),
+        """\
+# tool=partialsearch
+# version=0.1.0
+# command=optimize --k 4 --format csv
+# seed=0
+# backend=
+# K=4
+# epsilon_star=0.608173461021
+# upper_coeff=0.61547970867
+# lower_coeff=0.392699081699
+# naive_coeff=0.680174761588
+K,epsilon_star,upper_coeff,lower_coeff,naive_coeff
+4,0.608173461021,0.61547970867,0.392699081699,0.680174761588
 """,
     ),
 }

@@ -30,11 +30,13 @@ PUBLIC = [
 # The fields of the public records: each one is read by a program, demo or test.
 RECORD_FIELDS = {
     "BlockConfig": ["n_addresses", "n_blocks", "target"],
-    "ClassicalReport": [
-        "n", "k", "expected_randomized", "deterministic", "sample_mean", "sample_std_err", "trials",
+    "ClassicalReport": ["expected_randomized", "deterministic", "sample_mean", "sample_std_err"],
+    "CostBreakdown": ["theta1", "theta2", "coefficient", "feasible"],
+    "HybridTrajectory": ["states"],
+    "RunReport": [
+        "queries", "block_probs", "success_prob", "miss_prob", "target_prob", "predicted_block",
+        "epsilon", "l1", "l2",
     ],
-    "CostBreakdown": ["epsilon", "theta1", "theta2", "coefficient", "feasible"],
-    "HybridTrajectory": ["states", "probs"],
 }
 
 

@@ -238,6 +238,28 @@ class TestRotationBound:
         with pytest.raises(InvalidInstanceError, match=f"^{10**400} Grover rounds"):
             run_full_grover(BlockConfig(64, 1, 3), 10**400)
 
+    @pytest.mark.parametrize("count", [10**200, 10**400])
+    @pytest.mark.parametrize("backend", ["dense", "reduced"])
+    def test_one_address_blocks_turn_pi_a_round(self, backend, count):
+        # K = N leaves no other address in a block; 2**12 rad / pi allows 1303 rounds.
+        cfg = BlockConfig(4, 4, 0)
+        start = uniform_state(4) if backend == "dense" else reduced_init(cfg)
+        assert apply_stages(start, [(BLOCK_ROUND, 1303)], cfg).queries == 1303
+        with pytest.raises(InvalidInstanceError, match=f"^{count} Grover rounds exceed 1303, "):
+            apply_stages(start, [(BLOCK_ROUND, count)], cfg)
+
+    @pytest.mark.parametrize("round_ops", [GLOBAL_ROUND, BLOCK_ROUND])
+    def test_dense_stages_share_the_bound(self, monkeypatch, round_ops):
+        # Refused before the dense kernel runs a single round.
+        def never(*_args):
+            raise AssertionError("the dense kernel ran")
+
+        monkeypatch.setattr(partial_search.statevector, "apply_rounds", never)
+        cfg = BlockConfig(64, 4, 3)
+        top = self._most_rounds(64 if round_ops == GLOBAL_ROUND else 16)
+        with pytest.raises(InvalidInstanceError, match=f"^{top + 1} Grover rounds exceed {top}, "):
+            apply_stages(uniform_state(64), [(round_ops, top + 1)], cfg)
+
 
 def _iterated(state, script):
     for op in script:

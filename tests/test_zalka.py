@@ -6,6 +6,7 @@ import pytest
 from partialsearch import (
     TWELVE_ITEM_SCRIPT,
     BlockConfig,
+    InvalidInstanceError,
     OperatorTag,
     angle_distance,
     apply_script,
@@ -13,13 +14,16 @@ from partialsearch import (
     grover_script,
     hybrid_step_margins,
     hybrid_trajectory,
+    iteration_counts,
     max_arcsin_probability_sum,
+    optimize_epsilon,
     standard_pipeline_script,
     statevector,
     total_angle_sum,
     uniform_state,
     zalka_error_bound,
 )
+from partialsearch import zalka
 
 PI = math.pi
 ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
@@ -145,13 +149,59 @@ class TestHybridTrajectory:
         # Diffusions fix the uniform state, so the oracle-free run sits at
         # 1/N before every query.
         traj = hybrid_trajectory(16, grover_script(3), 9)
-        assert traj.probs == pytest.approx((1 / 16,) * 3, abs=1e-12)
+        assert traj.states[0].address_probabilities() == pytest.approx([1 / 16] * 16, abs=1e-12)
 
     def test_step3_script_supported(self):
         script = (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION, OperatorTag.STEP3)
         traj = hybrid_trajectory(8, script, 2, n_blocks=2)
         assert traj.n_queries == 2
         assert all(s.has_ancilla for s in traj.states)
+
+    def test_query_free_script_has_one_run_and_no_margins(self):
+        traj = hybrid_trajectory(16, (OperatorTag.GLOBAL_DIFFUSION,), 3)
+        assert traj.n_queries == 0
+        assert len(traj.states) == 1
+        assert hybrid_step_margins(traj).shape == (0,)
+
+    def test_step3_alone_is_one_query(self):
+        traj = hybrid_trajectory(16, (OperatorTag.STEP3,), 3)
+        assert traj.n_queries == 1
+        assert hybrid_step_margins(traj).tolist() == [0.14993930859393378]
+
+
+def _pipeline_script(n, k):
+    l1, l2, _ = iteration_counts(n, k, optimize_epsilon(k)[0])
+    return standard_pipeline_script(l1, l2)
+
+
+class TestTrajectoryBudget:
+    """All T+1 lifted runs are held at once, so too many amplitudes in all are refused first."""
+
+    @pytest.fixture
+    def no_lift(self, monkeypatch):
+        def never(_state):
+            raise AssertionError("a run was lifted")
+
+        monkeypatch.setattr(zalka, "lift_to_dense", never)
+
+    def test_too_many_amplitudes_refused_before_any_run(self, no_lift):
+        # N = 2**20, K = 4 at epsilon*: 632 runs of 2N amplitudes, 9.9 GiB.
+        message = f"^N={2**20} with T=631 queries needs 1325400064 amplitudes"
+        with pytest.raises(InvalidInstanceError, match=message):
+            hybrid_trajectory(2**20, _pipeline_script(2**20, 4), 5, n_blocks=4)
+
+    def test_largest_pipeline_within_budget_reaches_the_runs(self, no_lift):
+        # N = 2**18: 318 runs of 2N amplitudes, 1.24 GiB; stopped at its first lift.
+        assert 318 * 2**19 <= zalka.MAX_TRAJECTORY_AMPLITUDES
+        with pytest.raises(AssertionError, match="a run was lifted"):
+            hybrid_trajectory(2**18, _pipeline_script(2**18, 4), 5, n_blocks=4)
+
+    def test_scripts_without_step3_count_n_amplitudes_a_run(self, no_lift):
+        steps = zalka.MAX_TRAJECTORY_AMPLITUDES // 2**16 - 1
+        with pytest.raises(AssertionError, match="a run was lifted"):
+            hybrid_trajectory(2**16, grover_script(steps), 5)
+        with pytest.raises(InvalidInstanceError, match=f"T={steps + 1} queries"):
+            hybrid_trajectory(2**16, grover_script(steps + 1), 5)
 
 
 DENSE_OPERATORS = ["invert_target", "global_diffusion", "block_diffusion", "step3_transfer", "attach_ancilla"]
@@ -185,7 +235,7 @@ class TestHybridStepBound:
         # Summed swap bounds dominate the endpoint distance for every target.
         for y in range(16):
             traj = hybrid_trajectory(16, grover_script(3), y)
-            total_bound = sum(2 * math.asin(math.sqrt(p)) for p in traj.probs)
+            total_bound = traj.n_queries * 2 * math.asin(math.sqrt(1 / 16))
             assert total_bound >= angle_distance(traj.states[0], traj.states[-1]) - 1e-9
 
     def test_identical_states_have_zero_distance(self):
