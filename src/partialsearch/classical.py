@@ -71,8 +71,7 @@ def trial_outcomes(
     block) per trial; exhausted trials return the unprobed block.
     """
     m = n - n // k
-    block_size = n // k
-    target_blocks = targets // block_size
+    target_blocks = targets // (n // k)
     exhausted = target_blocks == unprobed_blocks
     probes = np.where(exhausted, m, positions)
     returned = np.where(exhausted, unprobed_blocks, target_blocks)
@@ -93,6 +92,8 @@ def simulate_randomized(n: int, k: int, trials: int, seed: int) -> ClassicalRepo
         raise InvalidInstanceError(f"trials must be in [1, 2**63), got {trials}")
     if n > 2**63:
         raise InvalidInstanceError(f"N={n} exceeds 2**63, the range of numpy's int64 draws")
+    if n // k >= 2**63:
+        raise InvalidInstanceError(f"block size N/K={n // k} reaches 2**63, past numpy's int64 range")
     rng = np.random.default_rng(seed)
     m = n - n // k
     targets = rng.integers(0, n, size=trials)

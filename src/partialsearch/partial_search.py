@@ -9,14 +9,11 @@ blocks; it costs one final query, so a standard run makes l1 + l2 + 1
 queries in total.
 
 Pipelines are stages: one round of operator tags repeated `count` times,
-so a standard run is three stages.  `apply_stages` is the one stage loop,
-for both backends.  A dense stage is one in-place `statevector.apply_rounds`
-call, the ancilla attached first if the stage holds step 3.  A reduced stage
-of Grover rounds before step 3 is one closed-form rotation; other reduced
-stages run through `reduced_apply` one operator at a time.  On either
-backend a Grover stage that would turn more than 2**12 rad is refused before
-it runs.  `apply_operator` is a one-operator stage, `apply_script` groups a
-flat script into stages, and `script_stages` keeps every operator's state.
+so a standard run is three stages.  `apply_stages`, the one stage loop,
+checks each stage's size and runs it as one call to the state's kernel,
+`statevector.apply_rounds` or `reduced.apply_rounds`.  `apply_operator`
+is a one-operator stage, `apply_script` groups a flat script into stages,
+and `script_stages` keeps every operator's state.
 
 Dense work imports numpy on first use, so a reduced run never loads it.
 """
@@ -26,13 +23,18 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import analysis, statevector
+from . import analysis, reduced, statevector
 from .analysis import CostBreakdown
-from .reduced import ReducedState, _check_grover_rounds, _reduced_rounds, reduced_apply, reduced_init
+# reduced_apply is bound here only for perfbench's test_instrument_restores_the_package.
+from .reduced import ReducedState, reduced_apply, reduced_init  # noqa: F401
 from .statevector import BLOCK_ROUND, DENSE_CAP, GLOBAL_ROUND, BlockConfig, InvalidInstanceError, OperatorTag
 
 Script = Sequence[OperatorTag]
 Stage = tuple[tuple[OperatorTag, ...], int]  # (round_ops, count)
+
+# Largest stage on either backend: float64 loses about 1e-16 per radian turned or
+# per operator run, so 2**12 of either keeps all 12 printed digits of a probability.
+_MAX_ROTATION = _MAX_OPERATORS = 2**12
 
 # The two-query walkthrough for tiny instances: one blockwise round, one
 # global round, no ancilla transfer.  On N=12, K=3 it ends with the whole
@@ -150,11 +152,10 @@ def apply_script(state, script: Script, cfg: BlockConfig | None = None):
 
 
 def apply_stages(state, stages: Sequence[Stage], cfg: BlockConfig | None = None):
-    """The state after every stage: each dense stage and each reduced Grover-round stage by one kernel call."""
-    reduced = isinstance(state, ReducedState)
-    if reduced and cfg not in (None, state.cfg):
-        raise InvalidInstanceError("config does not match the reduced state")
-    cfg = state.cfg if reduced else cfg
+    """The state after every stage, each non-empty one run by one call to its backend's kernel."""
+    dense = not isinstance(state, ReducedState)
+    kernel = statevector.apply_rounds if dense else reduced.apply_rounds
+    cfg = state.cfg if cfg is None and not dense else cfg
     for round_ops, count in stages:
         if count < 0:
             raise ValueError(f"a stage needs count >= 0, got {count}")
@@ -162,19 +163,21 @@ def apply_stages(state, stages: Sequence[Stage], cfg: BlockConfig | None = None)
             continue
         if cfg is None:
             raise ValueError("dense states need an explicit config")
-        if round_ops in (GLOBAL_ROUND, BLOCK_ROUND):
-            _check_grover_rounds(count, cfg.n_addresses if round_ops == GLOBAL_ROUND else cfg.block_size)
-        if not reduced:
-            if OperatorTag.STEP3 in round_ops and not state.has_ancilla:
-                state = statevector.attach_ancilla(state)
-            state = statevector.apply_rounds(state, round_ops, count, cfg)
-        elif round_ops in (GLOBAL_ROUND, BLOCK_ROUND) and not state.moved_out:
-            state = _reduced_rounds(state, round_ops, count)
-        else:
-            for _ in range(count):
-                for op in round_ops:
-                    state = reduced_apply(state, op)
+        _check_stage(round_ops, count, cfg)
+        if dense and OperatorTag.STEP3 in round_ops and not state.has_ancilla:
+            state = statevector.attach_ancilla(state)
+        state = kernel(state, round_ops, count, cfg)
     return state
+
+
+def _check_stage(round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig) -> None:
+    """Refuse a Grover stage over _MAX_ROTATION rad, or any other stage over _MAX_OPERATORS operators."""
+    most, what = _MAX_OPERATORS // max(len(round_ops), 1), f"rounds of {len(round_ops)} operator(s)"
+    if round_ops in (GLOBAL_ROUND, BLOCK_ROUND):
+        size = cfg.n_addresses if round_ops == GLOBAL_ROUND else cfg.block_size  # size 1 turns pi a round
+        most, what = int(_MAX_ROTATION / (2 * math.asin(1.0 / math.sqrt(size)))), "Grover rounds"
+    if count > most:  # checked before count meets a float: it may exceed any float
+        raise InvalidInstanceError(f"{count} {what} exceed {most}, the most one stage turns at full precision")
 
 
 def script_stages(cfg: BlockConfig, script: Script, backend: str = "dense") -> list:

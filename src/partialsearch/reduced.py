@@ -15,28 +15,24 @@ to N = 2**52.  Operators are closed-form conjugations of the dense ones
 onto this invariant subspace; `lift_to_dense` expands back for comparison
 against the ground-truth backend.
 
-A run is a few stages, each one round of operators repeated `count` times.
-A Grover round (oracle, then inversion about the mean of M amplitudes)
+A run is a few stages, each one round of operators repeated `count` times;
+`apply_rounds`, the twin of `statevector.apply_rounds`, runs one stage.  A
+Grover round (oracle, then inversion about the mean of M amplitudes)
 rotates the target and the uniform rest of those M amplitudes by
-2 arcsin(1/sqrt(M)), so `_reduced_rounds` applies `count` rounds as one
-rotation (Boyer, Brassard, Hoyer, Tapp, quant-ph/9605034).  Block rounds
-rotate (a, sqrt(m - 1) b), M = m = N/K, and leave c alone; global rounds
-rotate (a, sqrt(N - 1) mu), M = N, mu the non-target mean, and flip the
-sign of b - mu and c - mu every round.  `partial_search.apply_stages`
-picks the stages it gets and applies the rest operator by operator.
+2 arcsin(1/sqrt(M)), so before step 3 `count` rounds are one rotation
+(Boyer, Brassard, Hoyer, Tapp, quant-ph/9605034).  Block rounds rotate
+(a, sqrt(m - 1) b), M = m = N/K, and leave c alone; global rounds rotate
+(a, sqrt(N - 1) mu), M = N, mu the non-target mean, and flip the sign of
+b - mu and c - mu every round.  Other stages run through `reduced_apply`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .statevector import BLOCK_ROUND, GLOBAL_ROUND, OperatorTag  # noqa: F401 - GLOBAL_ROUND re-exported
+from .statevector import BLOCK_ROUND, GLOBAL_ROUND, OperatorTag
 from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError
 from .statevector import _NORM_ATOL, _check_dense_cap
-
-# Largest rotation of one Grover stage, on either backend: float64 loses about
-# 1e-16 per radian, so 2**12 rad keeps all 12 printed digits of a probability.
-_MAX_ROTATION = 2.0**12
 
 
 @dataclass(frozen=True)
@@ -107,9 +103,18 @@ def reduced_apply(state: ReducedState, op: OperatorTag) -> ReducedState:
     return ReducedState(state.cfg, a, b, c, d, moved_out, queries)
 
 
-def _reduced_rounds(state: ReducedState, round_ops: tuple[OperatorTag, ...], count: int) -> ReducedState:
-    """``count`` block or global Grover rounds of a state before step 3, as one rotation."""
-    n, m = state.cfg.n_addresses, state.cfg.block_size
+def apply_rounds(
+    state: ReducedState, round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig
+) -> ReducedState:
+    """``count`` repeats of ``round_ops``: Grover rounds before step 3 as one rotation, the rest per operator."""
+    if cfg != state.cfg:
+        raise InvalidInstanceError("config does not match the reduced state")
+    if round_ops not in (GLOBAL_ROUND, BLOCK_ROUND) or state.moved_out:
+        for _ in range(count):
+            for op in round_ops:
+                state = reduced_apply(state, op)
+        return state
+    n, m = cfg.n_addresses, cfg.block_size
     a, b, c = state.a, state.b, state.c
     if round_ops == BLOCK_ROUND:
         a, b = _grover_rounds(a, b, m, count)
@@ -118,16 +123,7 @@ def _reduced_rounds(state: ReducedState, round_ops: tuple[OperatorTag, ...], cou
         a, mu_out = _grover_rounds(a, mu, n, count)
         sign = -1.0 if count % 2 else 1.0
         b, c = mu_out + sign * (b - mu), mu_out + sign * (c - mu)
-    return ReducedState(state.cfg, a, b, c, state.d, False, state.queries + count)
-
-
-def _check_grover_rounds(count: int, size: int) -> None:
-    """Refuse more Grover rounds of size ``size`` than turn _MAX_ROTATION (size 1 turns pi a round)."""
-    most = int(_MAX_ROTATION / (2 * math.asin(1.0 / math.sqrt(size))))
-    if count > most:  # checked before count meets a float: it may exceed any float
-        raise InvalidInstanceError(
-            f"{count} Grover rounds exceed {most}, the most one stage turns at full precision"
-        )
+    return ReducedState(cfg, a, b, c, state.d, False, state.queries + count)
 
 
 def _grover_rounds(a: float, w: float, size: int, count: int) -> tuple[float, float]:

@@ -283,6 +283,7 @@ class TestExitCodes:
             lambda: simulate_randomized(12, 3, 0, 0),
             lambda: simulate_randomized(12, 3, 2**63, 0),
             lambda: simulate_randomized(2**64, 2, 10, 0),
+            lambda: simulate_randomized(2**63, 1, 10, 0),
             lambda: zalka_error_bound(0, 0.1),
             lambda: grover_script(-1),
             lambda: naive_quantum_coefficient(1),
@@ -290,13 +291,20 @@ class TestExitCodes:
         ],
         ids=[
             "optimize-k1", "optimize-tol-nan", "infeasible-epsilon", "classical-no-trials",
-            "classical-too-many-trials", "classical-huge-n", "zalka-n0", "grover-steps",
-            "naive-k1", "lower-k0",
+            "classical-too-many-trials", "classical-huge-n", "classical-huge-block", "zalka-n0",
+            "grover-steps", "naive-k1", "lower-k0",
         ],
     )
     def test_library_input_errors_are_invalid_instance(self, call):
         with pytest.raises(InvalidInstanceError):
             call()
+
+    def test_block_size_past_int64_exits_1(self, capsys):
+        # N = 2**63 fits numpy's draws, but K = 1 makes a block of 2**63 addresses, past int64.
+        code, out, err = run_cli(capsys, "classical", "--n", str(2**63), "--k", "1", "--trials", "10")
+        assert (code, out) == (1, "")
+        assert err == f"error: block size N/K={2**63} reaches 2**63, past numpy's int64 range\n"
+        assert run_cli(capsys, "classical", "--n", str(2**63), "--k", "2", "--trials", "10")[0] == 0
 
     def test_help_exits_zero(self, capsys):
         code, _, _ = run_cli(capsys, "--help")

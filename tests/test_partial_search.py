@@ -28,6 +28,7 @@ from partialsearch import (
     uniform_state,
 )
 from partialsearch import partial_search, statevector
+from partialsearch import reduced as reduced_module
 from partialsearch.partial_search import (
     apply_operator,
     apply_stages,
@@ -291,41 +292,45 @@ class TestDenseStages:
 
 
 class TestStageDispatch:
-    """apply_stages: each dense stage is one dense kernel call; reduced Grover rounds go to theirs, the rest per operator."""
+    """apply_stages: one kernel call per stage on both backends; reduced_apply only for step 3, in the kernel."""
 
     @pytest.mark.parametrize("backend", ["dense", "reduced"])
     @pytest.mark.parametrize(
-        "run, expected",
+        "run, stages",
         [
             (lambda cfg, backend: run_partial_search(cfg, backend=backend),
-             {"dense": (3, []), "reduced": (2, [OperatorTag.STEP3])}),
-            (lambda cfg, backend: run_full_grover(cfg, 9, backend=backend),
-             {"dense": (1, []), "reduced": (1, [])}),
+             [GLOBAL_ROUND, BLOCK_ROUND, (OperatorTag.STEP3,)]),
+            (lambda cfg, backend: run_full_grover(cfg, 9, backend=backend), [GLOBAL_ROUND]),
         ],
         ids=["partial_search", "full_grover"],
     )
-    def test_kernel_and_operator_calls(self, monkeypatch, backend, run, expected):
-        calls = []
+    def test_kernel_and_operator_calls(self, monkeypatch, backend, run, stages):
+        calls, active = [], []  # (spied name, its second argument, the spied calls it ran inside)
 
         def spy(module, name):
-            original = getattr(module, name)
+            original, label = getattr(module, name), f"{module.__name__.split('.')[-1]}.{name}"
 
             def wrapper(*args):
-                calls.append((name, args))
-                return original(*args)
+                calls.append((label, args[1], tuple(active)))
+                active.append(label)
+                try:
+                    return original(*args)
+                finally:
+                    active.pop()
 
             monkeypatch.setattr(module, name, wrapper)
 
         spy(statevector, "apply_rounds")
-        spy(partial_search, "_reduced_rounds")
-        spy(partial_search, "reduced_apply")
+        spy(reduced_module, "apply_rounds")
+        spy(reduced_module, "reduced_apply")
         for name in ("invert_target", "global_diffusion", "block_diffusion", "step3_transfer"):
             spy(statevector, name)
         run(BlockConfig(256, 4, 37), backend)
-        kernel = "apply_rounds" if backend == "dense" else "_reduced_rounds"
-        kernel_calls, reduced_ops = expected[backend]
-        assert [name for name, _ in calls if name != "reduced_apply"] == [kernel] * kernel_calls
-        assert [args[1] for name, args in calls if name == "reduced_apply"] == reduced_ops
+        kernel = "statevector.apply_rounds" if backend == "dense" else "reduced.apply_rounds"
+        expected = [(kernel, round_ops, ()) for round_ops in stages]
+        if backend == "reduced" and (OperatorTag.STEP3,) in stages:
+            expected.append(("reduced.reduced_apply", OperatorTag.STEP3, (kernel,)))
+        assert calls == expected
 
 
 class TestOtherStages:
@@ -354,6 +359,21 @@ class TestOtherStages:
         want = invert_target(invert_target(invert_target(uniform_state(16), self.CFG), self.CFG), self.CFG)
         assert np.array_equal(got.amplitudes, want.amplitudes)
         assert (got.queries, got.has_ancilla) == (want.queries, want.has_ancilla) == (3, False)
+
+    @pytest.mark.parametrize("backend", ["dense", "reduced"])
+    @pytest.mark.parametrize(
+        "round_ops", [(OperatorTag.ORACLE,), (OperatorTag.BLOCK_DIFFUSION, OperatorTag.ORACLE)]
+    )
+    def test_operator_stages_stop_at_4096_operators(self, backend, round_ops):
+        most = 4096 // len(round_ops)
+        assert apply_stages(self.start(backend), [(round_ops, most)], self.CFG).queries == most
+        message = rf"^{most + 1} rounds of {len(round_ops)} operator\(s\) exceed {most}, "
+        with pytest.raises(InvalidInstanceError, match=message):
+            apply_stages(self.start(backend), [(round_ops, most + 1)], self.CFG)
+
+    def test_reduced_state_of_another_instance_rejected(self):
+        with pytest.raises(InvalidInstanceError, match="config does not match the reduced state"):
+            apply_stages(reduced_init(BlockConfig(16, 4, 5)), [(GLOBAL_ROUND, 1)], self.CFG)
 
     @pytest.mark.parametrize("backend", ["dense", "reduced"])
     def test_empty_step3_stage_returns_the_input(self, backend):

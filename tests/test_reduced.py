@@ -207,7 +207,7 @@ class TestRotationBound:
 
     @staticmethod
     def _most_rounds(size):
-        return int(reduced_module._MAX_ROTATION / (2 * math.asin(1.0 / math.sqrt(size))))
+        return int(partial_search._MAX_ROTATION / (2 * math.asin(1.0 / math.sqrt(size))))
 
     @pytest.mark.parametrize("exponent", [2, 6, 20, 40, 52])
     def test_grover_up_to_the_bound_matches_mpmath(self, exponent):
@@ -248,17 +248,25 @@ class TestRotationBound:
         with pytest.raises(InvalidInstanceError, match=f"^{count} Grover rounds exceed 1303, "):
             apply_stages(start, [(BLOCK_ROUND, count)], cfg)
 
-    @pytest.mark.parametrize("round_ops", [GLOBAL_ROUND, BLOCK_ROUND])
+    @pytest.mark.parametrize("round_ops", [GLOBAL_ROUND, BLOCK_ROUND, (ORACLE,), (BLOCK, ORACLE), ()])
     def test_dense_stages_share_the_bound(self, monkeypatch, round_ops):
-        # Refused before the dense kernel runs a single round.
+        # Refused on both backends before either kernel runs, Grover rounds or not.
         def never(*_args):
-            raise AssertionError("the dense kernel ran")
+            raise AssertionError("a kernel ran")
 
         monkeypatch.setattr(partial_search.statevector, "apply_rounds", never)
+        monkeypatch.setattr(partial_search.reduced, "apply_rounds", never)
         cfg = BlockConfig(64, 4, 3)
-        top = self._most_rounds(64 if round_ops == GLOBAL_ROUND else 16)
-        with pytest.raises(InvalidInstanceError, match=f"^{top + 1} Grover rounds exceed {top}, "):
-            apply_stages(uniform_state(64), [(round_ops, top + 1)], cfg)
+        if round_ops in (GLOBAL_ROUND, BLOCK_ROUND):
+            top = self._most_rounds(64 if round_ops == GLOBAL_ROUND else 16)
+            count, message = top + 1, f"^{top + 1} Grover rounds exceed {top}, "
+        else:
+            count = 10**20
+            most = 4096 // max(len(round_ops), 1)
+            message = rf"^{count} rounds of {len(round_ops)} operator\(s\) exceed {most}, "
+        for start in (uniform_state(64), reduced_init(cfg)):
+            with pytest.raises(InvalidInstanceError, match=message):
+                apply_stages(start, [(round_ops, count)], cfg)
 
 
 def _iterated(state, script):
@@ -332,7 +340,6 @@ class TestStageRuns:
 
         original = reduced_module.reduced_apply
         monkeypatch.setattr(reduced_module, "reduced_apply", counting)
-        monkeypatch.setattr(partial_search, "reduced_apply", counting)
         report = run_partial_search(BlockConfig(2**52, 4, 2**50 + 5), epsilon=optimize_epsilon(4)[0])
         assert calls == [STEP3]
         assert report.queries == report.l1 + report.l2 + 1 > 10**7
