@@ -51,6 +51,12 @@ class CostBreakdown:
     feasible: bool
 
 
+def _check_k(k: int, least: int = 2) -> None:
+    # Beyond 2**52 (the largest N) math.sqrt(k) rounds K or overflows.
+    if not least <= k <= MAX_N:
+        raise InvalidInstanceError(f"need K >= {least} and K <= 2**52, got K={k}")
+
+
 def theta_of_epsilon(epsilon: float) -> float:
     """Angle left between state and target after step 1 stops early."""
     return (math.pi / 2.0) * epsilon
@@ -60,8 +66,7 @@ def alpha_target(theta: float, k: int) -> float:
     """Amplitude weight of the target block after step 1."""
     if not 0.0 <= theta <= math.pi / 2.0 + 1e-12:
         raise ValueError(f"theta={theta} outside [0, pi/2]")
-    if k < 1:
-        raise InvalidInstanceError(f"K={k} must be >= 1")
+    _check_k(k, least=1)
     return math.sqrt(1.0 - ((k - 1) / k) * math.sin(theta) ** 2)
 
 
@@ -93,8 +98,7 @@ def cost_coefficient(epsilon: float, k: int) -> CostBreakdown:
     """
     if not 0.0 <= epsilon <= 1.0:
         raise InvalidInstanceError(f"epsilon={epsilon} outside [0, 1]")
-    if k < 2:
-        raise InvalidInstanceError(f"partial search needs K >= 2, got K={k}")
+    _check_k(k)
     return breakdown_for_theta(theta_of_epsilon(epsilon), k, epsilon)
 
 
@@ -111,10 +115,7 @@ def breakdown_for_theta(theta: float, k: int, epsilon: float) -> CostBreakdown:
 
 def feasible_epsilon_interval(k: int) -> tuple[float, float]:
     """The closed interval of epsilon values with all arcsin arguments <= 1."""
-    if k < 2:
-        raise InvalidInstanceError(f"partial search needs K >= 2, got K={k}")
-    if k > MAX_N:
-        raise InvalidInstanceError(f"K={k} exceeds 2**52, the largest N")
+    _check_k(k)
     if k <= 4:
         return 0.0, 1.0
     return 0.0, (2.0 / math.pi) * math.asin(2.0 / math.sqrt(k))
@@ -126,9 +127,10 @@ def optimize_epsilon(k: int, tol: float = 1e-9) -> tuple[float, float]:
     A 1e-4 grid locates the minimum, then golden-section search refines it:
     f can take its optimum on the boundary (K=2) and has an infinite-slope
     arcsin wall, so derivative-based methods are unsafe here.  f is unimodal
-    on the grid, so bisection over grid indices finds the grid minimum and
-    the 8 best grid points are the run around it.  Ties within tol resolve
-    to the smallest epsilon (fewer step-2 iterations).
+    on the grid, so bisection over grid indices finds the grid minimum.
+    The two candidates are that grid point and the golden-section point;
+    the smaller epsilon wins when their f values lie within tol of each
+    other (fewer step-2 iterations), the smaller f otherwise.
     """
     if not 0.0 < tol < math.inf:
         raise InvalidInstanceError(f"tol must be positive and finite, got {tol}")
@@ -152,19 +154,12 @@ def optimize_epsilon(k: int, tol: float = 1e-9) -> tuple[float, float]:
             right = mid
         else:
             best = mid + 1
-    run_lo = run_hi = best  # grow the 8 best grid points from the minimum
-    for _ in range(7):
-        if run_hi == n_pts - 1 or (run_lo > 0 and value(run_lo - 1) <= value(run_hi + 1)):
-            run_lo -= 1
-        else:
-            run_hi += 1
 
     bracket_lo = point(max(best - 1, 0))
     bracket_hi = point(min(best + 1, n_pts - 1))
     refined = _golden_section(lambda e: _scalar_coefficient(e, k), bracket_lo, bracket_hi, tol)
 
-    candidates = [(point(i), value(i)) for i in range(run_lo, run_hi + 1)]
-    candidates.append((refined, _scalar_coefficient(refined, k)))
+    candidates = [(point(best), value(best)), (refined, _scalar_coefficient(refined, k))]
     best_val = min(v for _, v in candidates)
     eps_star, coeff_star = min((e, v) for e, v in candidates if v <= best_val + tol)
     return eps_star, coeff_star
@@ -196,8 +191,7 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
 
 def lower_bound_coefficient(k: int) -> float:
     """Query floor per sqrt(N) from reducing full search to repeated partial search."""
-    if k < 1:
-        raise InvalidInstanceError(f"K={k} must be >= 1")
+    _check_k(k, least=1)
     return (math.pi / 4.0) * (1.0 - 1.0 / math.sqrt(k))
 
 
@@ -207,16 +201,14 @@ def large_k_guarantee(k: int) -> float:
     Evaluating at epsilon = 1/sqrt(K) with sin theta ~ theta gives
     (pi/4)(1 - C0/sqrt(K)) with C0 = 1 - (2/pi) arcsin(pi/4) ~ 0.425.
     """
-    if k < 2:
-        raise InvalidInstanceError(f"partial search needs K >= 2, got K={k}")
+    _check_k(k)
     c0 = 1.0 - (2.0 / math.pi) * math.asin(math.pi / 4.0)
     return (math.pi / 4.0) * (1.0 - c0 / math.sqrt(k))
 
 
 def naive_quantum_coefficient(k: int) -> float:
     """Cost of plain amplitude amplification restricted to K-1 random blocks."""
-    if k < 2:
-        raise InvalidInstanceError(f"partial search needs K >= 2, got K={k}")
+    _check_k(k)
     return (math.pi / 4.0) * math.sqrt((k - 1) / k)
 
 
@@ -226,8 +218,7 @@ def reduction_total_queries(alpha_coeff: float, k: int, n: int) -> float:
     Each round shrinks the database by a factor K, so the per-round costs form
     a geometric series summing to alpha * sqrt(N) * sqrt(K)/(sqrt(K) - 1).
     """
-    if k < 2:
-        raise InvalidInstanceError(f"the reduction needs K >= 2, got K={k}")
+    _check_k(k)
     if alpha_coeff <= 0:
         raise InvalidInstanceError(f"alpha_coeff must be positive, got {alpha_coeff}")
     rk = math.sqrt(k)

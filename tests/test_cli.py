@@ -12,6 +12,7 @@ from partialsearch import (
     InvalidInstanceError,
     grover_script,
     iteration_counts,
+    large_k_guarantee,
     lower_bound_coefficient,
     naive_quantum_coefficient,
     optimize_epsilon,
@@ -169,7 +170,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "args",
-        [("--n", "0"), ("--err", "nan"), ("--err", "1.5"), ("--hidden-const", "inf")],
+        [
+            ("--n", "0"), ("--err", "nan"), ("--err", "1.5"), ("--hidden-const", "inf"),
+            ("--k", "1" + "0" * 400), ("--k", str(2**52 + 1)),
+        ],
     )
     def test_bad_bounds_input(self, capsys, args):
         code, out, err = run_cli(capsys, "bounds", "--format", "json", *args)
@@ -288,11 +292,13 @@ class TestExitCodes:
             lambda: grover_script(-1),
             lambda: naive_quantum_coefficient(1),
             lambda: lower_bound_coefficient(0),
+            lambda: lower_bound_coefficient(2**53),
+            lambda: large_k_guarantee(10**400),
         ],
         ids=[
             "optimize-k1", "optimize-tol-nan", "infeasible-epsilon", "classical-no-trials",
             "classical-too-many-trials", "classical-huge-n", "classical-huge-block", "zalka-n0",
-            "grover-steps", "naive-k1", "lower-k0",
+            "grover-steps", "naive-k1", "lower-k0", "lower-k2**53", "guarantee-k10**400",
         ],
     )
     def test_library_input_errors_are_invalid_instance(self, call):
@@ -960,11 +966,11 @@ class TestReports:
         assert doc["sample_mean"] is not None
 
     def test_bounds_report(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds", "--k", "4,16", "--format", "json")
+        code, out, _ = run_cli(capsys, "bounds", "--k", f"4,16,{2**52}", "--format", "json")
         doc = json.loads(out)
         assert code == 0
         assert doc["erring_search"]["query_floor"] > 0
-        assert [row["K"] for row in doc["rows"]] == [4, 16]
+        assert [row["K"] for row in doc["rows"]] == [4, 16, 2**52]
 
     def test_demo_twelve_items(self, capsys):
         code, out, _ = run_cli(capsys, "demo", "--which", "twelve-items", "--format", "json")
