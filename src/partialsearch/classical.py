@@ -12,12 +12,15 @@ drops) is `exact_expected_probes`.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .statevector import InvalidInstanceError
+
+CHUNK = 1 << 16  # trials resolved per chunk of the Monte Carlo
 
 
 @dataclass(frozen=True)
@@ -84,27 +87,42 @@ def simulate_randomized(n: int, k: int, trials: int, seed: int) -> ClassicalRepo
     The probe order itself is implicit: the position of a uniformly random
     target within a uniformly random order of the M probed cells is uniform
     on 1..M, so each trial draws (target, unprobed block, position) directly.
+    Trials are resolved `CHUNK` at a time, so memory does not grow with
+    `trials`.  Three generators start where a one-shot draw of the target,
+    block and position arrays would start, so the stream is that draw's.
     Every trial's returned block is asserted correct (the strategy makes no
     errors).  It returns `classical_formulas(n, k)` with the sample fields filled in.
     """
     _check_instance(n, k)
     if not 1 <= trials < 2**63:
         raise InvalidInstanceError(f"trials must be in [1, 2**63), got {trials}")
-    if n > 2**63:
-        raise InvalidInstanceError(f"N={n} exceeds 2**63, the range of numpy's int64 draws")
     if n // k >= 2**63:
         raise InvalidInstanceError(f"block size N/K={n // k} reaches 2**63, past numpy's int64 range")
-    rng = np.random.default_rng(seed)
     m = n - n // k
-    targets = rng.integers(0, n, size=trials)
-    unprobed = rng.integers(0, k, size=trials)
-    positions = rng.integers(1, m + 1, size=trials) if m > 0 else np.zeros(trials, dtype=int)
-    probes, returned = trial_outcomes(n, k, targets, unprobed, positions)
-    assert np.array_equal(returned, targets // (n // k)), "classical search returned a wrong block"
+    target_rng = np.random.default_rng(seed)
+    unprobed_rng = _drained(target_rng, n, trials)
+    position_rng = _drained(unprobed_rng, k, trials)
+    mean, m2 = 0.0, 0.0  # mean and sum of squared deviations, merged by Chan et al.'s update
+    for start in range(0, trials, CHUNK):
+        size = min(CHUNK, trials - start)
+        targets = target_rng.integers(0, n, size=size)
+        unprobed = unprobed_rng.integers(0, k, size=size)
+        positions = position_rng.integers(1, m + 1, size=size) if m > 0 else np.zeros(size, dtype=int)
+        probes, returned = trial_outcomes(n, k, targets, unprobed, positions)
+        assert np.array_equal(returned, targets // (n // k)), "classical search returned a wrong block"
+        delta = float(probes.mean()) - mean
+        mean += delta * size / (start + size)
+        m2 += float(probes.var()) * size + delta * delta * start * size / (start + size)
+    std_err = math.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0
+    return replace(classical_formulas(n, k), sample_mean=mean, sample_std_err=std_err)
 
-    probes = probes.astype(float)
-    std_err = float(probes.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return replace(classical_formulas(n, k), sample_mean=float(probes.mean()), sample_std_err=std_err)
+
+def _drained(rng: np.random.Generator, high: int, trials: int) -> np.random.Generator:
+    """A copy of ``rng`` advanced past ``trials`` draws from [0, high), drawn chunk by chunk."""
+    rng = copy.deepcopy(rng)
+    for start in range(0, trials, CHUNK):
+        rng.integers(0, high, size=min(CHUNK, trials - start))
+    return rng
 
 
 def _check_instance(n: int, k: int) -> None:
@@ -112,3 +130,5 @@ def _check_instance(n: int, k: int) -> None:
         raise InvalidInstanceError(f"need N >= 1 and K >= 1, got N={n}, K={k}")
     if n % k:
         raise InvalidInstanceError(f"K={k} does not divide N={n}")
+    if n > 2**63:
+        raise InvalidInstanceError(f"N={n} exceeds 2**63, the range of numpy's int64 draws")

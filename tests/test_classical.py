@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from partialsearch import (
     simulate_randomized,
     two_case_expectation,
 )
-from partialsearch.classical import trial_outcomes
+from partialsearch.classical import CHUNK, trial_outcomes
 
 
 def enumerated_expectation(n, k):
@@ -27,6 +28,18 @@ def enumerated_expectation(n, k):
             else:
                 total += (m + 1) / 2
     return total / (n * k)
+
+
+def one_shot_sample(n, k, trials, seed):
+    """Reference: the whole sample drawn as three arrays from one generator, then resolved at once."""
+    rng = np.random.default_rng(seed)
+    m = n - n // k
+    targets = rng.integers(0, n, size=trials)
+    unprobed = rng.integers(0, k, size=trials)
+    positions = rng.integers(1, m + 1, size=trials) if m > 0 else np.zeros(trials, dtype=int)
+    probes = trial_outcomes(n, k, targets, unprobed, positions)[0].astype(float)
+    std_err = float(probes.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return float(probes.mean()), std_err
 
 
 class TestFormulas:
@@ -103,6 +116,39 @@ class TestSimulator:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             simulate_randomized(12, 3, 0, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "n,k,trials",
+        [
+            (1200, 3, 2 * CHUNK + 123),
+            (1200, 3, CHUNK),
+            (1200, 3, CHUNK + 1),
+            (1200, 3, 1),
+            (1200, 3, 2),
+            (1200, 1, CHUNK + 1),  # K = 1 draws no positions
+            (2**63, 2, 2 * CHUNK + 123),
+            (2**62, 4, 2 * CHUNK + 123),
+            (48, 3, 2 * CHUNK + 123),
+        ],
+    )
+    def test_chunked_sample_matches_one_shot_draw(self, n, k, trials, seed):
+        # The CLI prints 12 significant digits, so those must agree.
+        report = simulate_randomized(n, k, trials, seed)
+        mean, std_err = one_shot_sample(n, k, trials, seed)
+        assert f"{report.sample_mean:.12g}" == f"{mean:.12g}"
+        assert f"{report.sample_std_err:.12g}" == f"{std_err:.12g}"
+
+    def test_memory_does_not_grow_with_trials(self):
+        # numpy reports its buffers to tracemalloc, so the peak covers the draw arrays.
+        for trials in (10**6, 4 * 10**6):
+            tracemalloc.start()
+            try:
+                simulate_randomized(1200, 3, trials, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, f"{trials} trials peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestTrialOutcomes:

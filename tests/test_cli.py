@@ -10,6 +10,8 @@ import pytest
 
 from partialsearch import (
     InvalidInstanceError,
+    classical_formulas,
+    exact_expected_probes,
     grover_script,
     iteration_counts,
     large_k_guarantee,
@@ -17,6 +19,7 @@ from partialsearch import (
     naive_quantum_coefficient,
     optimize_epsilon,
     simulate_randomized,
+    two_case_expectation,
     zalka_error_bound,
 )
 from partialsearch import partial_search, statevector
@@ -288,6 +291,9 @@ class TestExitCodes:
             lambda: simulate_randomized(12, 3, 2**63, 0),
             lambda: simulate_randomized(2**64, 2, 10, 0),
             lambda: simulate_randomized(2**63, 1, 10, 0),
+            lambda: classical_formulas(10**400, 2),
+            lambda: exact_expected_probes(10**400, 2),
+            lambda: two_case_expectation(10**400, 2),
             lambda: zalka_error_bound(0, 0.1),
             lambda: grover_script(-1),
             lambda: naive_quantum_coefficient(1),
@@ -297,7 +303,8 @@ class TestExitCodes:
         ],
         ids=[
             "optimize-k1", "optimize-tol-nan", "infeasible-epsilon", "classical-no-trials",
-            "classical-too-many-trials", "classical-huge-n", "classical-huge-block", "zalka-n0",
+            "classical-too-many-trials", "classical-huge-n", "classical-huge-block",
+            "formulas-n10**400", "exact-n10**400", "two-case-n10**400", "zalka-n0",
             "grover-steps", "naive-k1", "lower-k0", "lower-k2**53", "guarantee-k10**400",
         ],
     )
