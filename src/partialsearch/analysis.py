@@ -219,7 +219,7 @@ def reduction_total_queries(alpha_coeff: float, k: int, n: int) -> float:
     a geometric series summing to alpha * sqrt(N) * sqrt(K)/(sqrt(K) - 1).
     """
     _check_k(k)
-    if alpha_coeff <= 0:
+    if not alpha_coeff > 0:
         raise InvalidInstanceError(f"alpha_coeff must be positive, got {alpha_coeff}")
     rk = math.sqrt(k)
     return alpha_coeff * math.sqrt(n) * rk / (rk - 1.0)

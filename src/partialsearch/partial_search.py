@@ -4,9 +4,9 @@ Step 1 runs l1 = round((pi/4)(1-eps) sqrt(N)) plain amplification steps,
 stopping short of the target.  Step 2 runs l2 = round((sqrt(N/K)/2)
 (theta1+theta2)) blockwise steps, driving the non-target states of the
 target block to negative amplitudes.  Step 3 moves the target out to an
-ancilla and inverts branch 0 about its mean, cancelling the non-target
-blocks; it costs one final query, so a standard run makes l1 + l2 + 1
-queries in total.
+ancilla qubit, which the dense kernel adjoins itself, and inverts branch 0
+about its mean, cancelling the non-target blocks; its one query makes a
+standard run l1 + l2 + 1 queries in total.
 
 Pipelines are stages: one round of operator tags repeated `count` times,
 so a standard run is three stages.  `apply_stages`, the one stage loop,
@@ -164,8 +164,6 @@ def apply_stages(state, stages: Sequence[Stage], cfg: BlockConfig | None = None)
         if cfg is None:
             raise ValueError("dense states need an explicit config")
         _check_stage(round_ops, count, cfg)
-        if dense and OperatorTag.STEP3 in round_ops and not state.has_ancilla:
-            state = statevector.attach_ancilla(state)
         state = kernel(state, round_ops, count, cfg)
     return state
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .statevector import BLOCK_ROUND, GLOBAL_ROUND, OperatorTag
 from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError
-from .statevector import _NORM_ATOL, _check_dense_cap
+from .statevector import _NORM_ATOL, _check_dense_cap, _interleave
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class ReducedState:
 
     def __post_init__(self) -> None:
         norm2 = self.norm_squared()
-        if abs(norm2 - 1.0) > _NORM_ATOL:
+        if not abs(norm2 - 1.0) <= _NORM_ATOL:
             raise ValueError(f"reduced state is not normalized: |amp|^2 = {norm2!r}")
 
     def norm_squared(self) -> float:
@@ -147,9 +147,5 @@ def lift_to_dense(state: ReducedState) -> DenseState:
     branch0 = np.full(n, state.c)
     branch0[block_lo : block_lo + m] = state.b
     branch0[cfg.target] = state.a
-    if not state.moved_out:
-        return DenseState(branch0, n, has_ancilla=False, queries=state.queries)
-    amp = np.zeros(2 * n)
-    amp[0::2] = branch0
-    amp[2 * cfg.target + 1] = state.d
-    return DenseState(amp, n, has_ancilla=True, queries=state.queries)
+    amp = _interleave(branch0, cfg.target, state.d) if state.moved_out else branch0
+    return DenseState(amp, n, has_ancilla=state.moved_out, queries=state.queries)

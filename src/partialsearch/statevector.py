@@ -1,16 +1,16 @@
 """Dense statevector backend: the slow, trusted ground truth.
 
-States are full amplitude arrays over N addresses (optionally doubled by
-one ancilla qubit).  Every operator here is a real reflection, so a run
-never leaves the real subspace and amplitudes are stored as float64;
-complex input is refused rather than cast, since a cast would silently
-drop imaginary parts.
+States are real float64 amplitude arrays over N addresses, interleaved to
+2N entries (2x + b: address x, ancilla bit b) once step 3 adjoins the
+ancilla.  Every operator is a real reflection; complex input is refused
+rather than cast, since a cast would silently drop imaginary parts.
 
 States are immutable values on read-only arrays.  All operator arithmetic is
 in `apply_rounds`, which repeats a round of operator tags in place on one
-private copy and checks the norm once, at the end; each public operator and
-each dense stage of `partial_search.apply_stages` is one such call.  Oracle
-calls (`invert_target`, `step3_transfer`) count queries; diffusions are free.
+private copy, adjoining the ancilla to that copy when the round holds step 3,
+and checks the norm once, at the end.  Each public operator and each dense
+stage of `partial_search.apply_stages` is one such call.  Oracle calls
+(`invert_target`, `step3_transfer`) count queries; diffusions are free.
 
 The instance types (`BlockConfig`, `OperatorTag`, `InvalidInstanceError`,
 the limits) need no arrays, so the dense functions import numpy on first use
@@ -120,7 +120,7 @@ class DenseState:
                 f"N={self.n_addresses}, ancilla={self.has_ancilla}"
             )
         norm2 = float(amp @ amp)
-        if abs(norm2 - 1.0) > _NORM_ATOL:
+        if not abs(norm2 - 1.0) <= _NORM_ATOL:
             raise InvalidInstanceError(f"state is not normalized: |amp|^2 = {norm2!r}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
@@ -135,9 +135,9 @@ class DenseState:
 
     def address_probabilities(self) -> np.ndarray:
         """Per-address probability, summed over ancilla branches."""
-        p = self.amplitudes**2
+        p = self.branch(0) ** 2
         if self.has_ancilla:
-            p = p[0::2] + p[1::2]
+            p += self.branch(1) ** 2
         return p
 
 
@@ -151,13 +151,10 @@ def uniform_state(n_addresses: int, cap: int = DENSE_CAP) -> DenseState:
 
 
 def attach_ancilla(state: DenseState) -> DenseState:
-    """Adjoin an ancilla qubit in state 0 (branch 1 all zero)."""
+    """Adjoin an ancilla qubit in state 0 (branch 1 all zero); step 3 does this itself."""
     if state.has_ancilla:
         raise ValueError("state already has an ancilla")
-    import numpy as np
-    amp = np.zeros(2 * state.n_addresses)
-    amp[0::2] = state.amplitudes
-    return DenseState(amp, state.n_addresses, has_ancilla=True, queries=state.queries)
+    return DenseState(_interleave(state.amplitudes), state.n_addresses, has_ancilla=True, queries=state.queries)
 
 
 def invert_target(state: DenseState, cfg: BlockConfig) -> DenseState:
@@ -179,9 +176,9 @@ def block_diffusion(state: DenseState, cfg: BlockConfig) -> DenseState:
 def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
     """Move the target out to ancilla branch 1, then invert branch 0 about its mean.
 
-    The move-out is one oracle query; the following inversion is controlled on
-    the ancilla being 0.  When the branch-0 mean equals half the amplitude of
-    the non-target-block states, those states end at exactly zero.
+    An ancilla-free state first gains the ancilla.  The move-out is one oracle
+    query; the inversion is controlled on the ancilla being 0.  When the branch-0
+    mean is half the non-target-block amplitude, those states end at exactly zero.
     """
     return apply_rounds(state, (OperatorTag.STEP3,), 1, cfg)
 
@@ -189,11 +186,11 @@ def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
 def apply_rounds(
     state: DenseState, round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig
 ) -> DenseState:
-    """``count`` repeats of ``round_ops`` in place on one private copy; the norm is checked once, at the end."""
+    """``count`` repeats of ``round_ops`` in place on one private copy, which gains the ancilla for step 3."""
     _check_shapes(state, cfg)
     import numpy as np
-    amp = state.amplitudes.copy()
-    ancilla, queries = state.has_ancilla, state.queries
+    ancilla, queries = state.has_ancilla or OperatorTag.STEP3 in round_ops, state.queries
+    amp = state.amplitudes.copy() if ancilla == state.has_ancilla else _interleave(state.amplitudes)
     t = 2 * cfg.target if ancilla else cfg.target
     for _ in range(count):
         for op in round_ops:
@@ -212,9 +209,7 @@ def apply_rounds(
                 blocks = amp.reshape(cfg.n_blocks, cfg.block_size)
                 np.subtract(2.0 * blocks.mean(axis=1, keepdims=True), blocks, out=blocks)
             elif op is OperatorTag.STEP3:
-                if not ancilla:
-                    raise ValueError("step 3 needs the ancilla qubit; call attach_ancilla first")
-                if float(abs(amp[1::2]).max()) > _NORM_ATOL:
+                if max(float(amp[1::2].max()), -float(amp[1::2].min())) > _NORM_ATOL:
                     raise ValueError("ancilla branch 1 must be empty before step 3")
                 amp[t], amp[t + 1] = amp[t + 1], amp[t]
                 branch0 = amp[0::2]
@@ -230,6 +225,15 @@ def block_probabilities(state: DenseState, cfg: BlockConfig) -> np.ndarray:
     _check_shapes(state, cfg)
     per_address = state.address_probabilities()
     return per_address.reshape(cfg.n_blocks, cfg.block_size).sum(axis=1)
+
+
+def _interleave(branch0: np.ndarray, target: int = 0, moved_out: float = 0.0) -> np.ndarray:
+    """The ancilla layout: entry 2x is branch0[x]; branch 1 is empty but for ``moved_out`` at the target."""
+    import numpy as np
+    amp = np.zeros(2 * len(branch0))
+    amp[0::2] = branch0
+    amp[2 * target + 1] = moved_out
+    return amp
 
 
 def _check_dense_cap(n_addresses: int, cap: int = DENSE_CAP) -> None:

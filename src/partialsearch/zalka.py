@@ -63,7 +63,7 @@ def _as_unit_array(v) -> np.ndarray:
     import numpy as np
     arr = np.asarray(getattr(v, "amplitudes", v))
     norm = float(np.linalg.norm(arr))
-    if np.iscomplexobj(arr) or abs(norm - 1.0) > 1e-6:
+    if np.iscomplexobj(arr) or not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"expected a real unit state, got {arr.dtype} with norm {norm!r}")
     return arr
 

@@ -48,6 +48,9 @@ class TestFormulas:
         assert report.expected_randomized == 0.0
         assert report.deterministic == 0.0
 
+    def test_single_block_probes_nothing(self):
+        assert exact_expected_probes(12, 1) == 0.0
+
     def test_twelve_three(self):
         report = classical_formulas(12, 3)
         assert report.expected_randomized == pytest.approx(16 / 3, abs=1e-12)

@@ -16,8 +16,10 @@ from partialsearch import (
     iteration_counts,
     large_k_guarantee,
     lower_bound_coefficient,
+    max_arcsin_probability_sum,
     naive_quantum_coefficient,
     optimize_epsilon,
+    reduction_total_queries,
     simulate_randomized,
     two_case_expectation,
     zalka_error_bound,
@@ -300,12 +302,17 @@ class TestExitCodes:
             lambda: lower_bound_coefficient(0),
             lambda: lower_bound_coefficient(2**53),
             lambda: large_k_guarantee(10**400),
+            lambda: classical_formulas(0, 1),
+            lambda: max_arcsin_probability_sum(4, 0, 0),
+            lambda: reduction_total_queries(-1.0, 4, 16),
+            lambda: reduction_total_queries(math.nan, 4, 16),
         ],
         ids=[
             "optimize-k1", "optimize-tol-nan", "infeasible-epsilon", "classical-no-trials",
             "classical-too-many-trials", "classical-huge-n", "classical-huge-block",
             "formulas-n10**400", "exact-n10**400", "two-case-n10**400", "zalka-n0",
             "grover-steps", "naive-k1", "lower-k0", "lower-k2**53", "guarantee-k10**400",
+            "formulas-n0", "arcsin-no-samples", "reduction-alpha-negative", "reduction-alpha-nan",
         ],
     )
     def test_library_input_errors_are_invalid_instance(self, call):
@@ -1001,6 +1008,11 @@ class TestReports:
         code, _, err = run_cli(capsys, "table", "--k", ",")
         assert code == 1
         assert "empty" in err
+
+    def test_bad_k_list_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--k", "2,x")
+        assert (code, out) == (1, "")
+        assert "bad K list '2,x'" in err
 
     def test_output_file_written_once(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"

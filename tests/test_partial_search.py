@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,18 @@ class TestRunPartialSearch:
         reduced = run_partial_search(cfg, backend="reduced")
         assert dense.miss_prob == pytest.approx(reduced.miss_prob, rel=1e-9)
 
+    def test_dense_run_holds_at_most_four_arrays_of_n(self):
+        # The peak is the 2N final state, the N probabilities and one N square of a branch.
+        cfg = BlockConfig(2**16, 4, 777)
+        run_partial_search(cfg, backend="dense")  # warm-up, so first-use imports stay out of the peak
+        tracemalloc.start()
+        try:
+            run_partial_search(cfg, backend="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.1 * 8 * cfg.n_addresses
+
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):
             run_partial_search(BlockConfig(64, 2, 0), backend="tensor")
@@ -212,6 +225,10 @@ class TestRunScript:
         with pytest.raises(ValueError, match="last"):
             validate_script((OperatorTag.STEP3, OperatorTag.ORACLE))
 
+    def test_non_tag_rejected(self):
+        with pytest.raises(ValueError, match="not an operator tag: 'oracle'"):
+            validate_script((OperatorTag.ORACLE, "oracle"))
+
     def test_stage_count(self):
         cfg = BlockConfig(12, 3, 5)
         stages = script_stages(cfg, TWELVE_ITEM_SCRIPT)
@@ -292,7 +309,10 @@ class TestDenseStages:
 
 
 class TestStageDispatch:
-    """apply_stages: one kernel call per stage on both backends; reduced_apply only for step 3, in the kernel."""
+    """apply_stages: one kernel call per stage on both backends; reduced_apply only for step 3, in the kernel.
+
+    The dense kernel adjoins the ancilla itself, so no run calls attach_ancilla.
+    """
 
     @pytest.mark.parametrize("backend", ["dense", "reduced"])
     @pytest.mark.parametrize(
@@ -305,13 +325,13 @@ class TestStageDispatch:
         ids=["partial_search", "full_grover"],
     )
     def test_kernel_and_operator_calls(self, monkeypatch, backend, run, stages):
-        calls, active = [], []  # (spied name, its second argument, the spied calls it ran inside)
+        calls, active = [], []  # (spied name, its second argument or None, the spied calls it ran inside)
 
         def spy(module, name):
             original, label = getattr(module, name), f"{module.__name__.split('.')[-1]}.{name}"
 
             def wrapper(*args):
-                calls.append((label, args[1], tuple(active)))
+                calls.append((label, args[1] if len(args) > 1 else None, tuple(active)))
                 active.append(label)
                 try:
                     return original(*args)
@@ -323,7 +343,7 @@ class TestStageDispatch:
         spy(statevector, "apply_rounds")
         spy(reduced_module, "apply_rounds")
         spy(reduced_module, "reduced_apply")
-        for name in ("invert_target", "global_diffusion", "block_diffusion", "step3_transfer"):
+        for name in ("attach_ancilla", "invert_target", "global_diffusion", "block_diffusion", "step3_transfer"):
             spy(statevector, name)
         run(BlockConfig(256, 4, 37), backend)
         kernel = "statevector.apply_rounds" if backend == "dense" else "reduced.apply_rounds"

@@ -49,6 +49,11 @@ class TestInit:
         state = reduced_init(BlockConfig(2**40, 16, 123456789))
         assert abs(state.norm_squared() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("a", [0.6, math.nan], ids=["unnormalized", "nan"])
+    def test_refuses_unnormalized_amplitudes(self, a):
+        with pytest.raises(ValueError, match="not normalized"):
+            ReducedState(BlockConfig(4, 2, 0), a, 0.0, 0.0)
+
     def test_block_probabilities_are_python_floats(self):
         probs = reduced_init(BlockConfig(64, 4, 37)).block_probabilities()
         assert probs == (0.25,) * 4

@@ -135,6 +135,30 @@ class TestDenseState:
         with pytest.raises(InvalidInstanceError, match="real"):
             DenseState(amp, 4)
 
+    @pytest.mark.parametrize(
+        "amp, has_ancilla, match",
+        [
+            (np.full(3, 0.5), False, "does not match"),
+            (np.full(4, 0.5), True, "does not match"),
+            (np.full(4, 0.6), False, "not normalized"),
+            (np.array([math.nan, 0.0, 0.0, 0.0]), False, "not normalized"),
+        ],
+        ids=["short", "short-for-ancilla", "unnormalized", "nan"],
+    )
+    def test_refuses_bad_arrays(self, amp, has_ancilla, match):
+        with pytest.raises(InvalidInstanceError, match=match):
+            DenseState(amp, 4, has_ancilla=has_ancilla)
+
+    def test_branch_without_ancilla(self):
+        state = uniform_state(4)
+        assert state.branch(0) is state.amplitudes
+        with pytest.raises(ValueError, match="no ancilla"):
+            state.branch(1)
+
+    def test_attach_ancilla_twice_rejected(self):
+        with pytest.raises(ValueError, match="already has an ancilla"):
+            attach_ancilla(attach_ancilla(uniform_state(4)))
+
 
 class TestUniformState:
     def test_n4_amplitudes(self):
@@ -289,10 +313,13 @@ class TestStep3Transfer:
             out = step3_transfer(state, cfg)
             assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12
 
-    def test_requires_ancilla(self):
+    def test_adjoins_the_ancilla(self, rng):
+        # An ancilla-free state gains the ancilla inside the kernel, exactly as attach_ancilla adjoins it.
         cfg = BlockConfig(8, 2, 0)
-        with pytest.raises(ValueError, match="ancilla"):
-            step3_transfer(uniform_state(8), cfg)
+        state = random_unit_state(rng, 8)
+        got, want = step3_transfer(state, cfg), step3_transfer(attach_ancilla(state), cfg)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert (got.has_ancilla, got.queries) == (want.has_ancilla, want.queries) == (True, 1)
 
     def test_requires_empty_branch1(self, rng):
         cfg = BlockConfig(8, 2, 0)

@@ -65,6 +65,10 @@ class TestAngleDistance:
         with pytest.raises(ValueError, match="unit"):
             angle_distance(np.ones(4), basis_state(4, 0))
 
+    def test_rejects_nan_input(self):
+        with pytest.raises(ValueError, match="unit"):
+            angle_distance(np.array([math.nan, 0.0]), np.array([1.0, 0.0]))
+
     def test_rejects_complex_input(self):
         # <e0|i e0> = i; casting it to float would give 0, an angle of pi/2 instead of 0.
         with pytest.raises(ValueError, match="real"):
