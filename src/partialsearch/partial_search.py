@@ -232,7 +232,8 @@ def _report(state, cfg: BlockConfig, **extra) -> RunReport:
         miss_prob = (cfg.n_addresses - cfg.block_size) * state.c**2
     else:
         block_probs = tuple(statevector.block_probabilities(state, cfg).tolist())
-        target_prob = float(state.address_probabilities()[cfg.target])
+        amps = [state.branch(bit)[cfg.target] for bit in range(1 + state.has_ancilla)]
+        target_prob = float(sum(a * a for a in amps))  # address_probabilities' a*a + b*b, for one address
         miss_prob = math.fsum(p for block, p in enumerate(block_probs) if block != cfg.target_block)
     return RunReport(
         queries=state.queries,

@@ -6,11 +6,11 @@ ancilla.  Every operator is a real reflection; complex input is refused
 rather than cast, since a cast would silently drop imaginary parts.
 
 States are immutable values on read-only arrays.  All operator arithmetic is
-in `apply_rounds`, which repeats a round of operator tags in place on one
-private copy, adjoining the ancilla to that copy when the round holds step 3,
-and checks the norm once, at the end.  Each public operator and each dense
-stage of `partial_search.apply_stages` is one such call.  Oracle calls
-(`invert_target`, `step3_transfer`) count queries; diffusions are free.
+in `apply_rounds`, which repeats a round in place on one private copy (that
+gains the ancilla when the round holds step 3) and checks the norm once, at
+the end.  A diffusion is one read-write pass: the global and block sums are
+taken once per stage and carried.  Each public operator and each dense stage
+of `partial_search.apply_stages` is one such call; oracle calls count queries.
 
 The instance types (`BlockConfig`, `OperatorTag`, `InvalidInstanceError`,
 the limits) need no arrays, so the dense functions import numpy on first use
@@ -186,15 +186,21 @@ def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
 def apply_rounds(
     state: DenseState, round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig
 ) -> DenseState:
-    """``count`` repeats of ``round_ops`` in place on one private copy, which gains the ancilla for step 3."""
+    """``count`` rounds in place on one private copy (with the ancilla for step 3), one pass per diffusion."""
     _check_shapes(state, cfg)
     import numpy as np
     ancilla, queries = state.has_ancilla or OperatorTag.STEP3 in round_ops, state.queries
     amp = state.amplitudes.copy() if ancilla == state.has_ancilla else _interleave(state.amplitudes)
     t = 2 * cfg.target if ancilla else cfg.target
+    # Sums are taken on first use and carried: a diffusion keeps its own sums, the oracle moves the total and
+    # the target's block sum by -2*a_t, and a global diffusion maps each block sum s to 2*total/K - s.
+    total = sums = None
     for _ in range(count):
         for op in round_ops:
             if op is OperatorTag.ORACLE:
+                total = None if total is None else total - 2.0 * amp[t]
+                if sums is not None:
+                    sums[cfg.target_block] -= 2.0 * amp[t]
                 amp[t] = -amp[t]
                 if ancilla:
                     amp[t + 1] = -amp[t + 1]
@@ -202,12 +208,15 @@ def apply_rounds(
             elif op is OperatorTag.GLOBAL_DIFFUSION:
                 if ancilla:
                     raise ValueError("global diffusion is defined on ancilla-free states")
-                np.subtract(2.0 * amp.mean(), amp, out=amp)
+                total = amp.sum() if total is None else total
+                np.subtract(2.0 * (total / cfg.n_addresses), amp, out=amp)
+                sums = None if sums is None else 2.0 * total / cfg.n_blocks - sums
             elif op is OperatorTag.BLOCK_DIFFUSION:
                 if ancilla:
                     raise ValueError("block diffusion is defined on ancilla-free states")
                 blocks = amp.reshape(cfg.n_blocks, cfg.block_size)
-                np.subtract(2.0 * blocks.mean(axis=1, keepdims=True), blocks, out=blocks)
+                sums = blocks.sum(axis=1, keepdims=True) if sums is None else sums
+                np.subtract(2.0 * (sums / cfg.block_size), blocks, out=blocks)
             elif op is OperatorTag.STEP3:
                 if max(float(amp[1::2].max()), -float(amp[1::2].min())) > _NORM_ATOL:
                     raise ValueError("ancilla branch 1 must be empty before step 3")

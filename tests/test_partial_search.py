@@ -257,15 +257,19 @@ def per_operator_stages(state, stages, cfg):
 
 
 class TestDenseStages:
-    @pytest.mark.parametrize("count", [0, 1, 2, 7])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 50])
     @pytest.mark.parametrize("n, k", [(48, 3), (64, 64), (4096, 8), (2**16, 32)])
     def test_bit_equal_to_per_operator_run(self, n, k, count):
+        """Bit-equal for one round; past it the stage carries its sums, so within 1e-13 of the operator loop."""
         cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
         stages = standard_pipeline_stages(count, count)
         for prefix in (stages[:1], stages[:2], stages):
             got = apply_stages(uniform_state(n), prefix, cfg)
             want = per_operator_stages(uniform_state(n), prefix, cfg)
-            assert np.array_equal(got.amplitudes, want.amplitudes)
+            if count <= 1:
+                assert np.array_equal(got.amplitudes, want.amplitudes)
+            else:
+                assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13
             assert (got.queries, got.has_ancilla) == (want.queries, want.has_ancilla)
         assert got.queries == 2 * count + 1
 
@@ -511,3 +515,13 @@ class TestLargestN:
         # times; the largest error seen is 1.1e-7 (K = 2).
         assert report.miss_prob == pytest.approx(float(miss), rel=1e-6)
         assert 0.0 < report.miss_prob < 1e-15
+
+
+class TestDenseAccuracy:
+    @pytest.mark.parametrize("n, k", [(2**12, 8), (2**14, 4), (2**16, 2), (2**16, 32)])
+    def test_miss_prob_against_mpmath(self, n, k):
+        # A dense run's miss probability is a cancellation down to about 1/N, so it shows the kernel's rounding.
+        mpmath = pytest.importorskip("mpmath")
+        report = run_partial_search(BlockConfig(n, k, (2 * n) // 3 + 1), backend="dense")
+        _, miss = reference_run(n, k, report.l1, report.l2, mpmath)
+        assert abs(report.miss_prob - float(miss)) <= 2e-12 * float(miss)
