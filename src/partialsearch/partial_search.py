@@ -154,8 +154,8 @@ def apply_script(state, script: Script, cfg: BlockConfig | None = None):
 def apply_stages(state, stages: Sequence[Stage], cfg: BlockConfig | None = None):
     """The state after every stage, each non-empty one run by one call to its backend's kernel."""
     dense = not isinstance(state, ReducedState)
-    kernel = statevector.apply_rounds if dense else reduced.apply_rounds
     cfg = state.cfg if cfg is None and not dense else cfg
+    owned = False  # the caller's input is never written; a state an earlier stage here returned is held by no one
     for round_ops, count in stages:
         if count < 0:
             raise ValueError(f"a stage needs count >= 0, got {count}")
@@ -164,7 +164,10 @@ def apply_stages(state, stages: Sequence[Stage], cfg: BlockConfig | None = None)
         if cfg is None:
             raise ValueError("dense states need an explicit config")
         _check_stage(round_ops, count, cfg)
-        state = kernel(state, round_ops, count, cfg)
+        if dense:
+            state, owned = statevector.apply_rounds(state, round_ops, count, cfg, owned=owned), True
+        else:
+            state = reduced.apply_rounds(state, round_ops, count, cfg)
     return state
 
 

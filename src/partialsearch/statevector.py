@@ -6,11 +6,12 @@ ancilla.  Every operator is a real reflection; complex input is refused
 rather than cast, since a cast would silently drop imaginary parts.
 
 States are immutable values on read-only arrays.  All operator arithmetic is
-in `apply_rounds`, which repeats a round in place on one private copy (that
-gains the ancilla when the round holds step 3) and checks the norm once, at
-the end.  A diffusion is one read-write pass: the global and block sums are
-taken once per stage and carried.  Each public operator and each dense stage
-of `partial_search.apply_stages` is one such call; oracle calls count queries.
+in `apply_rounds`, which repeats a round in place on one private copy or, with
+``owned`` (no one else holds the state and no view of its array exists), on
+its own array, which step 3 grows in place; it checks the norm once, at the
+end.  A diffusion is one read-write pass: the global and block sums are taken
+once per stage and carried.  Each public operator and each dense stage of
+`partial_search.apply_stages` is one such call; oracle calls count queries.
 
 The instance types (`BlockConfig`, `OperatorTag`, `InvalidInstanceError`,
 the limits) need no arrays, so the dense functions import numpy on first use
@@ -154,7 +155,7 @@ def attach_ancilla(state: DenseState) -> DenseState:
     """Adjoin an ancilla qubit in state 0 (branch 1 all zero); step 3 does this itself."""
     if state.has_ancilla:
         raise ValueError("state already has an ancilla")
-    return DenseState(_interleave(state.amplitudes), state.n_addresses, has_ancilla=True, queries=state.queries)
+    return DenseState(_interleave(state.amplitudes.copy()), state.n_addresses, has_ancilla=True, queries=state.queries)
 
 
 def invert_target(state: DenseState, cfg: BlockConfig) -> DenseState:
@@ -184,13 +185,17 @@ def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
 
 
 def apply_rounds(
-    state: DenseState, round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig
+    state: DenseState, round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig, *, owned: bool = False
 ) -> DenseState:
-    """``count`` rounds in place on one private copy (with the ancilla for step 3), one pass per diffusion."""
+    """``count`` rounds in place (with the ancilla for step 3), one pass per diffusion, on one private copy or,
+    with ``owned``, on ``state``'s own array, which step 3 grows: only if no one else holds ``state`` and no
+    view of its array exists."""
     _check_shapes(state, cfg)
     import numpy as np
     ancilla, queries = state.has_ancilla or OperatorTag.STEP3 in round_ops, state.queries
-    amp = state.amplitudes.copy() if ancilla == state.has_ancilla else _interleave(state.amplitudes)
+    amp = state.amplitudes if owned else state.amplitudes.copy()
+    amp.setflags(write=True)
+    amp = amp if ancilla == state.has_ancilla else _interleave(amp)
     t = 2 * cfg.target if ancilla else cfg.target
     # Sums are taken on first use and carried: a diffusion keeps its own sums, the oracle moves the total and
     # the target's block sum by -2*a_t, and a global diffusion maps each block sum s to 2*total/K - s.
@@ -230,17 +235,29 @@ def apply_rounds(
 
 
 def block_probabilities(state: DenseState, cfg: BlockConfig) -> np.ndarray:
-    """Probability of measuring each block index, summed over ancilla branches."""
+    """Probability of measuring each block index, summed over ancilla branches; equal bit for bit to summing
+    ``address_probabilities`` per block, but taken over slices of whole blocks of at least 2**16 addresses."""
     _check_shapes(state, cfg)
-    per_address = state.address_probabilities()
-    return per_address.reshape(cfg.n_blocks, cfg.block_size).sum(axis=1)
-
-
-def _interleave(branch0: np.ndarray, target: int = 0, moved_out: float = 0.0) -> np.ndarray:
-    """The ancilla layout: entry 2x is branch0[x]; branch 1 is empty but for ``moved_out`` at the target."""
     import numpy as np
-    amp = np.zeros(2 * len(branch0))
-    amp[0::2] = branch0
+    m, rows, probs = cfg.block_size, -(-2**16 // cfg.block_size), np.empty(cfg.n_blocks)
+    for lo in range(0, cfg.n_blocks, rows):
+        p = state.branch(0)[lo * m : (lo + rows) * m] ** 2
+        if state.has_ancilla:
+            p += state.branch(1)[lo * m : (lo + rows) * m] ** 2
+        probs[lo : lo + rows] = p.reshape(-1, m).sum(axis=1)  # one numpy sum per block row, as over all N
+    return probs
+
+
+def _interleave(amp: np.ndarray, target: int = 0, moved_out: float = 0.0) -> np.ndarray:
+    """Grow ``amp`` (it owns its data; no view of it exists) in place to the ancilla layout: entry 2x is its x,
+    and branch 1 is empty but for ``moved_out`` at the target."""
+    n = hi = len(amp)
+    amp.resize(2 * n, refcheck=False)
+    while hi > 1:  # top down: lo..hi-1 land at 2*lo and up, past all left to move (numpy buffers an odd hi's overlap)
+        lo = hi // 2
+        amp[2 * lo : 2 * hi : 2] = amp[lo:hi]
+        hi = lo
+    amp[1::2] = 0.0
     amp[2 * target + 1] = moved_out
     return amp
 

@@ -135,6 +135,20 @@ class TestRunPartialSearch:
             tracemalloc.stop()
         assert peak <= 4.1 * 8 * cfg.n_addresses
 
+    def test_dense_run_holds_at_most_two_and_a_half_arrays_of_n(self):
+        # Stages after the first reuse the buffer and step 3 grows it in place, so the peak is the report's: the
+        # 2N final state and the squares of one slice of blocks (N/4 here) per branch.  Below 2**16 addresses
+        # one slice holds the whole array.
+        cfg = BlockConfig(2**18, 4, 12345)
+        run_partial_search(cfg, backend="dense")  # warm-up, so first-use imports stay out of the peak
+        tracemalloc.start()
+        try:
+            run_partial_search(cfg, backend="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * cfg.n_addresses + 64 * 1024
+
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):
             run_partial_search(BlockConfig(64, 2, 0), backend="tensor")
@@ -274,15 +288,33 @@ class TestDenseStages:
         assert got.queries == 2 * count + 1
 
     def test_input_unchanged_and_arrays_read_only(self):
+        # Stages after the first write the buffer the stage before returned; the caller's input stays as it was,
+        # also behind a leading empty stage (which transfers nothing) and when step 3 grows the buffer.
         cfg = BlockConfig(64, 4, 9)
-        start = invert_target(uniform_state(64), cfg)
-        before = start.amplitudes.copy()
-        out = apply_stages(start, [(GLOBAL_ROUND, 3), (BLOCK_ROUND, 2)], cfg)
-        assert np.array_equal(start.amplitudes, before)
-        assert not start.amplitudes.flags.writeable
-        assert not out.amplitudes.flags.writeable
-        assert not np.shares_memory(start.amplitudes, out.amplitudes)
-        assert out.queries == start.queries + 5
+        step3 = ((OperatorTag.STEP3,), 1)
+        for stages, queries in [
+            ([(GLOBAL_ROUND, 3), (BLOCK_ROUND, 2)], 5),
+            ([(GLOBAL_ROUND, 0), (BLOCK_ROUND, 2)], 2),
+            ([(GLOBAL_ROUND, 0), step3], 1),
+            ([(GLOBAL_ROUND, 3), (BLOCK_ROUND, 2), step3], 6),
+        ]:
+            start = invert_target(uniform_state(64), cfg)
+            before = start.amplitudes.copy()
+            out = apply_stages(start, stages, cfg)
+            assert start.amplitudes.tobytes() == before.tobytes()
+            assert not start.amplitudes.flags.writeable
+            assert not out.amplitudes.flags.writeable
+            assert not np.shares_memory(start.amplitudes, out.amplitudes)
+            assert out.queries == start.queries + queries
+
+    def test_script_stages_keeps_every_earlier_state(self):
+        cfg = BlockConfig(64, 4, 9)
+        script = standard_pipeline_script(3, 2)
+        states = script_stages(cfg, script)
+        for i, state in enumerate(states):
+            assert state.amplitudes.tobytes() == script_stages(cfg, script[:i])[-1].amplitudes.tobytes()
+            assert not state.amplitudes.flags.writeable
+        assert not any(np.shares_memory(a.amplitudes, b.amplitudes) for a, b in zip(states, states[1:]))
 
     @pytest.mark.parametrize(
         "round_ops, message",
@@ -315,7 +347,8 @@ class TestDenseStages:
 class TestStageDispatch:
     """apply_stages: one kernel call per stage on both backends; reduced_apply only for step 3, in the kernel.
 
-    The dense kernel adjoins the ancilla itself, so no run calls attach_ancilla.
+    The dense kernel adjoins the ancilla itself, so no run calls attach_ancilla.  Every dense stage after the
+    first owns the state the stage before returned; the reduced kernel takes no ``owned``.
     """
 
     @pytest.mark.parametrize("backend", ["dense", "reduced"])
@@ -329,16 +362,16 @@ class TestStageDispatch:
         ids=["partial_search", "full_grover"],
     )
     def test_kernel_and_operator_calls(self, monkeypatch, backend, run, stages):
-        calls, active = [], []  # (spied name, its second argument or None, the spied calls it ran inside)
+        calls, active = [], []  # (spied name, its second argument or None, the spied calls it ran inside, keywords)
 
         def spy(module, name):
             original, label = getattr(module, name), f"{module.__name__.split('.')[-1]}.{name}"
 
-            def wrapper(*args):
-                calls.append((label, args[1] if len(args) > 1 else None, tuple(active)))
+            def wrapper(*args, **kwargs):
+                calls.append((label, args[1] if len(args) > 1 else None, tuple(active), kwargs))
                 active.append(label)
                 try:
-                    return original(*args)
+                    return original(*args, **kwargs)
                 finally:
                     active.pop()
 
@@ -351,9 +384,10 @@ class TestStageDispatch:
             spy(statevector, name)
         run(BlockConfig(256, 4, 37), backend)
         kernel = "statevector.apply_rounds" if backend == "dense" else "reduced.apply_rounds"
-        expected = [(kernel, round_ops, ()) for round_ops in stages]
+        owned = [{"owned": i > 0} if backend == "dense" else {} for i in range(len(stages))]
+        expected = [(kernel, round_ops, (), keywords) for round_ops, keywords in zip(stages, owned)]
         if backend == "reduced" and (OperatorTag.STEP3,) in stages:
-            expected.append(("reduced.reduced_apply", OperatorTag.STEP3, (kernel,)))
+            expected.append(("reduced.reduced_apply", OperatorTag.STEP3, (kernel,), {}))
         assert calls == expected
 
 

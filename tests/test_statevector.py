@@ -14,9 +14,12 @@ from partialsearch import (
     block_probabilities,
     global_diffusion,
     invert_target,
+    lift_to_dense,
+    reduced_init,
     step3_transfer,
     uniform_state,
 )
+from partialsearch import statevector
 from partialsearch.partial_search import apply_stages, standard_pipeline_stages
 from conftest import random_unit_state
 
@@ -367,6 +370,46 @@ class TestBlockProbabilities:
         amp[2 * 3 + 1] = math.sqrt(0.5)
         state = DenseState(amp, 4, has_ancilla=True)
         assert np.allclose(block_probabilities(state, cfg), [0.0, 1.0], atol=1e-15)
+
+    @pytest.mark.parametrize("with_ancilla", [False, True], ids=["plain", "ancilla"])
+    @pytest.mark.parametrize("n", [1548, 66564, 528384])  # 516·{3, 129, 1024}: below, just above and past 2**16
+    def test_equals_summed_address_probabilities(self, with_ancilla, n):
+        # K = 129 and K = N give several slices and a short last one; block sizes such as 387 = 1548/4 and
+        # 516 = 66564/129 are not multiples of 8, so numpy's 8-way unrolled pairwise sum leaves a tail.
+        rng = np.random.default_rng(n + with_ancilla)
+        state = random_unit_state(rng, n, with_ancilla=with_ancilla)
+        for k in (1, 2, 4, 129, n):
+            cfg = BlockConfig(n, k, n - 1)
+            want = state.address_probabilities().reshape(k, n // k).sum(axis=1)
+            assert block_probabilities(state, cfg).tobytes() == want.tobytes()
+
+
+class TestAncillaLayout:
+    """The in-place layout writer and its callers, against the zeros-then-stride reference, bit for bit."""
+
+    @staticmethod
+    def reference(branch0, target=0, moved_out=0.0):
+        amp = np.zeros(2 * branch0.size)
+        amp[0::2] = branch0
+        amp[2 * target + 1] = moved_out
+        return amp
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 48, 3 * 2**15, 2**18])
+    def test_interleave_attach_and_lift(self, rng, n):
+        target = (2 * n) // 3
+        branch0 = rng.standard_normal(n)
+        got = statevector._interleave(branch0.copy(), target, -0.375)
+        assert got.tobytes() == self.reference(branch0, target, -0.375).tobytes()
+        state = random_unit_state(rng, n)
+        assert attach_ancilla(state).amplitudes.tobytes() == self.reference(state.amplitudes).tobytes()
+        k = min(d for d in range(2, n + 1) if n % d == 0)
+        cfg = BlockConfig(n, k, target)
+        moved = apply_stages(reduced_init(cfg), standard_pipeline_stages(1, 1), cfg)
+        branch0 = np.full(n, moved.c)
+        branch0[cfg.target_block * cfg.block_size : (cfg.target_block + 1) * cfg.block_size] = moved.b
+        branch0[target] = moved.a
+        assert moved.d != 0.0
+        assert lift_to_dense(moved).amplitudes.tobytes() == self.reference(branch0, target, moved.d).tobytes()
 
 
 class TestGroverInvariants:
