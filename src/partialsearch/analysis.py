@@ -7,6 +7,7 @@ sweep the target-block vector through theta1 + theta2, where
 
     alpha_t = sqrt(1 - ((K-1)/K) sin^2 theta)           target-block weight
     theta1  = arcsin(sin theta / (alpha_t sqrt(K)))     start angle
+            = atan2(sin theta, sqrt(K) cos theta)       (the form computed)
     theta2  = arcsin((K-2) sin theta / (2 alpha_t sqrt(K)))   overshoot angle
 
 and the cost per sqrt(N) of the whole run is
@@ -15,14 +16,13 @@ and the cost per sqrt(N) of the whole run is
 
 theta2's arcsin argument stays within 1 only while sin theta <= 2/sqrt(K);
 beyond that the parameter choice is infeasible.  f is written once, in
-`breakdown_for_theta`; `optimize_epsilon` minimizes it over the feasible
-interval, one scalar evaluation at a time, and reproduces the known
+`breakdown_for_theta`; `optimize_epsilon` finds its minimum in closed form,
+as a root of a quadratic in sin^2 theta, and reproduces the known
 query-count table.  The remaining functions give the matching lower bound,
 the naive block-restricted baseline, and the large-K guarantee in closed form.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,10 +31,6 @@ from .statevector import MAX_N, InvalidInstanceError
 # Arguments in (1, 1 + _CLAMP] count as exactly 1: floating point grazing the
 # feasibility wall must not turn a boundary optimum into an error.
 _CLAMP = 1e-12
-
-_GRID_STEP = 1e-4
-_MIN_GRID_POINTS = 65
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class InfeasibleEpsilonError(InvalidInstanceError):
@@ -71,9 +67,13 @@ def alpha_target(theta: float, k: int) -> float:
 
 
 def theta1(theta: float, k: int) -> float:
-    """Initial in-block angle between the target-block vector and the target."""
-    arg = math.sin(theta) / (alpha_target(theta, k) * math.sqrt(k))
-    return _checked_arcsin(arg, "sin(theta) <= alpha_t * sqrt(K)")
+    """Initial in-block angle between the target-block vector and the target.
+
+    tan theta1 = tan theta / sqrt(K), so atan2 gives it to full precision,
+    also where the arcsin form loses digits as its argument nears 1 (K = 2).
+    """
+    alpha_target(theta, k)  # for its checks of theta and K
+    return math.atan2(math.sin(theta), math.sqrt(k) * math.cos(theta))
 
 
 def theta2(theta: float, k: int) -> float:
@@ -121,72 +121,23 @@ def feasible_epsilon_interval(k: int) -> tuple[float, float]:
     return 0.0, (2.0 / math.pi) * math.asin(2.0 / math.sqrt(k))
 
 
-def optimize_epsilon(k: int, tol: float = 1e-9) -> tuple[float, float]:
-    """Minimize f(eps, K) over the feasible interval.
+def optimize_epsilon(k: int) -> tuple[float, float]:
+    """The epsilon minimizing f(eps, K) over the feasible interval, and f there.
 
-    A 1e-4 grid locates the minimum, then golden-section search refines it:
-    f can take its optimum on the boundary (K=2) and has an infinite-slope
-    arcsin wall, so derivative-based methods are unsafe here.  f is unimodal
-    on the grid, so bisection over grid indices finds the grid minimum.
-    The two candidates are that grid point and the golden-section point;
-    the smaller epsilon wins when their f values lie within tol of each
-    other (fewer step-2 iterations), the smaller f otherwise.
+    With x = sin^2 theta, theta1' = 1/(sqrt(K) alpha_t^2) and
+    theta2' = (K-2) cos theta / (sqrt(K) alpha_t^2 sqrt(4 - K x)), so
+    f' = 0, i.e. theta1' + theta2' = sqrt(K), reduces for cos theta > 0 to
+    (K-2)/sqrt(4 - K x) = (K-1) cos theta.  Squared, with r = (K-2)/(K-1),
+    that is K x^2 - (K+4) x + 4 - r^2 = 0.  Its larger root is >= 1 and never
+    feasible; the smaller one, written without cancellation, is the minimum
+    (f' < 0 at eps = 0, and for K > 4 f' grows without bound at the wall).
+    K = 2 gives x = 1: the boundary optimum eps = 1.
     """
-    if not 0.0 < tol < math.inf:
-        raise InvalidInstanceError(f"tol must be positive and finite, got {tol}")
-    lo, hi = feasible_epsilon_interval(k)
-    # At huge K the feasible interval is narrower than one grid step; the
-    # floor keeps the grid from collapsing onto the single point eps=0.
-    n_pts = max(int(round((hi - lo) / _GRID_STEP)) + 1, _MIN_GRID_POINTS)
-    step = (hi - lo) / (n_pts - 1)
-
-    def point(i: int) -> float:  # the grid np.linspace(lo, hi, n_pts) would give
-        return hi if i == n_pts - 1 else lo + i * step
-
-    @functools.cache
-    def value(i: int) -> float:
-        return _scalar_coefficient(point(i), k)
-
-    best, right = 0, n_pts - 1  # bisect for the first index where f stops falling
-    while best < right:
-        mid = (best + right) // 2
-        if value(mid) <= value(mid + 1):
-            right = mid
-        else:
-            best = mid + 1
-
-    bracket_lo = point(max(best - 1, 0))
-    bracket_hi = point(min(best + 1, n_pts - 1))
-    refined = _golden_section(lambda e: _scalar_coefficient(e, k), bracket_lo, bracket_hi, tol)
-
-    candidates = [(point(best), value(best)), (refined, _scalar_coefficient(refined, k))]
-    best_val = min(v for _, v in candidates)
-    eps_star, coeff_star = min((e, v) for e, v in candidates if v <= best_val + tol)
-    return eps_star, coeff_star
-
-
-def _scalar_coefficient(epsilon: float, k: int) -> float:
-    bd = cost_coefficient(epsilon, k)
-    return bd.coefficient if bd.feasible else math.inf
-
-
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    width = math.inf
-    # A bracket a few ulps wide stops shrinking; a tol below that must not loop forever.
-    while tol < hi - lo < width:
-        width = hi - lo
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-    return (lo + hi) / 2.0
+    _check_k(k)
+    r2 = ((k - 2) / (k - 1)) ** 2
+    x = 2.0 * (4.0 - r2) / (k + 4.0 + math.sqrt((k - 4.0) ** 2 + 4.0 * k * r2))
+    eps_star = min(1.0, (2.0 / math.pi) * math.asin(math.sqrt(x)))
+    return eps_star, cost_coefficient(eps_star, k).coefficient
 
 
 def lower_bound_coefficient(k: int) -> float:

@@ -97,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", parents=[common], help="optimize epsilon for one K")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("table", parents=[common], help="upper/lower coefficient table over K")
     p.add_argument("--k", default="2,3,4,5,8,32", help="comma-separated block counts")
@@ -195,7 +194,7 @@ def _cmd_grover(args: argparse.Namespace) -> dict:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> dict:
-    row = _coefficient_row(args.k, *analysis.optimize_epsilon(args.k, tol=args.tol))
+    row = _coefficient_row(args.k, *analysis.optimize_epsilon(args.k))
     return {**row, "rows": [row]}
 
 

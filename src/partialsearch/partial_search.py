@@ -136,7 +136,7 @@ def iteration_counts(
         theta = max(0.0, math.pi / 2.0 - (2 * l1 + 1) * math.asin(1.0 / math.sqrt(n)))
     else:
         theta = analysis.theta_of_epsilon(epsilon)
-    # theta1's argument never exceeds 1; theta2 raises naming sin(theta) <= 2/sqrt(K).
+    # theta1 is an atan2 and never infeasible; theta2 raises naming sin(theta) <= 2/sqrt(K).
     l2 = round((math.sqrt(n / k) / 2.0) * (analysis.theta1(theta, k) + analysis.theta2(theta, k)))
     return l1, l2, analysis.breakdown_for_theta(theta, k, epsilon)
 

@@ -39,7 +39,7 @@ _NORM_ATOL = 1e-9
 class InvalidInstanceError(ValueError):
     """Invalid user input: a malformed instance (bad N, K not dividing N,
     target out of range, N beyond the dense backend cap) or a bad parameter
-    such as epsilon, tol or a step count.  The CLI exits 1 on exactly these."""
+    such as epsilon or a step count.  The CLI exits 1 on exactly these."""
 
 
 @dataclass(frozen=True)

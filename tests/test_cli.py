@@ -242,9 +242,8 @@ class TestExitCodes:
         [
             (("simulate", "--epsilon"), "epsilon"),
             (("demo", "--which", "step2-histogram", "--epsilon"), "epsilon"),
-            (("optimize", "--k", "4", "--tol"), "tol"),
         ],
-        ids=["simulate", "step2-histogram", "optimize"],
+        ids=["simulate", "step2-histogram"],
     )
     def test_non_finite_float_names_quantity(self, capsys, args, quantity, value):
         *head, flag = args
@@ -254,9 +253,20 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert quantity in err
 
-    @pytest.mark.parametrize("command", ["optimize", "table", "classical", "bounds"])
-    def test_dense_cap_only_on_dense_commands(self, capsys, command):
-        code, _, _ = run_cli(capsys, command, "--k", "4", "--dense-cap", "64")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("optimize", "--k", "4", "--dense-cap", "64"),
+            ("table", "--k", "4", "--dense-cap", "64"),
+            ("classical", "--k", "4", "--dense-cap", "64"),
+            ("bounds", "--k", "4", "--dense-cap", "64"),
+            ("optimize", "--k", "4", "--tol", "1e-9"),  # optimize_epsilon is exact; --tol is gone
+        ],
+        ids=["optimize", "table", "classical", "bounds", "optimize-tol"],
+    )
+    def test_dense_cap_only_on_dense_commands(self, capsys, args):
+        # An option the command does not take is argparse's usage error, exit 1.
+        code, _, _ = run_cli(capsys, *args)
         assert code == 1
 
     def test_internal_failure_maps_to_2(self, capsys, monkeypatch):
@@ -287,7 +297,6 @@ class TestExitCodes:
         "call",
         [
             lambda: optimize_epsilon(1),
-            lambda: optimize_epsilon(4, tol=math.nan),
             lambda: iteration_counts(65536, 8, 0.9),
             lambda: simulate_randomized(12, 3, 0, 0),
             lambda: simulate_randomized(12, 3, 2**63, 0),
@@ -308,7 +317,7 @@ class TestExitCodes:
             lambda: reduction_total_queries(math.nan, 4, 16),
         ],
         ids=[
-            "optimize-k1", "optimize-tol-nan", "infeasible-epsilon", "classical-no-trials",
+            "optimize-k1", "infeasible-epsilon", "classical-no-trials",
             "classical-too-many-trials", "classical-huge-n", "classical-huge-block",
             "formulas-n10**400", "exact-n10**400", "two-case-n10**400", "zalka-n0",
             "grover-steps", "naive-k1", "lower-k0", "lower-k2**53", "guarantee-k10**400",
@@ -334,10 +343,6 @@ class TestExitCodes:
         result = run_cli_module("optimize", "--k", "4", "--format", "json")
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["K"] == 4
-
-    def test_optimize_tol_below_float_spacing_returns(self):
-        result = run_cli_module("optimize", "--k", "4", "--tol", "1e-16")
-        assert result.returncode == 0, result.stderr
 
 
 # Printed by the reduced backend with epsilon and target fixed, so neither the
@@ -525,7 +530,7 @@ stage,block,slot,amplitude
 # backend=
 # n=16
 # k=4
-# epsilon=0.608173461021
+# epsilon=0.608173447969
 # l1=1
 # l2=1
 stage,block,slot,amplitude
@@ -569,12 +574,12 @@ after_step2,3,3,-0.25
 partialsearch 0.1.0  (command: table --k 2,3,4,5,8,32; seed: 0)
 
  K    epsilon_star     upper_coeff     lower_coeff     naive_coeff
- 2               1  0.555360359819  0.230037796128   0.55536036727
- 3  0.732279540784  0.590774502038  0.331948322339  0.641274915081
- 4  0.608173461021   0.61547970867  0.392699081699  0.680174761588
- 5  0.531884285291   0.63294423115  0.434157426845  0.702481473104
- 8  0.407769176876  0.664520840011  0.507717979763  0.734672709909
-32  0.197002523024  0.724870303933   0.64655807158  0.773028915353
+ 2               1   0.55536036727  0.230037796128   0.55536036727
+ 3  0.732279527199  0.590774502038  0.331948322339  0.641274915081
+ 4  0.608173447969   0.61547970867  0.392699081699  0.680174761588
+ 5  0.531884280429   0.63294423115  0.434157426845  0.702481473104
+ 8  0.407769168894  0.664520840011  0.507717979763  0.734672709909
+32  0.197002522851  0.724870303933   0.64655807158  0.773028915353
 """,
     ),
     "simulate-dense-json": (
@@ -589,7 +594,7 @@ partialsearch 0.1.0  (command: table --k 2,3,4,5,8,32; seed: 0)
     0.000397425447527
   ],
   "command": "simulate --n 4096 --k 4 --target 1234 --backend dense --format json",
-  "epsilon": 0.608173461021,
+  "epsilon": 0.608173447969,
   "k": 4,
   "l1": 20,
   "l2": 20,
@@ -661,7 +666,7 @@ partialsearch 0.1.0  (command: table --k 2,3,4,5,8,32; seed: 0)
 # n=1024
 # k=8
 # target=5
-# epsilon=0.407769176876
+# epsilon=0.407769168894
 # l1=15
 # l2=6
 # queries=22
@@ -754,7 +759,7 @@ K,lower_coeff,naive_coeff,large_k_coeff
 # n=4096
 # k=4
 # target=1726
-# epsilon=0.608173461021
+# epsilon=0.608173447969
 # l1=20
 # l2=20
 # queries=41
@@ -830,12 +835,12 @@ n,k,trials,expected_randomized,exact_expected,deterministic,sample_mean,sample_s
 # seed=0
 # backend=
 # K=4
-# epsilon_star=0.608173461021
+# epsilon_star=0.608173447969
 # upper_coeff=0.61547970867
 # lower_coeff=0.392699081699
 # naive_coeff=0.680174761588
 K,epsilon_star,upper_coeff,lower_coeff,naive_coeff
-4,0.608173461021,0.61547970867,0.392699081699,0.680174761588
+4,0.608173447969,0.61547970867,0.392699081699,0.680174761588
 """,
     ),
 }

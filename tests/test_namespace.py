@@ -84,7 +84,7 @@ def test_star_import_binds_every_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         partialsearch.no_such_name
-    assert not hasattr(partialsearch, "_golden_section")
+    assert not hasattr(partialsearch, "_checked_arcsin")
 
 
 def test_dir_lists_every_public_name():
