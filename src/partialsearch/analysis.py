@@ -15,11 +15,12 @@ and the cost per sqrt(N) of the whole run is
     f(eps, K) = (pi/4)(1 - eps) + (theta1 + theta2) / (2 sqrt(K)).
 
 theta2's arcsin argument stays within 1 only while sin theta <= 2/sqrt(K);
-beyond that the parameter choice is infeasible.  f is written once, in
-`breakdown_for_theta`; `optimize_epsilon` finds its minimum in closed form,
-as a root of a quadratic in sin^2 theta, and reproduces the known
-query-count table.  The remaining functions give the matching lower bound,
-the naive block-restricted baseline, and the large-K guarantee in closed form.
+past that wall every path raises `InfeasibleEpsilonError` naming the bound.
+f is written once, in `breakdown_for_theta`; `optimize_epsilon` finds its
+minimum in closed form, as a root of a quadratic in sin^2 theta, and
+reproduces the known query-count table.  The remaining functions give the
+matching lower bound, the naive block-restricted baseline, and the large-K
+guarantee in closed form.
 """
 from __future__ import annotations
 
@@ -39,12 +40,11 @@ class InfeasibleEpsilonError(InvalidInstanceError):
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Step-2 angles and queries per sqrt(N) for the caller's (epsilon, K); None where infeasible."""
+    """Step-2 angles and queries per sqrt(N) for the caller's (epsilon, K)."""
 
-    theta1: float | None
-    theta2: float | None
-    coefficient: float | None
-    feasible: bool
+    theta1: float
+    theta2: float
+    coefficient: float
 
 
 def _check_k(k: int, least: int = 2) -> None:
@@ -61,7 +61,7 @@ def theta_of_epsilon(epsilon: float) -> float:
 def alpha_target(theta: float, k: int) -> float:
     """Amplitude weight of the target block after step 1."""
     if not 0.0 <= theta <= math.pi / 2.0 + 1e-12:
-        raise ValueError(f"theta={theta} outside [0, pi/2]")
+        raise InvalidInstanceError(f"theta={theta} outside [0, pi/2]")
     _check_k(k, least=1)
     return math.sqrt(1.0 - ((k - 1) / k) * math.sin(theta) ** 2)
 
@@ -79,22 +79,15 @@ def theta1(theta: float, k: int) -> float:
 def theta2(theta: float, k: int) -> float:
     """Overshoot angle that balances the non-target average at half c."""
     arg = (k - 2) * math.sin(theta) / (2.0 * alpha_target(theta, k) * math.sqrt(k))
-    return _checked_arcsin(arg, "sin(theta) <= 2/sqrt(K)")
-
-
-def _checked_arcsin(arg: float, bound_name: str) -> float:
     if arg > 1.0 + _CLAMP:
-        raise InfeasibleEpsilonError(
-            f"arcsin argument {arg!r} exceeds 1: violated bound {bound_name}"
-        )
+        raise InfeasibleEpsilonError(f"arcsin argument {arg!r} exceeds 1: violated bound sin(theta) <= 2/sqrt(K)")
     return math.asin(min(arg, 1.0))
 
 
 def cost_coefficient(epsilon: float, k: int) -> CostBreakdown:
     """Queries per sqrt(N) for the full pipeline at this (epsilon, K).
 
-    Infeasible parameters are data, not errors: the breakdown comes back
-    with feasible=False and no coefficient.
+    An epsilon past `feasible_epsilon_interval` raises `InfeasibleEpsilonError`.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise InvalidInstanceError(f"epsilon={epsilon} outside [0, 1]")
@@ -104,13 +97,8 @@ def cost_coefficient(epsilon: float, k: int) -> CostBreakdown:
 
 def breakdown_for_theta(theta: float, k: int, epsilon: float) -> CostBreakdown:
     """Breakdown with an explicitly supplied theta in [0, pi/2] (exact-angle studies)."""
-    try:
-        t1 = theta1(theta, k)
-        t2 = theta2(theta, k)
-    except InfeasibleEpsilonError:
-        return CostBreakdown(None, None, None, feasible=False)
-    coeff = (math.pi / 4.0) * (1.0 - epsilon) + (t1 + t2) / (2.0 * math.sqrt(k))
-    return CostBreakdown(t1, t2, coeff, feasible=True)
+    t1, t2 = theta1(theta, k), theta2(theta, k)
+    return CostBreakdown(t1, t2, (math.pi / 4.0) * (1.0 - epsilon) + (t1 + t2) / (2.0 * math.sqrt(k)))
 
 
 def feasible_epsilon_interval(k: int) -> tuple[float, float]:
@@ -170,7 +158,7 @@ def reduction_total_queries(alpha_coeff: float, k: int, n: int) -> float:
     a geometric series summing to alpha * sqrt(N) * sqrt(K)/(sqrt(K) - 1).
     """
     _check_k(k)
-    if not alpha_coeff > 0:
-        raise InvalidInstanceError(f"alpha_coeff must be positive, got {alpha_coeff}")
+    if not alpha_coeff > 0 or not 1 <= n <= MAX_N:
+        raise InvalidInstanceError(f"need alpha_coeff > 0 and N in [1, 2**52], got alpha_coeff={alpha_coeff}, N={n}")
     rk = math.sqrt(k)
     return alpha_coeff * math.sqrt(n) * rk / (rk - 1.0)

@@ -82,6 +82,8 @@ def grover_stages(steps: int) -> tuple[Stage, ...]:
 
 def standard_pipeline_stages(l1: int, l2: int) -> tuple[Stage, ...]:
     """l1 global rounds, l2 blockwise rounds, then the ancilla transfer."""
+    if l1 < 0 or l2 < 0:
+        raise InvalidInstanceError(f"step counts must be >= 0, got l1={l1}, l2={l2}")
     return ((GLOBAL_ROUND, l1), (BLOCK_ROUND, l2), ((OperatorTag.STEP3,), 1))
 
 
@@ -136,9 +138,8 @@ def iteration_counts(
         theta = max(0.0, math.pi / 2.0 - (2 * l1 + 1) * math.asin(1.0 / math.sqrt(n)))
     else:
         theta = analysis.theta_of_epsilon(epsilon)
-    # theta1 is an atan2 and never infeasible; theta2 raises naming sin(theta) <= 2/sqrt(K).
-    l2 = round((math.sqrt(n / k) / 2.0) * (analysis.theta1(theta, k) + analysis.theta2(theta, k)))
-    return l1, l2, analysis.breakdown_for_theta(theta, k, epsilon)
+    bd = analysis.breakdown_for_theta(theta, k, epsilon)  # raises naming sin(theta) <= 2/sqrt(K) past the wall
+    return l1, round((math.sqrt(n / k) / 2.0) * (bd.theta1 + bd.theta2)), bd
 
 
 def apply_operator(state, op: OperatorTag, cfg: BlockConfig | None = None):

@@ -8,10 +8,11 @@ rather than cast, since a cast would silently drop imaginary parts.
 States are immutable values on read-only arrays.  All operator arithmetic is
 in `apply_rounds`, which repeats a round in place on one private copy or, with
 ``owned`` (no one else holds the state and no view of its array exists), on
-its own array, which step 3 grows in place; it checks the norm once, at the
-end.  A diffusion is one read-write pass: the global and block sums are taken
-once per stage and carried.  Each public operator and each dense stage of
-`partial_search.apply_stages` is one such call; oracle calls count queries.
+its own array; step 3 adjoins the ancilla when it runs, growing that array in
+place.  It checks the norm once, at the end.  A diffusion is one read-write
+pass: the global and block sums are taken once per stage and carried.  Each
+public operator and each dense stage of `partial_search.apply_stages` is one
+such call; oracle calls count queries.
 
 The instance types (`BlockConfig`, `OperatorTag`, `InvalidInstanceError`,
 the limits) need no arrays, so the dense functions import numpy on first use
@@ -187,15 +188,14 @@ def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
 def apply_rounds(
     state: DenseState, round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig, *, owned: bool = False
 ) -> DenseState:
-    """``count`` rounds in place (with the ancilla for step 3), one pass per diffusion, on one private copy or,
-    with ``owned``, on ``state``'s own array, which step 3 grows: only if no one else holds ``state`` and no
-    view of its array exists."""
+    """``count`` rounds in place, operators in order, one pass per diffusion, on one private copy or, with
+    ``owned``, on ``state``'s own array: only if no one else holds ``state`` and no view of its array exists.
+    Step 3 adjoins the ancilla when it runs, growing the array in place."""
     _check_shapes(state, cfg)
     import numpy as np
-    ancilla, queries = state.has_ancilla or OperatorTag.STEP3 in round_ops, state.queries
+    ancilla, queries = state.has_ancilla, state.queries
     amp = state.amplitudes if owned else state.amplitudes.copy()
     amp.setflags(write=True)
-    amp = amp if ancilla == state.has_ancilla else _interleave(amp)
     t = 2 * cfg.target if ancilla else cfg.target
     # Sums are taken on first use and carried: a diffusion keeps its own sums, the oracle moves the total and
     # the target's block sum by -2*a_t, and a global diffusion maps each block sum s to 2*total/K - s.
@@ -222,7 +222,10 @@ def apply_rounds(
                 blocks = amp.reshape(cfg.n_blocks, cfg.block_size)
                 sums = blocks.sum(axis=1, keepdims=True) if sums is None else sums
                 np.subtract(2.0 * (sums / cfg.block_size), blocks, out=blocks)
+                del blocks  # a view of amp, which step 3 may resize
             elif op is OperatorTag.STEP3:
+                if not ancilla:
+                    amp, ancilla, t = _interleave(amp), True, 2 * cfg.target
                 if max(float(amp[1::2].max()), -float(amp[1::2].min())) > _NORM_ATOL:
                     raise ValueError("ancilla branch 1 must be empty before step 3")
                 amp[t], amp[t + 1] = amp[t + 1], amp[t]

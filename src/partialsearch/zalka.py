@@ -182,8 +182,8 @@ def max_arcsin_probability_sum(n: int, samples: int, seed: int) -> float:
     two-point mixtures, and near-uniform perturbations.  The claimed maximum
     is N * arcsin(1/sqrt(N)), attained by the uniform vector.
     """
-    if samples < 1:
-        raise InvalidInstanceError(f"samples must be >= 1, got {samples}")
+    if n < 2 or samples < 1 or seed < 0:  # N = 1 has no two-point mixtures
+        raise InvalidInstanceError(f"need N >= 2, samples >= 1, seed >= 0; got N={n}, samples={samples}, seed={seed}")
     import numpy as np
     rng = np.random.default_rng(seed)
     best = _arcsin_sum(np.full((1, n), 1.0 / n))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -39,9 +40,7 @@ def brute_force_minimum(k, resolution=2e-5):
     best = math.inf
     eps = lo
     while eps <= hi + 1e-15:
-        bd = cost_coefficient(min(eps, hi), k)
-        if bd.feasible and bd.coefficient < best:
-            best = bd.coefficient
+        best = min(best, cost_coefficient(min(eps, hi), k).coefficient)  # raises if the interval's edge is infeasible
         eps += resolution
     return best
 
@@ -92,18 +91,17 @@ class TestCostCoefficient:
         bd = cost_coefficient(1 / math.sqrt(8), 8)
         assert bd.coefficient == pytest.approx(0.670, abs=0.002)
 
-    def test_infeasible_is_data(self):
-        bd = cost_coefficient(1.0, 5)
-        assert not bd.feasible
-        assert bd.coefficient is None
+    def test_infeasible_raises_naming_the_bound(self):
+        msg = "arcsin argument 1.5000000000000002 exceeds 1: violated bound sin(theta) <= 2/sqrt(K)"
+        with pytest.raises(InfeasibleEpsilonError, match=re.escape(msg)):
+            cost_coefficient(1.0, 5)
 
     def test_no_nans_on_feasible_interval(self):
         for k in (2, 3, 4, 5, 8, 32):
             lo, hi = feasible_epsilon_interval(k)
             for eps in np.linspace(lo, hi, 400):
-                bd = cost_coefficient(float(eps), k)
-                assert bd.feasible
-                assert math.isfinite(bd.coefficient)
+                bd = cost_coefficient(float(eps), k)  # raises if infeasible
+                assert all(math.isfinite(x) for x in (bd.theta1, bd.theta2, bd.coefficient))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -130,8 +128,9 @@ class TestFeasibleInterval:
     def test_edge_is_where_theta2_saturates(self):
         for k in (5, 8, 32):
             _, hi = feasible_epsilon_interval(k)
-            assert cost_coefficient(hi, k).feasible
-            assert not cost_coefficient(min(1.0, hi + 1e-4), k).feasible
+            assert math.isfinite(cost_coefficient(hi, k).coefficient)
+            with pytest.raises(InfeasibleEpsilonError, match=r"2/sqrt\(K\)"):
+                cost_coefficient(min(1.0, hi + 1e-4), k)
 
 
 WALL_KS = [5, 8, 32, 1024, 2**20, 2**40, 2**52]

@@ -21,10 +21,12 @@ from partialsearch import (
     optimize_epsilon,
     reduction_total_queries,
     simulate_randomized,
+    theta1,
+    theta2,
     two_case_expectation,
     zalka_error_bound,
 )
-from partialsearch import partial_search, statevector
+from partialsearch import analysis, partial_search, statevector
 from partialsearch.cli import main
 
 
@@ -315,6 +317,15 @@ class TestExitCodes:
             lambda: max_arcsin_probability_sum(4, 0, 0),
             lambda: reduction_total_queries(-1.0, 4, 16),
             lambda: reduction_total_queries(math.nan, 4, 16),
+            lambda: reduction_total_queries(0.5, 4, -1),
+            lambda: reduction_total_queries(0.5, 4, 2**52 + 1),
+            lambda: max_arcsin_probability_sum(0, 10, 1),
+            lambda: max_arcsin_probability_sum(1, 10, 1),
+            lambda: max_arcsin_probability_sum(-3, 10, 1),
+            lambda: max_arcsin_probability_sum(4, 10, -1),
+            lambda: theta1(-1e-3, 4),
+            lambda: theta2(math.pi, 4),
+            lambda: analysis.breakdown_for_theta(math.nan, 4, 0.5),
         ],
         ids=[
             "optimize-k1", "infeasible-epsilon", "classical-no-trials",
@@ -322,6 +333,8 @@ class TestExitCodes:
             "formulas-n10**400", "exact-n10**400", "two-case-n10**400", "zalka-n0",
             "grover-steps", "naive-k1", "lower-k0", "lower-k2**53", "guarantee-k10**400",
             "formulas-n0", "arcsin-no-samples", "reduction-alpha-negative", "reduction-alpha-nan",
+            "reduction-n-negative", "reduction-n-past-2**52", "arcsin-n0", "arcsin-n1", "arcsin-n-negative",
+            "arcsin-seed-negative", "theta1-negative-theta", "theta2-theta-pi", "breakdown-theta-nan",
         ],
     )
     def test_library_input_errors_are_invalid_instance(self, call):

@@ -31,7 +31,7 @@ PUBLIC = [
 RECORD_FIELDS = {
     "BlockConfig": ["n_addresses", "n_blocks", "target"],
     "ClassicalReport": ["expected_randomized", "deterministic", "sample_mean", "sample_std_err"],
-    "CostBreakdown": ["theta1", "theta2", "coefficient", "feasible"],
+    "CostBreakdown": ["theta1", "theta2", "coefficient"],
     "HybridTrajectory": ["states"],
     "RunReport": [
         "queries", "block_probs", "success_prob", "miss_prob", "target_prob", "predicted_block",

@@ -66,6 +66,15 @@ class TestIterationCounts:
         with pytest.raises(InfeasibleEpsilonError, match=r"2/sqrt\(K\)"):
             iteration_counts(2**16, 8, 0.9)
 
+    @pytest.mark.parametrize("exact_theta", [False, True])
+    def test_step2_angles_computed_once(self, monkeypatch, exact_theta):
+        calls = []
+        theta2 = partial_search.analysis.theta2
+        monkeypatch.setattr(partial_search.analysis, "theta2", lambda *args: calls.append(args) or theta2(*args))
+        _, l2, bd = iteration_counts(2**16, 8, 0.3, exact_theta)
+        assert len(calls) == 1
+        assert l2 == round((math.sqrt(2**13) / 2) * (bd.theta1 + bd.theta2))
+
     def test_exact_theta_mode_close_to_asymptotic(self):
         l1a, l2a, _ = iteration_counts(2**16, 4, 0.6)
         l1e, l2e, _ = iteration_counts(2**16, 4, 0.6, exact_theta=True)
@@ -249,6 +258,12 @@ class TestRunScript:
         assert len(stages) == 5
         assert stages[0].queries == 0
 
+    @pytest.mark.parametrize("build", [standard_pipeline_script, standard_pipeline_stages])
+    @pytest.mark.parametrize("l1, l2", [(-2, 1), (1, -1)])
+    def test_negative_step_counts_rejected(self, build, l1, l2):
+        with pytest.raises(InvalidInstanceError, match=f"step counts must be >= 0, got l1={l1}, l2={l2}"):
+            build(l1, l2)
+
     def test_standard_script_shape(self):
         script = standard_pipeline_script(2, 1)
         assert script.count(OperatorTag.ORACLE) == 3
@@ -273,7 +288,7 @@ def per_operator_stages(state, stages, cfg):
 class TestDenseStages:
     @pytest.mark.parametrize("count", [0, 1, 2, 7, 50])
     @pytest.mark.parametrize("n, k", [(48, 3), (64, 64), (4096, 8), (2**16, 32)])
-    def test_bit_equal_to_per_operator_run(self, n, k, count):
+    def test_matches_per_operator_run(self, n, k, count):
         """Bit-equal for one round; past it the stage carries its sums, so within 1e-13 of the operator loop."""
         cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
         stages = standard_pipeline_stages(count, count)
@@ -437,6 +452,25 @@ class TestOtherStages:
     def test_empty_step3_stage_returns_the_input(self, backend):
         state = self.start(backend)
         assert apply_stages(state, [((OperatorTag.STEP3,), 0)], self.CFG) is state
+
+    @pytest.mark.parametrize(
+        "round_ops, count",
+        [
+            ((OperatorTag.ORACLE, OperatorTag.BLOCK_DIFFUSION, OperatorTag.STEP3), 1),
+            ((OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION, OperatorTag.STEP3), 1),
+            ((OperatorTag.BLOCK_DIFFUSION, OperatorTag.ORACLE, OperatorTag.STEP3), 1),
+            ((OperatorTag.STEP3,), 0),
+            ((OperatorTag.ORACLE, OperatorTag.BLOCK_DIFFUSION, OperatorTag.STEP3), 0),
+        ],
+        ids=["block-then-step3", "global-then-step3", "diffusion-first", "step3-count-0", "round-count-0"],
+    )
+    def test_dense_kernel_runs_operators_in_order(self, round_ops, count):
+        # Step 3 adjoins the ancilla when it runs, so a diffusion before it in the same round sees no ancilla.
+        cfg = BlockConfig(64, 4, 5)
+        got = statevector.apply_rounds(uniform_state(64), round_ops, count, cfg)
+        want = reduced_module.lift_to_dense(reduced_module.apply_rounds(reduced_init(cfg), round_ops, count, cfg))
+        assert np.max(np.abs(got.amplitudes - want.amplitudes), initial=0.0) <= 1e-15
+        assert (got.queries, got.has_ancilla) == (want.queries, want.has_ancilla)
 
 
 class TestIdentityQueries:

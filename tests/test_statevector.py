@@ -104,7 +104,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("count", [0, 1, 2, 7, 50])
     @pytest.mark.parametrize("n, k", [(48, 3), (64, 64), (4096, 8), (2**16, 32)])
-    def test_pipeline_stages_bit_equal(self, n, k, count):
+    def test_pipeline_stages_match_reference(self, n, k, count):
         """Bit-equal for one round; past it the kernel carries its sums, so within 1e-13 of the reference."""
         cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
         stages = standard_pipeline_stages(count, count)
