@@ -6,13 +6,13 @@ ancilla.  Every operator is a real reflection; complex input is refused
 rather than cast, since a cast would silently drop imaginary parts.
 
 States are immutable values on read-only arrays.  All operator arithmetic is
-in `apply_rounds`, which repeats a round in place on one private copy or, with
-``owned`` (no one else holds the state and no view of its array exists), on
-its own array; step 3 adjoins the ancilla when it runs, growing that array in
-place.  It checks the norm once, at the end.  A diffusion is one read-write
-pass: the global and block sums are taken once per stage and carried.  Each
-public operator and each dense stage of `partial_search.apply_stages` is one
-such call; oracle calls count queries.
+in `apply_rounds`, which runs a stage on one private copy or, with ``owned``
+(no one else holds the state and no view of its array exists), on its own
+array.  It composes the stage's operators into one map per block, reads the
+array once for its sums and writes it once, at the end or before step 3,
+which adjoins the ancilla when it runs, growing that array in place; the norm
+is checked at the end.  Each public operator and each dense stage of
+`partial_search.apply_stages` is one such call; oracle calls count queries.
 
 The instance types (`BlockConfig`, `OperatorTag`, `InvalidInstanceError`,
 the limits) need no arrays, so the dense functions import numpy on first use
@@ -188,42 +188,35 @@ def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
 def apply_rounds(
     state: DenseState, round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig, *, owned: bool = False
 ) -> DenseState:
-    """``count`` rounds in place, operators in order, one pass per diffusion, on one private copy or, with
-    ``owned``, on ``state``'s own array: only if no one else holds ``state`` and no view of its array exists.
-    Step 3 adjoins the ancilla when it runs, growing the array in place."""
+    """``count`` rounds, operators in order, on one private copy or, with ``owned``, on ``state``'s own array:
+    only if no one else holds ``state`` and no view of its array exists.  The stage's oracle calls and
+    diffusions compose to one map per block, written to the array once: at the end, or before step 3, which runs
+    on the array and adjoins the ancilla when it runs, growing the array in place."""
     _check_shapes(state, cfg)
     import numpy as np
     ancilla, queries = state.has_ancilla, state.queries
     amp = state.amplitudes if owned else state.amplitudes.copy()
     amp.setflags(write=True)
     t = 2 * cfg.target if ancilla else cfg.target
-    # Sums are taken on first use and carried: a diffusion keeps its own sums, the oracle moves the total and
-    # the target's block sum by -2*a_t, and a global diffusion maps each block sum s to 2*total/K - s.
+    # A diffusion maps each x to 2*mean - x and the oracle touches only the target, so within a stage the state
+    # is a_t at the target and sign*x + shift[block of x] at every other entry x of the array, with one sign and
+    # a shift that is a scalar until the first block diffusion.  The global and block sums are taken on first
+    # use, from the written-back array, and carried: a diffusion keeps its own sums, the oracle moves the total
+    # and the target's block sum by -2*a_t, and a global diffusion maps each block sum s to 2*total/K - s.
+    a_t, sign, shift = amp[t], 1.0, 0.0
     total = sums = None
     for _ in range(count):
         for op in round_ops:
             if op is OperatorTag.ORACLE:
-                total = None if total is None else total - 2.0 * amp[t]
+                total = None if total is None else total - 2.0 * a_t
                 if sums is not None:
-                    sums[cfg.target_block] -= 2.0 * amp[t]
-                amp[t] = -amp[t]
+                    sums[cfg.target_block] -= 2.0 * a_t
+                a_t = -a_t
                 if ancilla:
                     amp[t + 1] = -amp[t + 1]
                 queries += 1
-            elif op is OperatorTag.GLOBAL_DIFFUSION:
-                if ancilla:
-                    raise ValueError("global diffusion is defined on ancilla-free states")
-                total = amp.sum() if total is None else total
-                np.subtract(2.0 * (total / cfg.n_addresses), amp, out=amp)
-                sums = None if sums is None else 2.0 * total / cfg.n_blocks - sums
-            elif op is OperatorTag.BLOCK_DIFFUSION:
-                if ancilla:
-                    raise ValueError("block diffusion is defined on ancilla-free states")
-                blocks = amp.reshape(cfg.n_blocks, cfg.block_size)
-                sums = blocks.sum(axis=1, keepdims=True) if sums is None else sums
-                np.subtract(2.0 * (sums / cfg.block_size), blocks, out=blocks)
-                del blocks  # a view of amp, which step 3 may resize
             elif op is OperatorTag.STEP3:
+                sign, shift = _write_back(amp, t, a_t, sign, shift, cfg)
                 if not ancilla:
                     amp, ancilla, t = _interleave(amp), True, 2 * cfg.target
                 if max(float(amp[1::2].max()), -float(amp[1::2].min())) > _NORM_ATOL:
@@ -231,10 +224,40 @@ def apply_rounds(
                 amp[t], amp[t + 1] = amp[t + 1], amp[t]
                 branch0 = amp[0::2]
                 np.subtract(2.0 * branch0.mean(), branch0, out=branch0)
+                a_t = amp[t]
                 queries += 1
+            elif op is OperatorTag.GLOBAL_DIFFUSION:
+                if ancilla:
+                    raise ValueError("global diffusion is defined on ancilla-free states")
+                if total is None:
+                    sign, shift = _write_back(amp, t, a_t, sign, shift, cfg)
+                    total = amp.sum()
+                mean2 = 2.0 * (total / cfg.n_addresses)
+                sums = None if sums is None else 2.0 * total / cfg.n_blocks - sums
+                a_t, sign, shift = mean2 - a_t, -sign, mean2 - shift
+            elif op is OperatorTag.BLOCK_DIFFUSION:
+                if ancilla:
+                    raise ValueError("block diffusion is defined on ancilla-free states")
+                if sums is None:
+                    sign, shift = _write_back(amp, t, a_t, sign, shift, cfg)
+                    sums = amp.reshape(cfg.n_blocks, cfg.block_size).sum(axis=1, keepdims=True)
+                mean2 = 2.0 * (sums / cfg.block_size)
+                a_t, sign = mean2[cfg.target_block, 0] - a_t, -sign
+                shift = np.subtract(mean2, shift, out=mean2)
             else:
                 raise ValueError(f"unknown operator {op!r}")
+    _write_back(amp, t, a_t, sign, shift, cfg)
     return DenseState(amp, state.n_addresses, ancilla, queries)
+
+
+def _write_back(amp: np.ndarray, t: int, a_t: float, sign: float, shift, cfg: BlockConfig) -> tuple[float, float]:
+    """Write ``apply_rounds``' map and target into ``amp``, one pass (none for the identity); returns the identity."""
+    import numpy as np
+    if sign < 0 or isinstance(shift, np.ndarray) or shift:
+        blocks = amp.reshape(cfg.n_blocks, cfg.block_size)
+        (np.subtract if sign < 0 else np.add)(shift, blocks, out=blocks)
+    amp[t] = a_t
+    return 1.0, 0.0
 
 
 def block_probabilities(state: DenseState, cfg: BlockConfig) -> np.ndarray:

@@ -44,6 +44,8 @@ from .statevector import MAX_N, BlockConfig, DenseState, InvalidInstanceError
 _ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
 # Most amplitudes the lifted runs of one trajectory hold in all: 2 GiB of float64.
 MAX_TRAJECTORY_AMPLITUDES = 2**28
+# Most floats one batch of sampled probability vectors holds: 16 MiB.
+_CHUNK_FLOATS = 2**21
 
 
 def angle_distance(v, w) -> float:
@@ -186,23 +188,17 @@ def max_arcsin_probability_sum(n: int, samples: int, seed: int) -> float:
         raise InvalidInstanceError(f"need N >= 2, samples >= 1, seed >= 0; got N={n}, samples={samples}, seed={seed}")
     import numpy as np
     rng = np.random.default_rng(seed)
-    best = _arcsin_sum(np.full((1, n), 1.0 / n))
+    rows = max(1, _CHUNK_FLOATS // n)  # drawn in chunks in stream order, so the draws do not depend on the chunk
 
-    remaining = samples
-    while remaining > 0:
-        chunk = min(remaining, 20000)
-        best = max(best, _arcsin_sum(rng.dirichlet(np.ones(n), size=chunk)))
-        remaining -= chunk
+    def dirichlet_max(alpha: float, size: int) -> float:
+        draws = (rng.dirichlet(np.full(n, alpha), size=min(rows, size - lo)) for lo in range(0, size, rows))
+        return max(map(_arcsin_sum, draws))
 
-    best = max(best, _arcsin_sum(np.eye(n)))
+    best = max(_arcsin_sum(np.full((1, n), 1.0 / n)), dirichlet_max(1.0, samples))
+    # Every point mass sums to arcsin 1, and a two-point row's zeros add nothing, so one row and two columns do.
     mix = np.linspace(0.0, 1.0, 201)
-    two_point = np.zeros((mix.size, n))
-    two_point[:, 0] = mix
-    two_point[:, 1] = 1.0 - mix
-    best = max(best, _arcsin_sum(two_point))
-    near_uniform = rng.dirichlet(np.full(n, 1000.0), size=2000)
-    best = max(best, _arcsin_sum(near_uniform))
-    return best
+    best = max(best, _arcsin_sum(np.eye(1, n)), _arcsin_sum(np.column_stack([mix, 1.0 - mix])))
+    return max(best, dirichlet_max(1000.0, 2000))  # near-uniform perturbations
 
 
 def _arcsin_sum(p: np.ndarray) -> float:

@@ -593,3 +593,15 @@ class TestDenseAccuracy:
         report = run_partial_search(BlockConfig(n, k, (2 * n) // 3 + 1), backend="dense")
         _, miss = reference_run(n, k, report.l1, report.l2, mpmath)
         assert abs(report.miss_prob - float(miss)) <= 2e-12 * float(miss)
+
+    @pytest.mark.parametrize("k", [4, 1024])
+    def test_agrees_with_reduced_at_n_2_22(self, k):
+        # At K = 4 the miss probability is about 6e-12, a cancellation far below 1/N; the largest error seen
+        # there is 1.0e-10 of it.
+        n = 2**22
+        cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
+        dense, reduced = run_partial_search(cfg, backend="dense"), run_partial_search(cfg)
+        assert max(abs(d - r) for d, r in zip(dense.block_probs, reduced.block_probs)) <= 1e-10
+        mpmath = pytest.importorskip("mpmath")
+        _, miss = reference_run(n, k, dense.l1, dense.l2, mpmath)
+        assert abs(dense.miss_prob - float(miss)) <= 2e-10 * float(miss)

@@ -20,10 +20,13 @@ from partialsearch import (
     uniform_state,
 )
 from partialsearch import statevector
+from partialsearch.statevector import BLOCK_ROUND, GLOBAL_ROUND
 from partialsearch.partial_search import apply_stages, standard_pipeline_stages
 from conftest import random_unit_state
 
 ROOT12 = math.sqrt(12.0)
+BLOCK_THEN_GLOBAL = (OperatorTag.ORACLE, OperatorTag.BLOCK_DIFFUSION, OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION)
+GLOBAL_THEN_BLOCK = (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION, OperatorTag.BLOCK_DIFFUSION)
 
 
 def reference_inversion(amplitudes, lo, hi):
@@ -66,9 +69,10 @@ REFERENCE = {
 }
 
 
-def reference_stages(n, stages, cfg):
-    """Amplitudes after running the stages from the uniform state, one reference operator at a time."""
-    amp = np.full(n, 1.0 / math.sqrt(n))
+def reference_stages(n, stages, cfg, start=None):
+    """Amplitudes after running the stages from ``start`` (by default the uniform state), one reference
+    operator at a time."""
+    amp = np.full(n, 1.0 / math.sqrt(n)) if start is None else start
     for round_ops, count in stages:
         for _ in range(count):
             for op in round_ops:
@@ -117,12 +121,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("count", [2, 7])
     @pytest.mark.parametrize(
-        "round_ops",
-        [
-            (OperatorTag.ORACLE, OperatorTag.BLOCK_DIFFUSION, OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION),
-            (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION, OperatorTag.BLOCK_DIFFUSION),
-        ],
-        ids=["block-then-global", "global-then-block"],
+        "round_ops", [BLOCK_THEN_GLOBAL, GLOBAL_THEN_BLOCK], ids=["block-then-global", "global-then-block"]
     )
     @pytest.mark.parametrize("n, k", [(48, 3), (4096, 8), (2**16, 32)])
     def test_mixed_rounds_match_reference(self, n, k, round_ops, count):
@@ -131,6 +130,29 @@ class TestAgainstReference:
         got = apply_stages(uniform_state(n), [(round_ops, count)], cfg)
         assert np.max(np.abs(got.amplitudes - reference_stages(n, [(round_ops, count)], cfg))) <= 1e-13
         assert got.queries == count * round_ops.count(OperatorTag.ORACLE)
+
+    @pytest.mark.parametrize("owned", [False, True], ids=["copy", "owned"])
+    @pytest.mark.parametrize("count", [1, 2, 7, 50])
+    @pytest.mark.parametrize(
+        "round_ops",
+        [GLOBAL_ROUND, BLOCK_ROUND, BLOCK_THEN_GLOBAL, GLOBAL_THEN_BLOCK],
+        ids=["global", "block", "block-then-global", "global-then-block"],
+    )
+    @pytest.mark.parametrize("n, k", [(48, 3), (64, 64), (4096, 8)])
+    def test_random_states_match_reference(self, rng, n, k, round_ops, count, owned):
+        """The kernel never assumes a uniform block: from a random real state it follows the reference too."""
+        cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
+        state = random_unit_state(rng, n)
+        start = state.amplitudes.copy()
+        got = statevector.apply_rounds(state, round_ops, count, cfg, owned=owned)
+        want = reference_stages(n, [(round_ops, count)], cfg, start)
+        if count == 1:
+            assert np.array_equal(got.amplitudes, want)
+        else:
+            assert np.max(np.abs(got.amplitudes - want)) <= 1e-13
+        assert got.queries == count * round_ops.count(OperatorTag.ORACLE)
+        if not owned:
+            assert state.amplitudes.tobytes() == start.tobytes()
 
 
 class TestBlockConfig:

@@ -317,6 +317,33 @@ class TestArcsinSumBound:
         uniform_sum = n * math.asin(math.sqrt(1 / n))
         assert max_arcsin_probability_sum(n, samples=1, seed=0) >= uniform_sum - 1e-12
 
+    @pytest.mark.parametrize(
+        "n, samples, seed, value",
+        [
+            (4, 100000, 7, 2.0943951023931957),
+            (256, 20000, 3, 16.010435019901795),
+            (1024, 5000, 0, 32.00521062348304),
+            (4096, 600, 5, 64.00260445281057),
+        ],
+    )
+    def test_pinned_values(self, n, samples, seed, value):
+        # Values from drawing every sample at once; chunks of 2**21 floats (one chunk at N = 4, several from
+        # N = 256) draw the same stream.  Each is the uniform vector's own sum: no draw beats it.
+        assert max_arcsin_probability_sum(n, samples, seed) == value
+
+    def test_chunks_draw_the_one_shot_rows(self, monkeypatch):
+        # The result is the uniform vector's sum whatever is drawn, so the rows themselves are compared.
+        def rows_scored(chunk_floats):
+            scored = []
+            monkeypatch.setattr(zalka, "_CHUNK_FLOATS", chunk_floats)
+            monkeypatch.setattr(zalka, "_arcsin_sum", lambda p: scored.append(p.copy()) or 0.0)
+            max_arcsin_probability_sum(16, 1000, 3)
+            return np.concatenate([p.ravel() for p in scored]), len(scored)
+
+        (one_shot, calls), (chunked, chunked_calls) = rows_scored(2**21), rows_scored(16 * 64)
+        assert chunked.tobytes() == one_shot.tobytes()
+        assert (calls, chunked_calls) == (5, 3 + 16 + 32)  # three fixed batches; 1000 and 2000 rows in chunks of 64
+
     def test_point_mass_below_bound_for_n3(self):
         assert PI / 2 <= 3 * math.asin(1 / math.sqrt(3))
 
