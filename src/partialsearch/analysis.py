@@ -25,9 +25,8 @@ guarantee in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .statevector import MAX_N, InvalidInstanceError
+from .statevector import MAX_N, InvalidInstanceError, Record
 
 # Arguments in (1, 1 + _CLAMP] count as exactly 1: floating point grazing the
 # feasibility wall must not turn a boundary optimum into an error.
@@ -38,8 +37,7 @@ class InfeasibleEpsilonError(InvalidInstanceError):
     """The requested (epsilon, K) puts an arcsin argument above 1."""
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(Record):
     """Step-2 angles and queries per sqrt(N) for the caller's (epsilon, K)."""
 
     theta1: float

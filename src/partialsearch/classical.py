@@ -14,17 +14,15 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .statevector import InvalidInstanceError
+from .statevector import InvalidInstanceError, Record
 
 CHUNK = 1 << 16  # trials resolved per chunk of the Monte Carlo
 
 
-@dataclass(frozen=True)
-class ClassicalReport:
+class ClassicalReport(Record):
     """Probe counts for the caller's (N, K); the sample fields only from a Monte Carlo run."""
 
     expected_randomized: float
@@ -93,7 +91,7 @@ def simulate_randomized(n: int, k: int, trials: int, seed: int) -> ClassicalRepo
     Every trial's returned block is asserted correct (the strategy makes no
     errors).  It returns `classical_formulas(n, k)` with the sample fields filled in.
     """
-    _check_instance(n, k)
+    formulas = classical_formulas(n, k)  # checks the instance
     if not 1 <= trials < 2**63:
         raise InvalidInstanceError(f"trials must be in [1, 2**63), got {trials}")
     if n // k >= 2**63:
@@ -114,7 +112,7 @@ def simulate_randomized(n: int, k: int, trials: int, seed: int) -> ClassicalRepo
         mean += delta * size / (start + size)
         m2 += float(probes.var()) * size + delta * delta * start * size / (start + size)
     std_err = math.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0
-    return replace(classical_formulas(n, k), sample_mean=mean, sample_std_err=std_err)
+    return ClassicalReport(formulas.expected_randomized, formulas.deterministic, mean, std_err)
 
 
 def _drained(rng: np.random.Generator, high: int, trials: int) -> np.random.Generator:

@@ -5,16 +5,13 @@ backend, and a fixed seed gives byte-identical JSON/CSV output.  Exit
 codes: 0 success, 1 invalid or infeasible input (`InvalidInstanceError`,
 which `InfeasibleEpsilonError` subclasses), 2 any other exception.
 
-numpy is imported only where a command needs it (dense states, the seeded
-target draw, `classical`, `demo`), so a reduced run with a given target,
-`optimize`, `table` and `bounds` start without it.
+Imports wait for their use: numpy for dense states, the seeded target draw,
+`classical` and `demo`, `csv` and `json` for their formats; so a reduced run
+with a given target, `optimize`, `table` and `bounds` start without numpy.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import sys
 import warnings
@@ -343,6 +340,7 @@ def _round_floats(value):
 
 
 def _render_json(payload: dict, meta: dict) -> str:
+    import json
     doc = _round_floats({**meta, **payload})
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -356,6 +354,8 @@ def _format_cell(value) -> str:
 
 
 def _render_csv(payload: dict, meta: dict) -> str:
+    import csv
+    import io
     buf = io.StringIO()
     for key in ("tool", "version", "command", "seed", "backend"):
         buf.write(f"# {key}={_format_cell(meta[key])}\n")

@@ -20,14 +20,13 @@ Dense work imports numpy on first use, so a reduced run never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import analysis, reduced, statevector
 from .analysis import CostBreakdown
 # reduced_apply is bound here only for perfbench's test_instrument_restores_the_package.
 from .reduced import ReducedState, reduced_apply, reduced_init  # noqa: F401
-from .statevector import BLOCK_ROUND, DENSE_CAP, GLOBAL_ROUND, BlockConfig, InvalidInstanceError, OperatorTag
+from .statevector import BLOCK_ROUND, DENSE_CAP, GLOBAL_ROUND, BlockConfig, InvalidInstanceError, OperatorTag, Record
 
 Script = Sequence[OperatorTag]
 Stage = tuple[tuple[OperatorTag, ...], int]  # (round_ops, count)
@@ -47,8 +46,7 @@ TWELVE_ITEM_SCRIPT: tuple[OperatorTag, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(Record):
     """What one pipeline run measured; the instance and backend are the caller's own arguments."""
 
     queries: int

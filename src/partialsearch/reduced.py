@@ -28,15 +28,13 @@ b - mu and c - mu every round.  Other stages run through `reduced_apply`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .statevector import BLOCK_ROUND, GLOBAL_ROUND, OperatorTag
-from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError
+from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError, Record
 from .statevector import _NORM_ATOL, _check_dense_cap, _interleave
 
 
-@dataclass(frozen=True)
-class ReducedState:
+class ReducedState(Record):
     cfg: BlockConfig
     a: float
     b: float

@@ -14,15 +14,14 @@ which adjoins the ancilla when it runs, growing that array in place; the norm
 is checked at the end.  Each public operator and each dense stage of
 `partial_search.apply_stages` is one such call; oracle calls count queries.
 
-The instance types (`BlockConfig`, `OperatorTag`, `InvalidInstanceError`,
-the limits) need no arrays, so the dense functions import numpy on first use
-and a reduced run, which uses only those types, never loads it.
+The instance types (`BlockConfig`, `OperatorTag`, `InvalidInstanceError`, the
+limits) need no arrays, so the dense functions import numpy on first use and a
+reduced run never loads it; the records subclass `Record` to skip dataclasses.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -37,14 +36,46 @@ MAX_N = 2**52
 _NORM_ATOL = 1e-9
 
 
+class Record:
+    """A frozen dataclass in plain code: the fields are a subclass's annotations, a class attribute a default."""
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names, defaults = self.__match_args__, vars(type(self))
+        try:  # the fields past the positional ones, by keyword or else by default
+            args += tuple(kwargs.pop(name) if name in kwargs else defaults[name] for name in names[len(args) :])
+        except KeyError as missing:
+            raise TypeError(f"{type(self).__name__} is missing the field {missing}") from None
+        if kwargs or len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes each of the fields {names} once")
+        vars(self).update(zip(names, args))  # __dict__ holds the fields alone, in order: eq, hash and repr read it
+        self.__post_init__()
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+    __post_init__ = object.__init__  # no checks, unless a record defines its own
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in vars(self).items())})"
+
+
 class InvalidInstanceError(ValueError):
     """Invalid user input: a malformed instance (bad N, K not dividing N,
     target out of range, N beyond the dense backend cap) or a bad parameter
     such as epsilon or a step count.  The CLI exits 1 on exactly these."""
 
 
-@dataclass(frozen=True)
-class BlockConfig:
+class BlockConfig(Record):
     """A search instance: N addresses in K equal contiguous blocks, one target.
 
     Blocks are contiguous address ranges (block of x = x // (N/K)), so for
@@ -95,8 +126,7 @@ BLOCK_ROUND = (OperatorTag.ORACLE, OperatorTag.BLOCK_DIFFUSION)
 GLOBAL_ROUND = (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION)
 
 
-@dataclass(frozen=True)
-class DenseState:
+class DenseState(Record):
     """Full amplitude description of the register.
 
     Without the ancilla, ``amplitudes`` has length N and entry x is the

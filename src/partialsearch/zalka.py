@@ -31,15 +31,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
 from .partial_search import Script, apply_script
-from .reduced import OperatorTag, lift_to_dense, reduced_init
-from .statevector import MAX_N, BlockConfig, DenseState, InvalidInstanceError
+from .reduced import OperatorTag, ReducedState, lift_to_dense, reduced_init
+from .statevector import MAX_N, BlockConfig, DenseState, InvalidInstanceError, Record
 
 _ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
 # Most amplitudes the lifted runs of one trajectory hold in all: 2 GiB of float64.
@@ -93,8 +92,7 @@ def zalka_error_bound(n: int, err: float, hidden_const: float = 1.0) -> float:
     return max(0.0, value)
 
 
-@dataclass(frozen=True)
-class HybridTrajectory:
+class HybridTrajectory(Record):
     """Final states of hybrid-oracle runs for one marked address.
 
     ``states[i]`` is the final state when the first T-i oracle calls are
@@ -133,7 +131,7 @@ def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) ->
     for j in range(len(calls), -1, -1):  # j leading oracle calls are the identity
         start = calls[j - 1] + 1 if j else 0
         moved_out = j > 0 and script[start - 1] is OperatorTag.STEP3
-        state = replace(uniform, moved_out=moved_out, queries=j)
+        state = ReducedState(cfg, uniform.a, uniform.b, uniform.c, moved_out=moved_out, queries=j)
         states.append(lift_to_dense(apply_script(state, script[start:], cfg)))
     return HybridTrajectory(tuple(states))
 

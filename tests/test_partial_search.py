@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -486,8 +485,10 @@ class TestIdentityQueries:
         state = uniform_state(cfg.n_addresses)
         for op in script:
             skip = state.queries < identity_calls
-            if op is OperatorTag.ORACLE:
-                state = replace(state, queries=state.queries + 1) if skip else invert_target(state, cfg)
+            if op is OperatorTag.ORACLE and skip:
+                state = DenseState(state.amplitudes, state.n_addresses, state.has_ancilla, state.queries + 1)
+            elif op is OperatorTag.ORACLE:
+                state = invert_target(state, cfg)
             elif op is OperatorTag.GLOBAL_DIFFUSION:
                 state = global_diffusion(state)
             elif op is OperatorTag.BLOCK_DIFFUSION:
