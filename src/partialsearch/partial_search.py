@@ -9,11 +9,11 @@ about its mean, cancelling the non-target blocks; its one query makes a
 standard run l1 + l2 + 1 queries in total.
 
 Pipelines are stages: one round of operator tags repeated `count` times,
-so a standard run is three stages.  `apply_stages`, the one stage loop,
-checks each stage's size and runs it as one call to the state's kernel,
-`statevector.apply_rounds` or `reduced.apply_rounds`.  `apply_operator`
-is a one-operator stage, `apply_script` groups a flat script into stages,
-and `script_stages` keeps every operator's state.
+so a standard run is three stages.  `apply_stages` checks every stage's
+size before anything runs, then makes one call to the state's kernel,
+`statevector.apply_stages` or `reduced.apply_stages`, with the whole list.
+`apply_operator` is a one-operator stage, `apply_script` groups a flat
+script into stages, and `script_stages` keeps every operator's state.
 
 Dense work imports numpy on first use, so a reduced run never loads it.
 """
@@ -27,9 +27,9 @@ from .analysis import CostBreakdown
 # reduced_apply is bound here only for perfbench's test_instrument_restores_the_package.
 from .reduced import ReducedState, reduced_apply, reduced_init  # noqa: F401
 from .statevector import BLOCK_ROUND, DENSE_CAP, GLOBAL_ROUND, BlockConfig, InvalidInstanceError, OperatorTag, Record
+from .statevector import Stage
 
 Script = Sequence[OperatorTag]
-Stage = tuple[tuple[OperatorTag, ...], int]  # (round_ops, count)
 
 # Largest stage on either backend: float64 loses about 1e-16 per radian turned or
 # per operator run, so 2**12 of either keeps all 12 printed digits of a probability.
@@ -151,10 +151,10 @@ def apply_script(state, script: Script, cfg: BlockConfig | None = None):
 
 
 def apply_stages(state, stages: Sequence[Stage], cfg: BlockConfig | None = None):
-    """The state after every stage, each non-empty one run by one call to its backend's kernel."""
+    """The state after every stage: all are checked, then the non-empty ones run in one call to the state's kernel."""
     dense = not isinstance(state, ReducedState)
     cfg = state.cfg if cfg is None and not dense else cfg
-    owned = False  # the caller's input is never written; a state an earlier stage here returned is held by no one
+    run = []
     for round_ops, count in stages:
         if count < 0:
             raise ValueError(f"a stage needs count >= 0, got {count}")
@@ -163,11 +163,8 @@ def apply_stages(state, stages: Sequence[Stage], cfg: BlockConfig | None = None)
         if cfg is None:
             raise ValueError("dense states need an explicit config")
         _check_stage(round_ops, count, cfg)
-        if dense:
-            state, owned = statevector.apply_rounds(state, round_ops, count, cfg, owned=owned), True
-        else:
-            state = reduced.apply_rounds(state, round_ops, count, cfg)
-    return state
+        run.append((round_ops, count))
+    return (statevector if dense else reduced).apply_stages(state, run, cfg) if run else state
 
 
 def _check_stage(round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig) -> None:

@@ -16,10 +16,10 @@ onto this invariant subspace; `lift_to_dense` expands back for comparison
 against the ground-truth backend.
 
 A run is a few stages, each one round of operators repeated `count` times;
-`apply_rounds`, the twin of `statevector.apply_rounds`, runs one stage.  A
-Grover round (oracle, then inversion about the mean of M amplitudes)
-rotates the target and the uniform rest of those M amplitudes by
-2 arcsin(1/sqrt(M)), so before step 3 `count` rounds are one rotation
+`apply_stages`, the twin of `statevector.apply_stages`, runs them all in one
+call.  A Grover round (oracle, then inversion about the mean of M
+amplitudes) rotates the target and the uniform rest of those M amplitudes
+by 2 arcsin(1/sqrt(M)), so before step 3 `count` rounds are one rotation
 (Boyer, Brassard, Hoyer, Tapp, quant-ph/9605034).  Block rounds rotate
 (a, sqrt(m - 1) b), M = m = N/K, and leave c alone; global rounds rotate
 (a, sqrt(N - 1) mu), M = N, mu the non-target mean, and flip the sign of
@@ -28,8 +28,9 @@ b - mu and c - mu every round.  Other stages run through `reduced_apply`.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
-from .statevector import BLOCK_ROUND, GLOBAL_ROUND, OperatorTag
+from .statevector import BLOCK_ROUND, GLOBAL_ROUND, OperatorTag, Stage
 from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError, Record
 from .statevector import _NORM_ATOL, _check_dense_cap, _interleave
 
@@ -101,27 +102,27 @@ def reduced_apply(state: ReducedState, op: OperatorTag) -> ReducedState:
     return ReducedState(state.cfg, a, b, c, d, moved_out, queries)
 
 
-def apply_rounds(
-    state: ReducedState, round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig
-) -> ReducedState:
-    """``count`` repeats of ``round_ops``: Grover rounds before step 3 as one rotation, the rest per operator."""
+def apply_stages(state: ReducedState, stages: Sequence[Stage], cfg: BlockConfig) -> ReducedState:
+    """Each stage's ``count`` rounds: Grover rounds before step 3 as one rotation, the rest operator by operator."""
     if cfg != state.cfg:
         raise InvalidInstanceError("config does not match the reduced state")
-    if round_ops not in (GLOBAL_ROUND, BLOCK_ROUND) or state.moved_out:
-        for _ in range(count):
-            for op in round_ops:
-                state = reduced_apply(state, op)
-        return state
     n, m = cfg.n_addresses, cfg.block_size
-    a, b, c = state.a, state.b, state.c
-    if round_ops == BLOCK_ROUND:
-        a, b = _grover_rounds(a, b, m, count)
-    else:
-        mu = ((m - 1) * b + (n - m) * c) / (n - 1)
-        a, mu_out = _grover_rounds(a, mu, n, count)
-        sign = -1.0 if count % 2 else 1.0
-        b, c = mu_out + sign * (b - mu), mu_out + sign * (c - mu)
-    return ReducedState(cfg, a, b, c, state.d, False, state.queries + count)
+    for round_ops, count in stages:
+        if round_ops not in (GLOBAL_ROUND, BLOCK_ROUND) or state.moved_out:
+            for _ in range(count):
+                for op in round_ops:
+                    state = reduced_apply(state, op)
+            continue
+        a, b, c = state.a, state.b, state.c
+        if round_ops == BLOCK_ROUND:
+            a, b = _grover_rounds(a, b, m, count)
+        else:
+            mu = ((m - 1) * b + (n - m) * c) / (n - 1)
+            a, mu_out = _grover_rounds(a, mu, n, count)
+            sign = -1.0 if count % 2 else 1.0
+            b, c = mu_out + sign * (b - mu), mu_out + sign * (c - mu)
+        state = ReducedState(cfg, a, b, c, state.d, False, state.queries + count)
+    return state
 
 
 def _grover_rounds(a: float, w: float, size: int, count: int) -> tuple[float, float]:

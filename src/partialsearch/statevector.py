@@ -5,14 +5,15 @@ States are real float64 amplitude arrays over N addresses, interleaved to
 ancilla.  Every operator is a real reflection; complex input is refused
 rather than cast, since a cast would silently drop imaginary parts.
 
-States are immutable values on read-only arrays.  All operator arithmetic is
-in `apply_rounds`, which runs a stage on one private copy or, with ``owned``
-(no one else holds the state and no view of its array exists), on its own
-array.  It composes the stage's operators into one map per block, reads the
-array once for its sums and writes it once, at the end or before step 3,
-which adjoins the ancilla when it runs, growing that array in place; the norm
-is checked at the end.  Each public operator and each dense stage of
-`partial_search.apply_stages` is one such call; oracle calls count queries.
+States are immutable values on read-only arrays; the uniform start is a
+broadcast view of one scalar, so it costs no array.  All operator arithmetic is
+in `apply_stages`, which runs a whole stage list on one private copy of the
+input.  It composes the operators into one map per block and writes the copy
+only where a stage first takes its sums (each stage takes them afresh), before
+step 3, which adjoins the ancilla when it runs, growing the copy in place, and
+at the end, where the norm is checked once.  Each public operator is a
+one-stage list, and `partial_search.apply_stages` makes one such call per run;
+oracle calls count queries.
 
 The instance types (`BlockConfig`, `OperatorTag`, `InvalidInstanceError`, the
 limits) need no arrays, so the dense functions import numpy on first use and a
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -124,6 +125,7 @@ class OperatorTag(enum.Enum):
 
 BLOCK_ROUND = (OperatorTag.ORACLE, OperatorTag.BLOCK_DIFFUSION)
 GLOBAL_ROUND = (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION)
+Stage = tuple[tuple[OperatorTag, ...], int]  # (round_ops, count)
 
 
 class DenseState(Record):
@@ -174,12 +176,13 @@ class DenseState(Record):
 
 
 def uniform_state(n_addresses: int, cap: int = DENSE_CAP) -> DenseState:
-    """Equal superposition of all addresses, without the ancilla; refuses N > cap."""
+    """Equal superposition of all addresses, without the ancilla, as a read-only broadcast of one scalar (no array
+    of N); refuses N > cap."""
     if n_addresses < 2:
         raise InvalidInstanceError(f"need at least 2 addresses, got N={n_addresses}")
     _check_dense_cap(n_addresses, cap)
     import numpy as np
-    return DenseState(np.full(n_addresses, 1.0 / math.sqrt(n_addresses)), n_addresses)
+    return DenseState(np.broadcast_to(1.0 / math.sqrt(n_addresses), (n_addresses,)), n_addresses)
 
 
 def attach_ancilla(state: DenseState) -> DenseState:
@@ -191,18 +194,18 @@ def attach_ancilla(state: DenseState) -> DenseState:
 
 def invert_target(state: DenseState, cfg: BlockConfig) -> DenseState:
     """Oracle call: flip the sign of the target amplitude (both branches); counts one query."""
-    return apply_rounds(state, (OperatorTag.ORACLE,), 1, cfg)
+    return apply_stages(state, [((OperatorTag.ORACLE,), 1)], cfg)
 
 
 def global_diffusion(state: DenseState) -> DenseState:
     """Inversion about the global average: x -> 2m - x over all addresses."""
     # Any config of this N will do: the inversion reads neither blocks nor target.
-    return apply_rounds(state, (OperatorTag.GLOBAL_DIFFUSION,), 1, BlockConfig(state.n_addresses, 1, 0))
+    return apply_stages(state, [((OperatorTag.GLOBAL_DIFFUSION,), 1)], BlockConfig(state.n_addresses, 1, 0))
 
 
 def block_diffusion(state: DenseState, cfg: BlockConfig) -> DenseState:
     """Inversion about the average within each block, blocks in parallel."""
-    return apply_rounds(state, (OperatorTag.BLOCK_DIFFUSION,), 1, cfg)
+    return apply_stages(state, [((OperatorTag.BLOCK_DIFFUSION,), 1)], cfg)
 
 
 def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
@@ -212,76 +215,73 @@ def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
     query; the inversion is controlled on the ancilla being 0.  When the branch-0
     mean is half the non-target-block amplitude, those states end at exactly zero.
     """
-    return apply_rounds(state, (OperatorTag.STEP3,), 1, cfg)
+    return apply_stages(state, [((OperatorTag.STEP3,), 1)], cfg)
 
 
-def apply_rounds(
-    state: DenseState, round_ops: tuple[OperatorTag, ...], count: int, cfg: BlockConfig, *, owned: bool = False
-) -> DenseState:
-    """``count`` rounds, operators in order, on one private copy or, with ``owned``, on ``state``'s own array:
-    only if no one else holds ``state`` and no view of its array exists.  The stage's oracle calls and
-    diffusions compose to one map per block, written to the array once: at the end, or before step 3, which runs
-    on the array and adjoins the ancilla when it runs, growing the array in place."""
+def apply_stages(state: DenseState, stages: Sequence[Stage], cfg: BlockConfig) -> DenseState:
+    """Each stage's ``count`` rounds, operators in order, on one private copy of ``state``'s array.  Oracle calls
+    and diffusions compose to one map per block, written to the copy only where a stage first takes a sum, before
+    step 3, which adjoins the ancilla when it runs, growing the copy in place, and at the end."""
     _check_shapes(state, cfg)
     import numpy as np
     ancilla, queries = state.has_ancilla, state.queries
-    amp = state.amplitudes if owned else state.amplitudes.copy()
-    amp.setflags(write=True)
+    amp = state.amplitudes.copy()
     t = 2 * cfg.target if ancilla else cfg.target
-    # A diffusion maps each x to 2*mean - x and the oracle touches only the target, so within a stage the state
-    # is a_t at the target and sign*x + shift[block of x] at every other entry x of the array, with one sign and
-    # a shift that is a scalar until the first block diffusion.  The global and block sums are taken on first
-    # use, from the written-back array, and carried: a diffusion keeps its own sums, the oracle moves the total
+    # A diffusion maps each x to 2*mean - x and the oracle touches only the target, so the state is a_t at the
+    # target and sign*x + shift[block of x] at every other entry x of the array, with one sign and a shift that is
+    # a scalar until the first block diffusion.  Each stage takes its global and block sums afresh on first use,
+    # from the written-back array, and carries them: a diffusion keeps its own sums, the oracle moves the total
     # and the target's block sum by -2*a_t, and a global diffusion maps each block sum s to 2*total/K - s.
     a_t, sign, shift = amp[t], 1.0, 0.0
-    total = sums = None
-    for _ in range(count):
-        for op in round_ops:
-            if op is OperatorTag.ORACLE:
-                total = None if total is None else total - 2.0 * a_t
-                if sums is not None:
-                    sums[cfg.target_block] -= 2.0 * a_t
-                a_t = -a_t
-                if ancilla:
-                    amp[t + 1] = -amp[t + 1]
-                queries += 1
-            elif op is OperatorTag.STEP3:
-                sign, shift = _write_back(amp, t, a_t, sign, shift, cfg)
-                if not ancilla:
-                    amp, ancilla, t = _interleave(amp), True, 2 * cfg.target
-                if max(float(amp[1::2].max()), -float(amp[1::2].min())) > _NORM_ATOL:
-                    raise ValueError("ancilla branch 1 must be empty before step 3")
-                amp[t], amp[t + 1] = amp[t + 1], amp[t]
-                branch0 = amp[0::2]
-                np.subtract(2.0 * branch0.mean(), branch0, out=branch0)
-                a_t = amp[t]
-                queries += 1
-            elif op is OperatorTag.GLOBAL_DIFFUSION:
-                if ancilla:
-                    raise ValueError("global diffusion is defined on ancilla-free states")
-                if total is None:
+    for round_ops, count in stages:
+        total = sums = None
+        for _ in range(count):
+            for op in round_ops:
+                if op is OperatorTag.ORACLE:
+                    total = None if total is None else total - 2.0 * a_t
+                    if sums is not None:
+                        sums[cfg.target_block] -= 2.0 * a_t
+                    a_t = -a_t
+                    if ancilla:
+                        amp[t + 1] = -amp[t + 1]
+                    queries += 1
+                elif op is OperatorTag.STEP3:
                     sign, shift = _write_back(amp, t, a_t, sign, shift, cfg)
-                    total = amp.sum()
-                mean2 = 2.0 * (total / cfg.n_addresses)
-                sums = None if sums is None else 2.0 * total / cfg.n_blocks - sums
-                a_t, sign, shift = mean2 - a_t, -sign, mean2 - shift
-            elif op is OperatorTag.BLOCK_DIFFUSION:
-                if ancilla:
-                    raise ValueError("block diffusion is defined on ancilla-free states")
-                if sums is None:
-                    sign, shift = _write_back(amp, t, a_t, sign, shift, cfg)
-                    sums = amp.reshape(cfg.n_blocks, cfg.block_size).sum(axis=1, keepdims=True)
-                mean2 = 2.0 * (sums / cfg.block_size)
-                a_t, sign = mean2[cfg.target_block, 0] - a_t, -sign
-                shift = np.subtract(mean2, shift, out=mean2)
-            else:
-                raise ValueError(f"unknown operator {op!r}")
+                    if not ancilla:
+                        amp, ancilla, t = _interleave(amp), True, 2 * cfg.target
+                    if max(float(amp[1::2].max()), -float(amp[1::2].min())) > _NORM_ATOL:
+                        raise ValueError("ancilla branch 1 must be empty before step 3")
+                    amp[t], amp[t + 1] = amp[t + 1], amp[t]
+                    branch0 = amp[0::2]
+                    np.subtract(2.0 * branch0.mean(), branch0, out=branch0)
+                    a_t = amp[t]
+                    queries += 1
+                elif op is OperatorTag.GLOBAL_DIFFUSION:
+                    if ancilla:
+                        raise ValueError("global diffusion is defined on ancilla-free states")
+                    if total is None:
+                        sign, shift = _write_back(amp, t, a_t, sign, shift, cfg)
+                        total = amp.sum()
+                    mean2 = 2.0 * (total / cfg.n_addresses)
+                    sums = None if sums is None else 2.0 * total / cfg.n_blocks - sums
+                    a_t, sign, shift = mean2 - a_t, -sign, mean2 - shift
+                elif op is OperatorTag.BLOCK_DIFFUSION:
+                    if ancilla:
+                        raise ValueError("block diffusion is defined on ancilla-free states")
+                    if sums is None:
+                        sign, shift = _write_back(amp, t, a_t, sign, shift, cfg)
+                        sums = amp.reshape(cfg.n_blocks, cfg.block_size).sum(axis=1, keepdims=True)
+                    mean2 = 2.0 * (sums / cfg.block_size)
+                    a_t, sign = mean2[cfg.target_block, 0] - a_t, -sign
+                    shift = np.subtract(mean2, shift, out=mean2)
+                else:
+                    raise ValueError(f"unknown operator {op!r}")
     _write_back(amp, t, a_t, sign, shift, cfg)
     return DenseState(amp, state.n_addresses, ancilla, queries)
 
 
 def _write_back(amp: np.ndarray, t: int, a_t: float, sign: float, shift, cfg: BlockConfig) -> tuple[float, float]:
-    """Write ``apply_rounds``' map and target into ``amp``, one pass (none for the identity); returns the identity."""
+    """Write ``apply_stages``' map and target into ``amp``, one pass (none for the identity); returns the identity."""
     import numpy as np
     if sign < 0 or isinstance(shift, np.ndarray) or shift:
         blocks = amp.reshape(cfg.n_blocks, cfg.block_size)

@@ -37,6 +37,7 @@ from partialsearch.partial_search import (
     validate_script,
 )
 from partialsearch.reduced import BLOCK_ROUND, GLOBAL_ROUND, reduced_init
+from conftest import random_unit_state
 
 PI = math.pi
 
@@ -156,6 +157,19 @@ class TestRunPartialSearch:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 8 * cfg.n_addresses + 64 * 1024
+
+    def test_dense_grover_run_holds_at_most_one_and_a_half_arrays_of_n(self):
+        # The uniform start is a broadcast view, so the peak is the run's one private copy of N and the squares
+        # of one slice of blocks (N/4 here) for the report.
+        cfg = BlockConfig(2**18, 4, 12345)
+        run_full_grover(cfg, 402, backend="dense")  # warm-up, so first-use imports stay out of the peak
+        tracemalloc.start()
+        try:
+            run_full_grover(cfg, 402, backend="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * cfg.n_addresses + 64 * 1024
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):
@@ -302,8 +316,8 @@ class TestDenseStages:
         assert got.queries == 2 * count + 1
 
     def test_input_unchanged_and_arrays_read_only(self):
-        # Stages after the first write the buffer the stage before returned; the caller's input stays as it was,
-        # also behind a leading empty stage (which transfers nothing) and when step 3 grows the buffer.
+        # The kernel writes one private copy; the caller's input stays as it was, also behind a leading empty stage
+        # and when step 3 grows the copy.
         cfg = BlockConfig(64, 4, 9)
         step3 = ((OperatorTag.STEP3,), 1)
         for stages, queries in [
@@ -359,10 +373,11 @@ class TestDenseStages:
 
 
 class TestStageDispatch:
-    """apply_stages: one kernel call per stage on both backends; reduced_apply only for step 3, in the kernel.
+    """apply_stages: one kernel call per run on both backends, carrying the whole stage list; reduced_apply only
+    for step 3, in the kernel.
 
-    The dense kernel adjoins the ancilla itself, so no run calls attach_ancilla.  Every dense stage after the
-    first owns the state the stage before returned; the reduced kernel takes no ``owned``.
+    The dense kernel adjoins the ancilla itself, so no run calls attach_ancilla, and it runs every stage on one
+    private copy, so no public operator runs either.
     """
 
     @pytest.mark.parametrize("backend", ["dense", "reduced"])
@@ -370,8 +385,8 @@ class TestStageDispatch:
         "run, stages",
         [
             (lambda cfg, backend: run_partial_search(cfg, backend=backend),
-             [GLOBAL_ROUND, BLOCK_ROUND, (OperatorTag.STEP3,)]),
-            (lambda cfg, backend: run_full_grover(cfg, 9, backend=backend), [GLOBAL_ROUND]),
+             list(standard_pipeline_stages(*iteration_counts(256, 4, optimize_epsilon(4)[0])[:2]))),
+            (lambda cfg, backend: run_full_grover(cfg, 9, backend=backend), [(GLOBAL_ROUND, 9)]),
         ],
         ids=["partial_search", "full_grover"],
     )
@@ -391,18 +406,60 @@ class TestStageDispatch:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        spy(statevector, "apply_rounds")
-        spy(reduced_module, "apply_rounds")
+        spy(statevector, "apply_stages")
+        spy(reduced_module, "apply_stages")
         spy(reduced_module, "reduced_apply")
         for name in ("attach_ancilla", "invert_target", "global_diffusion", "block_diffusion", "step3_transfer"):
             spy(statevector, name)
         run(BlockConfig(256, 4, 37), backend)
-        kernel = "statevector.apply_rounds" if backend == "dense" else "reduced.apply_rounds"
-        owned = [{"owned": i > 0} if backend == "dense" else {} for i in range(len(stages))]
-        expected = [(kernel, round_ops, (), keywords) for round_ops, keywords in zip(stages, owned)]
-        if backend == "reduced" and (OperatorTag.STEP3,) in stages:
+        kernel = "statevector.apply_stages" if backend == "dense" else "reduced.apply_stages"
+        assert all(count > 0 for _, count in stages)
+        expected = [(kernel, stages, (), {})]
+        if backend == "reduced" and stages[-1] == ((OperatorTag.STEP3,), 1):
             expected.append(("reduced.reduced_apply", OperatorTag.STEP3, (kernel,), {}))
         assert calls == expected
+
+    @pytest.mark.parametrize("backend", ["dense", "reduced"])
+    @pytest.mark.parametrize(
+        "refused, error", [((BLOCK_ROUND, 10**6), InvalidInstanceError), (((OperatorTag.ORACLE,), -1), ValueError)],
+        ids=["too-many-rounds", "negative-count"],
+    )
+    def test_a_refused_later_stage_runs_nothing(self, monkeypatch, backend, refused, error):
+        def never(*_args):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(statevector, "apply_stages", never)
+        monkeypatch.setattr(reduced_module, "apply_stages", never)
+        cfg = BlockConfig(64, 4, 3)
+        start = uniform_state(64) if backend == "dense" else reduced_init(cfg)
+        with pytest.raises(error):
+            apply_stages(start, [(GLOBAL_ROUND, 2), refused, ((OperatorTag.STEP3,), 1)], cfg)
+
+    @pytest.mark.parametrize("backend", ["dense", "reduced"])
+    @pytest.mark.parametrize("n, k", [(48, 3), (64, 64), (4096, 8)])
+    def test_one_call_equals_one_call_per_stage(self, rng, backend, n, k):
+        """From random real states, a mixed stage list run in one kernel call is bit-equal to its stages run one
+        call at a time."""
+        cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
+        rounds = [GLOBAL_ROUND, BLOCK_ROUND, (OperatorTag.ORACLE,)]
+        for _ in range(5):
+            middle = [(rounds[i], int(count)) for i, count in zip(rng.integers(3, size=4), rng.integers(8, size=4))]
+            stages = [*middle, ((OperatorTag.STEP3,), 1)]
+            if backend == "dense":
+                start = random_unit_state(rng, n)
+            else:
+                a, b, c = rng.standard_normal(3)
+                norm = math.sqrt(a * a + (cfg.block_size - 1) * b * b + (n - cfg.block_size) * c * c)
+                start = reduced_module.ReducedState(cfg, a / norm, b / norm, c / norm)
+            state = start
+            for stage in stages:
+                state = apply_stages(state, [stage], cfg)
+            got = apply_stages(start, stages, cfg)
+            if backend == "dense":
+                assert got.amplitudes.tobytes() == state.amplitudes.tobytes()
+                assert (got.queries, got.has_ancilla) == (state.queries, state.has_ancilla)
+            else:
+                assert repr(got) == repr(state)
 
 
 class TestOtherStages:
@@ -466,8 +523,8 @@ class TestOtherStages:
     def test_dense_kernel_runs_operators_in_order(self, round_ops, count):
         # Step 3 adjoins the ancilla when it runs, so a diffusion before it in the same round sees no ancilla.
         cfg = BlockConfig(64, 4, 5)
-        got = statevector.apply_rounds(uniform_state(64), round_ops, count, cfg)
-        want = reduced_module.lift_to_dense(reduced_module.apply_rounds(reduced_init(cfg), round_ops, count, cfg))
+        got = statevector.apply_stages(uniform_state(64), [(round_ops, count)], cfg)
+        want = reduced_module.lift_to_dense(reduced_module.apply_stages(reduced_init(cfg), [(round_ops, count)], cfg))
         assert np.max(np.abs(got.amplitudes - want.amplitudes), initial=0.0) <= 1e-15
         assert (got.queries, got.has_ancilla) == (want.queries, want.has_ancilla)
 

@@ -259,8 +259,8 @@ class TestRotationBound:
         def never(*_args):
             raise AssertionError("a kernel ran")
 
-        monkeypatch.setattr(partial_search.statevector, "apply_rounds", never)
-        monkeypatch.setattr(partial_search.reduced, "apply_rounds", never)
+        monkeypatch.setattr(partial_search.statevector, "apply_stages", never)
+        monkeypatch.setattr(partial_search.reduced, "apply_stages", never)
         cfg = BlockConfig(64, 4, 3)
         if round_ops in (GLOBAL_ROUND, BLOCK_ROUND):
             top = self._most_rounds(64 if round_ops == GLOBAL_ROUND else 16)
