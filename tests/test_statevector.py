@@ -132,6 +132,7 @@ class TestAgainstReference:
         assert np.max(np.abs(got.amplitudes - reference_stages(n, [(round_ops, count)], cfg))) <= 1e-13
         assert got.queries == count * round_ops.count(OperatorTag.ORACLE)
 
+    @pytest.mark.parametrize("split", [False, True], ids=["one-stage", "split"])
     @pytest.mark.parametrize("count", [1, 2, 7, 50])
     @pytest.mark.parametrize(
         "round_ops",
@@ -139,12 +140,14 @@ class TestAgainstReference:
         ids=["global", "block", "block-then-global", "global-then-block"],
     )
     @pytest.mark.parametrize("n, k", [(48, 3), (64, 64), (4096, 8)])
-    def test_random_states_match_reference(self, rng, n, k, round_ops, count):
-        """The kernel never assumes a uniform block: from a random real state it follows the reference too."""
+    def test_random_states_match_reference(self, rng, n, k, round_ops, count, split):
+        """The kernel never assumes a uniform block: from a random real state it follows the reference too, also
+        with the rounds split over two stages of one call (for one round, an empty stage and then the round)."""
         cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
         state = random_unit_state(rng, n)
         start = state.amplitudes.copy()
-        got = statevector.apply_stages(state, [(round_ops, count)], cfg)
+        stages = [(round_ops, count // 2), (round_ops, count - count // 2)] if split else [(round_ops, count)]
+        got = statevector.apply_stages(state, stages, cfg)
         want = reference_stages(n, [(round_ops, count)], cfg, start)
         if count == 1:
             assert np.array_equal(got.amplitudes, want)
