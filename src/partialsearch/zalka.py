@@ -21,17 +21,17 @@ exposed as a parameter.
 Angles between unit states are the ray angle arccos |<v|w>|, which ignores
 global sign, evaluated as 2 arcsin(min(|v - w|, |v + w|) / 2) to keep full
 precision at small angles, where arccos of an overlap near 1 loses it.
-Every run is simulated on the reduced backend: hybrid runs are lifted to
-dense states once, at the end, at most 2**28 amplitudes (2 GiB) in all, and
-the angle sum comes from one reduced run, so it holds up to N = 2**52.  The
-array checks import numpy on first use, so `zalka_error_bound` and
-`total_angle_sum` run without it.
+Every run is simulated on the reduced backend: a trajectory lifts a hybrid
+run to a dense state on each read, so its margins lift at most 2**28
+amplitudes (2 GiB) in all, two at a time, and the angle sum comes from one
+reduced run, so it holds up to N = 2**52.  The array checks import numpy
+on first use, so `zalka_error_bound` and `total_angle_sum` run without it.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,7 +41,7 @@ from .reduced import OperatorTag, ReducedState, lift_to_dense, reduced_init
 from .statevector import MAX_N, BlockConfig, DenseState, InvalidInstanceError, Record
 
 _ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
-# Most amplitudes the lifted runs of one trajectory hold in all: 2 GiB of float64.
+# Most amplitudes the margins of one trajectory lift in all, one run at a time: 2 GiB of float64.
 MAX_TRAJECTORY_AMPLITUDES = 2**28
 # Most floats one batch of sampled probability vectors holds: 16 MiB.
 _CHUNK_FLOATS = 2**21
@@ -92,16 +92,29 @@ def zalka_error_bound(n: int, err: float, hidden_const: float = 1.0) -> float:
     return max(0.0, value)
 
 
+class _LiftedRuns(Record):
+    """Reduced runs read as dense states: each read lifts one run afresh."""
+
+    runs: tuple[ReducedState, ...]
+
+    def __len__(self) -> int:
+        return len(self.runs)
+
+    def __getitem__(self, i: int) -> DenseState:  # an IndexError past the end also ends iteration
+        return lift_to_dense(self.runs[i])
+
+
 class HybridTrajectory(Record):
     """Final states of hybrid-oracle runs for one marked address.
 
     ``states[i]`` is the final state when the first T-i oracle calls are
     the identity and the last i are real (T = total query count); so
-    states[0] is the oracle-free run and states[T] the real run.  N, the
-    target and the script are the caller's own arguments.
+    states[0] is the oracle-free run and states[T] the real run.  The runs
+    are held reduced; each read of ``states[i]`` lifts one to a new read-only
+    dense state.  N, the target and the script are the caller's own arguments.
     """
 
-    states: tuple[DenseState, ...]
+    states: Sequence[DenseState]
 
     @property
     def n_queries(self) -> int:
@@ -109,12 +122,12 @@ class HybridTrajectory(Record):
 
 
 def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) -> HybridTrajectory:
-    """Build all T+1 hybrid runs of a script, each run reduced and then lifted to a dense state.
+    """Build all T+1 hybrid runs of a script on the reduced backend; ``states`` lifts them on read.
 
     Diffusions fix the uniform state and an identity call does nothing, so the
     run with j identity calls is the reduced uniform state with j queries
     counted (moved out if call j was STEP3), then the script after call j.
-    The lifted runs are held at once: more than MAX_TRAJECTORY_AMPLITUDES
+    The margins lift every run once: more than MAX_TRAJECTORY_AMPLITUDES
     amplitudes in all are refused before any run.
     """
     script = tuple(script)
@@ -124,7 +137,7 @@ def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) ->
     if amplitudes > MAX_TRAJECTORY_AMPLITUDES:
         raise InvalidInstanceError(
             f"N={n} with T={len(calls)} queries needs {amplitudes} amplitudes of hybrid runs, "
-            f"more than the {MAX_TRAJECTORY_AMPLITUDES} a trajectory may hold"
+            f"more than the {MAX_TRAJECTORY_AMPLITUDES} its margins may lift"
         )
     uniform = reduced_init(cfg)
     states = []
@@ -132,8 +145,8 @@ def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) ->
         start = calls[j - 1] + 1 if j else 0
         moved_out = j > 0 and script[start - 1] is OperatorTag.STEP3
         state = ReducedState(cfg, uniform.a, uniform.b, uniform.c, moved_out=moved_out, queries=j)
-        states.append(lift_to_dense(apply_script(state, script[start:], cfg)))
-    return HybridTrajectory(tuple(states))
+        states.append(apply_script(state, script[start:], cfg))
+    return HybridTrajectory(_LiftedRuns(tuple(states)))
 
 
 def hybrid_step_margins(traj: HybridTrajectory) -> np.ndarray:
@@ -142,14 +155,16 @@ def hybrid_step_margins(traj: HybridTrajectory) -> np.ndarray:
     Entry i-1 compares states i-1 and i (the runs differing in query T-i+1)
     against 2 arcsin sqrt(1/N): the oracle-free run is uniform before every
     query, since diffusions fix it.  All entries should be >= -1e-9; a
-    negative margin beyond floating error falsifies the bound.
+    negative margin beyond floating error falsifies the bound.  The runs are
+    read in order, each lifted once, so at most two dense states are alive.
     """
     import numpy as np
-    u = 1.0 / math.sqrt(traj.states[0].n_addresses)
+    runs = iter(traj.states)
+    u = 1.0 / math.sqrt((prev := next(runs)).n_addresses)
     bound = 2.0 * math.asin(math.sqrt(u * u))
     margins = np.empty(traj.n_queries)
-    for i in range(1, traj.n_queries + 1):
-        margins[i - 1] = bound - angle_distance(traj.states[i - 1], traj.states[i])
+    for i, state in enumerate(runs):
+        margins[i], prev = bound - angle_distance(prev, state), state
     return margins
 
 

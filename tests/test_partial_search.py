@@ -145,9 +145,9 @@ class TestRunPartialSearch:
         assert peak <= 4.1 * 8 * cfg.n_addresses
 
     def test_dense_run_holds_at_most_two_and_a_half_arrays_of_n(self):
-        # Stages after the first reuse the buffer and step 3 grows it in place, so the peak is the report's: the
-        # 2N final state and the squares of one slice of blocks (N/4 here) per branch.  Below 2**16 addresses
-        # one slice holds the whole array.
+        # The run copies its input once, the uniform start is a broadcast view and step 3 grows the copy in
+        # place, so the peak is the report's: the 2N final state and the squares of one slice of blocks (N/4
+        # here) per branch.  Below 2**16 addresses one slice holds the whole array.
         cfg = BlockConfig(2**18, 4, 12345)
         run_partial_search(cfg, backend="dense")  # warm-up, so first-use imports stay out of the peak
         tracemalloc.start()

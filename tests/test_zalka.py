@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from partialsearch import (
     BlockConfig,
     InvalidInstanceError,
     OperatorTag,
+    ReducedState,
     angle_distance,
     apply_script,
     attach_ancilla,
@@ -15,8 +17,10 @@ from partialsearch import (
     hybrid_step_margins,
     hybrid_trajectory,
     iteration_counts,
+    lift_to_dense,
     max_arcsin_probability_sum,
     optimize_epsilon,
+    reduced_init,
     standard_pipeline_script,
     statevector,
     total_angle_sum,
@@ -179,7 +183,7 @@ def _pipeline_script(n, k):
 
 
 class TestTrajectoryBudget:
-    """All T+1 lifted runs are held at once, so too many amplitudes in all are refused first."""
+    """The margins lift all T+1 runs, one at a time, so too many amplitudes in all are refused first."""
 
     @pytest.fixture
     def no_lift(self, monkeypatch):
@@ -195,17 +199,96 @@ class TestTrajectoryBudget:
             hybrid_trajectory(2**20, _pipeline_script(2**20, 4), 5, n_blocks=4)
 
     def test_largest_pipeline_within_budget_reaches_the_runs(self, no_lift):
-        # N = 2**18: 318 runs of 2N amplitudes, 1.24 GiB; stopped at its first lift.
+        # N = 2**18: 318 runs of 2N amplitudes, 1.24 GiB lifted in all; stopped at the margins' first lift.
         assert 318 * 2**19 <= zalka.MAX_TRAJECTORY_AMPLITUDES
         with pytest.raises(AssertionError, match="a run was lifted"):
-            hybrid_trajectory(2**18, _pipeline_script(2**18, 4), 5, n_blocks=4)
+            hybrid_step_margins(hybrid_trajectory(2**18, _pipeline_script(2**18, 4), 5, n_blocks=4))
 
     def test_scripts_without_step3_count_n_amplitudes_a_run(self, no_lift):
         steps = zalka.MAX_TRAJECTORY_AMPLITUDES // 2**16 - 1
         with pytest.raises(AssertionError, match="a run was lifted"):
-            hybrid_trajectory(2**16, grover_script(steps), 5)
+            hybrid_step_margins(hybrid_trajectory(2**16, grover_script(steps), 5))
         with pytest.raises(InvalidInstanceError, match=f"T={steps + 1} queries"):
             hybrid_trajectory(2**16, grover_script(steps + 1), 5)
+
+
+def _eager_trajectory(n, script, target, n_blocks=1):
+    """The trajectory built eagerly: each hybrid run reduced, then lifted up front, all held in a tuple."""
+    cfg = BlockConfig(n, n_blocks, target)
+    calls = [i for i, op in enumerate(script) if op in ORACLE_CALLS]
+    uniform = reduced_init(cfg)
+    states = []
+    for j in range(len(calls), -1, -1):  # j leading oracle calls are the identity
+        start = calls[j - 1] + 1 if j else 0
+        moved_out = j > 0 and script[start - 1] is OperatorTag.STEP3
+        state = ReducedState(cfg, uniform.a, uniform.b, uniform.c, moved_out=moved_out, queries=j)
+        states.append(lift_to_dense(apply_script(state, script[start:], cfg)))
+    return zalka.HybridTrajectory(tuple(states))
+
+
+class TestLazyTrajectory:
+    """``states`` holds the runs reduced and lifts one on each read."""
+
+    @pytest.mark.parametrize(
+        "n, script, target, n_blocks",
+        [
+            (16, grover_script(3), 11, 1),
+            (64, _pipeline_script(64, 4), 21, 4),
+            (16, (OperatorTag.GLOBAL_DIFFUSION,), 3, 1),
+        ],
+        ids=["grover-n16", "pipeline-n64-k4", "query-free"],
+    )
+    def test_reads_and_margins_match_an_eager_trajectory_bit_for_bit(self, n, script, target, n_blocks):
+        lazy = hybrid_trajectory(n, script, target, n_blocks=n_blocks)
+        eager = _eager_trajectory(n, script, target, n_blocks)
+        assert len(lazy.states) == len(eager.states) == lazy.n_queries + 1
+        for i in range(len(eager.states)):
+            assert lazy.states[i].amplitudes.tobytes() == eager.states[i].amplitudes.tobytes()
+            assert lazy.states[i].has_ancilla == eager.states[i].has_ancilla
+        assert hybrid_step_margins(lazy).tobytes() == hybrid_step_margins(eager).tobytes()
+
+    def test_len_negative_index_and_iteration(self):
+        traj = hybrid_trajectory(16, grover_script(3), 4)
+        assert len(traj.states) == 4
+        assert traj.states[-1].amplitudes.tobytes() == traj.states[3].amplitudes.tobytes()
+        assert traj.states[-4].amplitudes.tobytes() == traj.states[0].amplitudes.tobytes()
+        read = list(traj.states)
+        assert [s.queries for s in read] == [3, 3, 3, 3]
+        assert [s.amplitudes.tobytes() for s in read] == [traj.states[i].amplitudes.tobytes() for i in range(4)]
+        for i in (4, -5):
+            with pytest.raises(IndexError):
+                traj.states[i]
+
+    def test_each_read_is_a_new_read_only_dense_state(self):
+        traj = hybrid_trajectory(16, grover_script(3), 4)
+        first, again = traj.states[1], traj.states[1]
+        assert isinstance(first, statevector.DenseState) and first is not again
+        assert first.amplitudes is not again.amplitudes
+        assert not first.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            first.amplitudes[0] = 0.0
+
+    def test_runs_are_lifted_only_when_read(self, monkeypatch):
+        lifted = []
+        monkeypatch.setattr(zalka, "lift_to_dense", lambda state: lifted.append(state.queries) or state)
+        traj = hybrid_trajectory(16, grover_script(3), 4)
+        assert lifted == []
+        traj.states[-1]
+        assert lifted == [3]
+
+    def test_margins_hold_at_most_four_arrays_of_2n(self):
+        # Two lifted runs and angle_distance's two temporaries of 2N amplitudes each; an eager trajectory held
+        # all 80 runs of the N = 2**14 pipeline.
+        n = 2**14
+        script = _pipeline_script(n, 4)
+        hybrid_step_margins(hybrid_trajectory(n, script, 5, n_blocks=4))  # warm-up, so first-use imports stay out
+        tracemalloc.start()
+        try:
+            hybrid_step_margins(hybrid_trajectory(n, script, 5, n_blocks=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (2 * n * 8) + 64 * 1024
 
 
 DENSE_OPERATORS = ["invert_target", "global_diffusion", "block_diffusion", "step3_transfer", "attach_ancilla"]
