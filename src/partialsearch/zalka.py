@@ -21,11 +21,13 @@ exposed as a parameter.
 Angles between unit states are the ray angle arccos |<v|w>|, which ignores
 global sign, evaluated as 2 arcsin(min(|v - w|, |v + w|) / 2) to keep full
 precision at small angles, where arccos of an overlap near 1 loses it.
-Every run is simulated on the reduced backend: a trajectory lifts a hybrid
-run to a dense state on each read, so its margins lift at most 2**28
-amplitudes (2 GiB) in all, two at a time, and the angle sum comes from one
-reduced run, so it holds up to N = 2**52.  The array checks import numpy
-on first use, so `zalka_error_bound` and `total_angle_sum` run without it.
+Every run is simulated on the reduced backend, and both hybrid checks take
+their angles from reduced runs through one multiplicity-weighted distance,
+so neither lifts a run: the margins of a trajectory reach N = 2**52 with at
+most 2**16 queries, and the angle sum, one reduced run, reaches N = 2**52.
+A trajectory still lifts a run to a dense state when ``states[i]`` is read.
+The array checks import numpy on first use, so `zalka_error_bound` and
+`total_angle_sum` run without it.
 """
 from __future__ import annotations
 
@@ -36,13 +38,13 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .partial_search import Script, apply_script
+from .partial_search import Script, _group_stages, apply_script, apply_stages, validate_script
 from .reduced import OperatorTag, ReducedState, lift_to_dense, reduced_init
 from .statevector import MAX_N, BlockConfig, DenseState, InvalidInstanceError, Record
 
 _ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
-# Most amplitudes the margins of one trajectory lift in all, one run at a time: 2 GiB of float64.
-MAX_TRAJECTORY_AMPLITUDES = 2**28
+# Most queries a trajectory runs: T + 1 reduced runs of about 400 B each, about 25 MB and 2-4 s in all.
+MAX_TRAJECTORY_QUERIES = 2**16
 # Most floats one batch of sampled probability vectors holds: 16 MiB.
 _CHUNK_FLOATS = 2**21
 
@@ -58,6 +60,17 @@ def angle_distance(v, w) -> float:
 def _ray_angle(dist2_minus: float, dist2_plus: float) -> float:
     """arccos |<v|w>| for unit v, w, from |v - w|**2 and |v + w|**2."""
     return 2.0 * math.asin(min(1.0, math.sqrt(min(dist2_minus, dist2_plus)) / 2.0))
+
+
+def _reduced_angle(v: ReducedState, w: ReducedState) -> float:
+    """`angle_distance` of two reduced states of one config, from multiplicity-weighted distances."""
+    n, m = v.cfg.n_addresses, v.cfg.block_size
+
+    def dist2(s: float) -> float:  # |v - s * w|^2
+        b2, c2 = (m - 1) * (v.b - s * w.b) ** 2, (n - m) * (v.c - s * w.c) ** 2
+        return (v.a - s * w.a) ** 2 + b2 + c2 + (v.d - s * w.d) ** 2
+
+    return _ray_angle(dist2(1.0), dist2(-1.0))
 
 
 def _as_unit_array(v) -> np.ndarray:
@@ -126,27 +139,25 @@ def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) ->
 
     Diffusions fix the uniform state and an identity call does nothing, so the
     run with j identity calls is the reduced uniform state with j queries
-    counted (moved out if call j was STEP3), then the script after call j.
-    The margins lift every run once: more than MAX_TRAJECTORY_AMPLITUDES
-    amplitudes in all are refused before any run.
+    counted (moved out if call j was STEP3), then the rest of call j's round,
+    the rest of its stage and the later stages.  More than
+    MAX_TRAJECTORY_QUERIES queries are refused before any run.
     """
-    script = tuple(script)
-    cfg = BlockConfig(n, n_blocks, target)
-    calls = [i for i, op in enumerate(script) if op in _ORACLE_CALLS]
-    amplitudes = (len(calls) + 1) * (2 * n if OperatorTag.STEP3 in script else n)
-    if amplitudes > MAX_TRAJECTORY_AMPLITUDES:
+    script = validate_script(script)
+    n_queries = sum(op in _ORACLE_CALLS for op in script)
+    if n_queries > MAX_TRAJECTORY_QUERIES:
         raise InvalidInstanceError(
-            f"N={n} with T={len(calls)} queries needs {amplitudes} amplitudes of hybrid runs, "
-            f"more than the {MAX_TRAJECTORY_AMPLITUDES} its margins may lift"
+            f"N={n} with T={n_queries} queries exceeds {MAX_TRAJECTORY_QUERIES}, the most a trajectory runs"
         )
-    uniform = reduced_init(cfg)
-    states = []
-    for j in range(len(calls), -1, -1):  # j leading oracle calls are the identity
-        start = calls[j - 1] + 1 if j else 0
-        moved_out = j > 0 and script[start - 1] is OperatorTag.STEP3
-        state = ReducedState(cfg, uniform.a, uniform.b, uniform.c, moved_out=moved_out, queries=j)
-        states.append(apply_script(state, script[start:], cfg))
-    return HybridTrajectory(_LiftedRuns(tuple(states)))
+    cfg = BlockConfig(n, n_blocks, target)
+    stages = _group_stages(script)
+    u = reduced_init(cfg)
+    runs = [apply_stages(u, stages, cfg)]  # no identity call: the real run
+    for s, (ops, count) in enumerate(stages):  # run j = len(runs) makes call j its last identity
+        for r, q in ((r, q) for r in range(count) for q, op in enumerate(ops) if op in _ORACLE_CALLS):
+            state = ReducedState(cfg, u.a, u.b, u.c, moved_out=ops[q] is OperatorTag.STEP3, queries=len(runs))
+            runs.append(apply_stages(state, [(ops[q + 1 :], 1), (ops, count - r - 1), *stages[s + 1 :]], cfg))
+    return HybridTrajectory(_LiftedRuns(tuple(reversed(runs))))
 
 
 def hybrid_step_margins(traj: HybridTrajectory) -> np.ndarray:
@@ -155,17 +166,13 @@ def hybrid_step_margins(traj: HybridTrajectory) -> np.ndarray:
     Entry i-1 compares states i-1 and i (the runs differing in query T-i+1)
     against 2 arcsin sqrt(1/N): the oracle-free run is uniform before every
     query, since diffusions fix it.  All entries should be >= -1e-9; a
-    negative margin beyond floating error falsifies the bound.  The runs are
-    read in order, each lifted once, so at most two dense states are alive.
+    negative margin beyond floating error falsifies the bound.  Each angle
+    comes from the reduced runs, so no run is lifted.
     """
     import numpy as np
-    runs = iter(traj.states)
-    u = 1.0 / math.sqrt((prev := next(runs)).n_addresses)
-    bound = 2.0 * math.asin(math.sqrt(u * u))
-    margins = np.empty(traj.n_queries)
-    for i, state in enumerate(runs):
-        margins[i], prev = bound - angle_distance(prev, state), state
-    return margins
+    runs = traj.states.runs
+    bound = 2.0 * math.asin(1.0 / math.sqrt(runs[0].cfg.n_addresses))
+    return np.fromiter((bound - _reduced_angle(v, w) for v, w in zip(runs, runs[1:])), float, len(runs) - 1)
 
 
 def total_angle_sum(n: int, script: Script, n_blocks: int = 1) -> tuple[float, float]:
@@ -179,14 +186,7 @@ def total_angle_sum(n: int, script: Script, n_blocks: int = 1) -> tuple[float, f
     """
     cfg = BlockConfig(n, n_blocks, 0)
     start = reduced_init(cfg)
-    real = apply_script(start, script, cfg)
-    m, u = cfg.block_size, start.a
-
-    def dist2(sign: float) -> float:  # |real - sign * uniform|^2
-        v = sign * u
-        return (real.a - v) ** 2 + (m - 1) * (real.b - v) ** 2 + (n - m) * (real.c - v) ** 2 + real.d**2
-
-    return n * _ray_angle(dist2(1.0), dist2(-1.0)), (math.pi / 2.0) * n
+    return n * _reduced_angle(apply_script(start, script, cfg), start), (math.pi / 2.0) * n
 
 
 def max_arcsin_probability_sum(n: int, samples: int, seed: int) -> float:

@@ -183,37 +183,39 @@ def _pipeline_script(n, k):
 
 
 class TestTrajectoryBudget:
-    """The margins lift all T+1 runs, one at a time, so too many amplitudes in all are refused first."""
+    """More than MAX_TRAJECTORY_QUERIES queries are refused before any run; the budget itself reaches the runs."""
 
     @pytest.fixture
-    def no_lift(self, monkeypatch):
-        def never(_state):
-            raise AssertionError("a run was lifted")
+    def no_run(self, monkeypatch):
+        def never(*_args):
+            raise AssertionError("a run was started")
 
-        monkeypatch.setattr(zalka, "lift_to_dense", never)
+        monkeypatch.setattr(zalka, "apply_stages", never)
 
-    def test_too_many_amplitudes_refused_before_any_run(self, no_lift):
-        # N = 2**20, K = 4 at epsilon*: 632 runs of 2N amplitudes, 9.9 GiB.
-        message = f"^N={2**20} with T=631 queries needs 1325400064 amplitudes"
-        with pytest.raises(InvalidInstanceError, match=message):
-            hybrid_trajectory(2**20, _pipeline_script(2**20, 4), 5, n_blocks=4)
+    def test_one_query_over_budget_refused_before_any_run(self, no_run):
+        t = zalka.MAX_TRAJECTORY_QUERIES + 1
+        with pytest.raises(InvalidInstanceError, match=f"^N={2**40} with T={t} queries exceeds {t - 1}"):
+            hybrid_trajectory(2**40, grover_script(t), 5)
 
-    def test_largest_pipeline_within_budget_reaches_the_runs(self, no_lift):
-        # N = 2**18: 318 runs of 2N amplitudes, 1.24 GiB lifted in all; stopped at the margins' first lift.
-        assert 318 * 2**19 <= zalka.MAX_TRAJECTORY_AMPLITUDES
-        with pytest.raises(AssertionError, match="a run was lifted"):
-            hybrid_step_margins(hybrid_trajectory(2**18, _pipeline_script(2**18, 4), 5, n_blocks=4))
+    def test_budget_reaches_the_runs(self, no_run):
+        with pytest.raises(AssertionError, match="a run was started"):
+            hybrid_trajectory(2**40, grover_script(zalka.MAX_TRAJECTORY_QUERIES), 5)
 
-    def test_scripts_without_step3_count_n_amplitudes_a_run(self, no_lift):
-        steps = zalka.MAX_TRAJECTORY_AMPLITUDES // 2**16 - 1
-        with pytest.raises(AssertionError, match="a run was lifted"):
-            hybrid_step_margins(hybrid_trajectory(2**16, grover_script(steps), 5))
-        with pytest.raises(InvalidInstanceError, match=f"T={steps + 1} queries"):
-            hybrid_trajectory(2**16, grover_script(steps + 1), 5)
+    def test_step3_counts_as_a_query(self, no_run):
+        l1 = zalka.MAX_TRAJECTORY_QUERIES - 10
+        with pytest.raises(AssertionError, match="a run was started"):
+            hybrid_trajectory(2**40, standard_pipeline_script(l1, 9), 5, n_blocks=4)
+        with pytest.raises(InvalidInstanceError, match=f"T={l1 + 11} queries"):
+            hybrid_trajectory(2**40, standard_pipeline_script(l1, 10), 5, n_blocks=4)
+
+    def test_pipeline_at_n_2_40_refused(self, no_run):
+        # K = 4 at epsilon*: T = 645,379, about 35 s of runs.
+        with pytest.raises(InvalidInstanceError, match=f"^N={2**40} with T=645379 queries"):
+            hybrid_trajectory(2**40, _pipeline_script(2**40, 4), 5, n_blocks=4)
 
 
 def _eager_trajectory(n, script, target, n_blocks=1):
-    """The trajectory built eagerly: each hybrid run reduced, then lifted up front, all held in a tuple."""
+    """The reference trajectory: each hybrid run reduced from a flat slice of the script, lifted up front, held in a tuple."""
     cfg = BlockConfig(n, n_blocks, target)
     calls = [i for i, op in enumerate(script) if op in ORACLE_CALLS]
     uniform = reduced_init(cfg)
@@ -226,26 +228,53 @@ def _eager_trajectory(n, script, target, n_blocks=1):
     return zalka.HybridTrajectory(tuple(states))
 
 
-class TestLazyTrajectory:
-    """``states`` holds the runs reduced and lifts one on each read."""
+def _dense_margins(traj):
+    """The per-swap margins from dense angle_distance of consecutive lifted states."""
+    bound = 2.0 * math.asin(math.sqrt(1.0 / traj.states[0].n_addresses))
+    return np.array([bound - angle_distance(v, w) for v, w in zip(traj.states, traj.states[1:])])
 
-    @pytest.mark.parametrize(
-        "n, script, target, n_blocks",
-        [
-            (16, grover_script(3), 11, 1),
-            (64, _pipeline_script(64, 4), 21, 4),
-            (16, (OperatorTag.GLOBAL_DIFFUSION,), 3, 1),
-        ],
-        ids=["grover-n16", "pipeline-n64-k4", "query-free"],
-    )
-    def test_reads_and_margins_match_an_eager_trajectory_bit_for_bit(self, n, script, target, n_blocks):
+
+EAGER_CASES = pytest.mark.parametrize(
+    "n, script, target, n_blocks",
+    [
+        (16, grover_script(3), 11, 1),
+        (64, _pipeline_script(64, 4), 21, 4),
+        (16, (OperatorTag.GLOBAL_DIFFUSION,), 3, 1),
+        (12, TWELVE_ITEM_SCRIPT, 7, 3),
+        (48, standard_pipeline_script(2, 1), 40, 3),
+    ],
+    ids=["grover-n16", "pipeline-n64-k4", "query-free", "twelve-item", "pipeline-n48-k3"],
+)
+
+
+class TestLazyTrajectory:
+    """``states`` holds the runs reduced and lifts one on each read; the margins lift none."""
+
+    @EAGER_CASES
+    def test_reads_match_an_eager_trajectory_bit_for_bit(self, n, script, target, n_blocks):
         lazy = hybrid_trajectory(n, script, target, n_blocks=n_blocks)
         eager = _eager_trajectory(n, script, target, n_blocks)
         assert len(lazy.states) == len(eager.states) == lazy.n_queries + 1
         for i in range(len(eager.states)):
             assert lazy.states[i].amplitudes.tobytes() == eager.states[i].amplitudes.tobytes()
             assert lazy.states[i].has_ancilla == eager.states[i].has_ancilla
-        assert hybrid_step_margins(lazy).tobytes() == hybrid_step_margins(eager).tobytes()
+
+    @EAGER_CASES
+    def test_margins_match_dense_angles_of_an_eager_trajectory(self, n, script, target, n_blocks):
+        margins = hybrid_step_margins(hybrid_trajectory(n, script, target, n_blocks=n_blocks))
+        dense = _dense_margins(_eager_trajectory(n, script, target, n_blocks))
+        assert margins.shape == dense.shape
+        assert np.abs(margins - dense).max(initial=0.0) <= 1e-15
+
+    def test_margins_lift_no_run(self, monkeypatch):
+        # The N = 2**20, K = 4 pipeline: 632 runs, which the margins once lifted to 2N amplitudes each.
+        def never(_state):
+            raise AssertionError("a run was lifted")
+
+        monkeypatch.setattr(zalka, "lift_to_dense", never)
+        margins = hybrid_step_margins(hybrid_trajectory(2**20, _pipeline_script(2**20, 4), 5, n_blocks=4))
+        assert margins.shape == (631,)
+        assert margins.min() >= -1e-9
 
     def test_len_negative_index_and_iteration(self):
         traj = hybrid_trajectory(16, grover_script(3), 4)
@@ -276,9 +305,9 @@ class TestLazyTrajectory:
         traj.states[-1]
         assert lifted == [3]
 
-    def test_margins_hold_at_most_four_arrays_of_2n(self):
-        # Two lifted runs and angle_distance's two temporaries of 2N amplitudes each; an eager trajectory held
-        # all 80 runs of the N = 2**14 pipeline.
+    def test_margins_allocate_no_array_of_n(self):
+        # At N = 2**14 one array of N is 128 KiB. The 80 reduced runs take about 33 KB, and the margins alone
+        # allocate little more than their own T floats.
         n = 2**14
         script = _pipeline_script(n, 4)
         hybrid_step_margins(hybrid_trajectory(n, script, 5, n_blocks=4))  # warm-up, so first-use imports stay out
@@ -286,9 +315,15 @@ class TestLazyTrajectory:
         try:
             hybrid_step_margins(hybrid_trajectory(n, script, 5, n_blocks=4))
             peak = tracemalloc.get_traced_memory()[1]
+            traj = hybrid_trajectory(n, script, 5, n_blocks=4)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            hybrid_step_margins(traj)
+            margins_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * (2 * n * 8) + 64 * 1024
+        assert peak <= 64 * 1024
+        assert margins_peak <= 8 * traj.n_queries + 4096
 
 
 DENSE_OPERATORS = ["invert_target", "global_diffusion", "block_diffusion", "step3_transfer", "attach_ancilla"]
