@@ -4,9 +4,9 @@ Step 1 runs l1 = round((pi/4)(1-eps) sqrt(N)) plain amplification steps,
 stopping short of the target.  Step 2 runs l2 = round((sqrt(N/K)/2)
 (theta1+theta2)) blockwise steps, driving the non-target states of the
 target block to negative amplitudes.  Step 3 moves the target out to an
-ancilla qubit, which the dense kernel adjoins itself, and inverts branch 0
-about its mean, cancelling the non-target blocks; its one query makes a
-standard run l1 + l2 + 1 queries in total.
+ancilla qubit, which the dense kernel adjoins once, at the end of the run,
+and inverts branch 0 about its mean, cancelling the non-target blocks; its
+one query makes a standard run l1 + l2 + 1 queries in total.
 
 Pipelines are stages: one round of operator tags repeated `count` times,
 so a standard run is three stages.  `apply_stages` checks every stage's

@@ -8,12 +8,12 @@ rather than cast, since a cast would silently drop imaginary parts.
 States are immutable values on read-only arrays; the uniform start is a
 broadcast view of one scalar, so it costs no array.  All operator arithmetic is
 in `apply_stages`, which runs a whole stage list on one private copy of the
-input.  It composes the operators into one map per block and writes the copy
-only where a stage first takes its sums (each stage takes them afresh), before
-step 3, which adjoins the ancilla when it runs, growing the copy in place, and
-at the end, where the norm is checked once.  Each public operator is a
-one-stage list, and `partial_search.apply_stages` makes one such call per run;
-oracle calls count queries.
+input.  It composes every operator, step 3 too, into one map per block of
+branch 0, holds branch 1 at the target as one scalar, and writes the copy only
+where a stage first takes its sums (each stage takes them afresh), where step 3
+takes its mean, and at the end, where it adjoins the ancilla once and checks
+the norm.  Public operators are one-stage lists, `partial_search.apply_stages`
+makes one call per run, and oracle calls count queries.
 
 The instance types (`BlockConfig`, `OperatorTag`, `InvalidInstanceError`, the
 limits) need no arrays, so the dense functions import numpy on first use and a
@@ -186,7 +186,7 @@ def uniform_state(n_addresses: int, cap: int = DENSE_CAP) -> DenseState:
 
 
 def attach_ancilla(state: DenseState) -> DenseState:
-    """Adjoin an ancilla qubit in state 0 (branch 1 all zero); step 3 does this itself."""
+    """Adjoin an ancilla qubit in state 0 (branch 1 all zero); a run with step 3 does this itself."""
     if state.has_ancilla:
         raise ValueError("state already has an ancilla")
     return DenseState(_interleave(state.amplitudes.copy()), state.n_addresses, has_ancilla=True, queries=state.queries)
@@ -211,7 +211,7 @@ def block_diffusion(state: DenseState, cfg: BlockConfig) -> DenseState:
 def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
     """Move the target out to ancilla branch 1, then invert branch 0 about its mean.
 
-    An ancilla-free state first gains the ancilla.  The move-out is one oracle
+    An ancilla-free state gains the ancilla.  The move-out is one oracle
     query; the inversion is controlled on the ancilla being 0.  When the branch-0
     mean is half the non-target-block amplitude, those states end at exactly zero.
     """
@@ -219,20 +219,20 @@ def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
 
 
 def apply_stages(state: DenseState, stages: Sequence[Stage], cfg: BlockConfig) -> DenseState:
-    """Each stage's ``count`` rounds, operators in order, on one private copy of ``state``'s array.  Oracle calls
-    and diffusions compose to one map per block, written to the copy only where a stage first takes a sum, before
-    step 3, which adjoins the ancilla when it runs, growing the copy in place, and at the end."""
+    """Each stage's ``count`` rounds, operators in order, on one private copy of ``state``'s array.  Every operator
+    composes into one map per block of branch 0, written to the copy only where a stage first takes a sum, where
+    step 3 takes branch 0's mean, and at the end; an ancilla-free input that ran step 3 then gains the ancilla."""
     _check_shapes(state, cfg)
     import numpy as np
-    ancilla, queries = state.has_ancilla, state.queries
+    ancilla, queries, t = state.has_ancilla, state.queries, cfg.target
     amp = state.amplitudes.copy()
-    t = 2 * cfg.target if ancilla else cfg.target
-    # A diffusion maps each x to 2*mean - x and the oracle touches only the target, so the state is a_t at the
-    # target and sign*x + shift[block of x] at every other entry x of the array, with one sign and a shift that is
-    # a scalar until the first block diffusion.  Each stage takes its global and block sums afresh on first use,
-    # from the written-back array, and carries them: a diffusion keeps its own sums, the oracle moves the total
-    # and the target's block sum by -2*a_t, and a global diffusion maps each block sum s to 2*total/K - s.
-    a_t, sign, shift = amp[t], 1.0, 0.0
+    branch0 = amp[0::2] if ancilla else amp
+    # A diffusion maps each x to 2*mean - x, step 3 maps branch 0 to 2*mean0 - x and the oracle touches only the
+    # target, so branch 0 is a_t at the target and sign*x + shift[block of x] at every other x (a scalar shift until
+    # the first block diffusion), and branch 1 is d at the target and as given elsewhere.  Each stage takes its sums
+    # afresh on first use, from the written-back array, and carries them: a diffusion keeps its own, the oracle moves
+    # the total and the target's block sum by -2*a_t, and a global diffusion maps each block sum s to 2*total/K - s.
+    a_t, d, sign, shift = branch0[t], amp[2 * t + 1] if ancilla else 0.0, 1.0, 0.0
     for round_ops, count in stages:
         total = sums = None
         for _ in range(count):
@@ -241,27 +241,21 @@ def apply_stages(state: DenseState, stages: Sequence[Stage], cfg: BlockConfig) -
                     total = None if total is None else total - 2.0 * a_t
                     if sums is not None:
                         sums[cfg.target_block] -= 2.0 * a_t
-                    a_t = -a_t
-                    if ancilla:
-                        amp[t + 1] = -amp[t + 1]
+                    a_t, d = -a_t, -d
                     queries += 1
                 elif op is OperatorTag.STEP3:
-                    sign, shift = _write_back(amp, t, a_t, sign, shift, cfg)
-                    if not ancilla:
-                        amp, ancilla, t = _interleave(amp), True, 2 * cfg.target
-                    if max(float(amp[1::2].max()), -float(amp[1::2].min())) > _NORM_ATOL:
+                    if abs(d) > _NORM_ATOL or state.has_ancilla and max(amp[1::2].max(), -amp[1::2].min()) > _NORM_ATOL:
                         raise ValueError("ancilla branch 1 must be empty before step 3")
-                    amp[t], amp[t + 1] = amp[t + 1], amp[t]
-                    branch0 = amp[0::2]
-                    np.subtract(2.0 * branch0.mean(), branch0, out=branch0)
-                    a_t = amp[t]
+                    sign, shift = _write_back(branch0, t, d, sign, shift, cfg)  # the target swaps branches
+                    d, shift = a_t, 2.0 * branch0.mean()
+                    a_t, sign, ancilla = shift - branch0[t], -1.0, True
                     queries += 1
                 elif op is OperatorTag.GLOBAL_DIFFUSION:
                     if ancilla:
                         raise ValueError("global diffusion is defined on ancilla-free states")
                     if total is None:
-                        sign, shift = _write_back(amp, t, a_t, sign, shift, cfg)
-                        total = amp.sum()
+                        sign, shift = _write_back(branch0, t, a_t, sign, shift, cfg)
+                        total = branch0.sum()
                     mean2 = 2.0 * (total / cfg.n_addresses)
                     sums = None if sums is None else 2.0 * total / cfg.n_blocks - sums
                     a_t, sign, shift = mean2 - a_t, -sign, mean2 - shift
@@ -269,14 +263,18 @@ def apply_stages(state: DenseState, stages: Sequence[Stage], cfg: BlockConfig) -
                     if ancilla:
                         raise ValueError("block diffusion is defined on ancilla-free states")
                     if sums is None:
-                        sign, shift = _write_back(amp, t, a_t, sign, shift, cfg)
-                        sums = amp.reshape(cfg.n_blocks, cfg.block_size).sum(axis=1, keepdims=True)
+                        sign, shift = _write_back(branch0, t, a_t, sign, shift, cfg)
+                        sums = branch0.reshape(cfg.n_blocks, cfg.block_size).sum(axis=1, keepdims=True)
                     mean2 = 2.0 * (sums / cfg.block_size)
                     a_t, sign = mean2[cfg.target_block, 0] - a_t, -sign
                     shift = np.subtract(mean2, shift, out=mean2)
                 else:
                     raise ValueError(f"unknown operator {op!r}")
-    _write_back(amp, t, a_t, sign, shift, cfg)
+    _write_back(branch0, t, a_t, sign, shift, cfg)
+    if state.has_ancilla:
+        amp[2 * t + 1] = d
+    elif ancilla:
+        amp = _interleave(amp, t, d)
     return DenseState(amp, state.n_addresses, ancilla, queries)
 
 

@@ -197,11 +197,12 @@ def max_arcsin_probability_sum(n: int, samples: int, seed: int) -> float:
     two-point mixtures, and near-uniform perturbations.  The claimed maximum
     is N * arcsin(1/sqrt(N)), attained by the uniform vector.
     """
-    if n < 2 or samples < 1 or seed < 0:  # N = 1 has no two-point mixtures
-        raise InvalidInstanceError(f"need N >= 2, samples >= 1, seed >= 0; got N={n}, samples={samples}, seed={seed}")
+    if not 2 <= n <= _CHUNK_FLOATS or samples < 1 or seed < 0:  # N = 1 has no two-point mixtures; a batch holds a row
+        raise InvalidInstanceError(f"need 2 <= N <= 2**21, samples >= 1, seed >= 0; "
+                                   f"got N={n}, samples={samples}, seed={seed}")
     import numpy as np
     rng = np.random.default_rng(seed)
-    rows = max(1, _CHUNK_FLOATS // n)  # drawn in chunks in stream order, so the draws do not depend on the chunk
+    rows = _CHUNK_FLOATS // n  # drawn in chunks in stream order, so the draws do not depend on the chunk
 
     def dirichlet_max(alpha: float, size: int) -> float:
         draws = (rng.dirichlet(np.full(n, alpha), size=min(rows, size - lo)) for lo in range(0, size, rows))

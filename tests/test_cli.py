@@ -323,6 +323,7 @@ class TestExitCodes:
             lambda: max_arcsin_probability_sum(1, 10, 1),
             lambda: max_arcsin_probability_sum(-3, 10, 1),
             lambda: max_arcsin_probability_sum(4, 10, -1),
+            lambda: max_arcsin_probability_sum(2**21 + 1, 1, 0),
             lambda: theta1(-1e-3, 4),
             lambda: theta2(math.pi, 4),
             lambda: analysis.breakdown_for_theta(math.nan, 4, 0.5),
@@ -334,7 +335,8 @@ class TestExitCodes:
             "grover-steps", "naive-k1", "lower-k0", "lower-k2**53", "guarantee-k10**400",
             "formulas-n0", "arcsin-no-samples", "reduction-alpha-negative", "reduction-alpha-nan",
             "reduction-n-negative", "reduction-n-past-2**52", "arcsin-n0", "arcsin-n1", "arcsin-n-negative",
-            "arcsin-seed-negative", "theta1-negative-theta", "theta2-theta-pi", "breakdown-theta-nan",
+            "arcsin-seed-negative", "arcsin-n-past-2**21", "theta1-negative-theta", "theta2-theta-pi",
+            "breakdown-theta-nan",
         ],
     )
     def test_library_input_errors_are_invalid_instance(self, call):

@@ -145,8 +145,8 @@ class TestRunPartialSearch:
         assert peak <= 4.1 * 8 * cfg.n_addresses
 
     def test_dense_run_holds_at_most_two_and_a_half_arrays_of_n(self):
-        # The run copies its input once, the uniform start is a broadcast view and step 3 grows the copy in
-        # place, so the peak is the report's: the 2N final state and the squares of one slice of blocks (N/4
+        # The run copies its input once, the uniform start is a broadcast view and the run's end grows the copy
+        # in place, so the peak is the report's: the 2N final state and the squares of one slice of blocks (N/4
         # here) per branch.  Below 2**16 addresses one slice holds the whole array.
         cfg = BlockConfig(2**18, 4, 12345)
         run_partial_search(cfg, backend="dense")  # warm-up, so first-use imports stay out of the peak
@@ -317,7 +317,7 @@ class TestDenseStages:
 
     def test_input_unchanged_and_arrays_read_only(self):
         # The kernel writes one private copy; the caller's input stays as it was, also behind a leading empty stage
-        # and when step 3 grows the copy.
+        # and when the end of a run with step 3 grows the copy.
         cfg = BlockConfig(64, 4, 9)
         step3 = ((OperatorTag.STEP3,), 1)
         for stages, queries in [
@@ -439,27 +439,50 @@ class TestStageDispatch:
     @pytest.mark.parametrize("n, k", [(48, 3), (64, 64), (4096, 8)])
     def test_one_call_equals_one_call_per_stage(self, rng, backend, n, k):
         """From random real states, a mixed stage list run in one kernel call is bit-equal to its stages run one
-        call at a time."""
+        call at a time, with step 3 last and with oracle calls after it, which negate the moved-out amplitude."""
         cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
         rounds = [GLOBAL_ROUND, BLOCK_ROUND, (OperatorTag.ORACLE,)]
         for _ in range(5):
             middle = [(rounds[i], int(count)) for i, count in zip(rng.integers(3, size=4), rng.integers(8, size=4))]
-            stages = [*middle, ((OperatorTag.STEP3,), 1)]
             if backend == "dense":
                 start = random_unit_state(rng, n)
             else:
                 a, b, c = rng.standard_normal(3)
                 norm = math.sqrt(a * a + (cfg.block_size - 1) * b * b + (n - cfg.block_size) * c * c)
                 start = reduced_module.ReducedState(cfg, a / norm, b / norm, c / norm)
-            state = start
-            for stage in stages:
-                state = apply_stages(state, [stage], cfg)
-            got = apply_stages(start, stages, cfg)
-            if backend == "dense":
-                assert got.amplitudes.tobytes() == state.amplitudes.tobytes()
-                assert (got.queries, got.has_ancilla) == (state.queries, state.has_ancilla)
-            else:
-                assert repr(got) == repr(state)
+            for tail in ([], [((OperatorTag.ORACLE,), 3)]):
+                stages = [*middle, ((OperatorTag.STEP3,), 1), *tail]
+                state = start
+                for stage in stages:
+                    state = apply_stages(state, [stage], cfg)
+                got = apply_stages(start, stages, cfg)
+                if backend == "dense":
+                    assert got.amplitudes.tobytes() == state.amplitudes.tobytes()
+                    assert (got.queries, got.has_ancilla) == (state.queries, state.has_ancilla)
+                else:
+                    assert repr(got) == repr(state)
+
+    def test_dense_kernel_writes_the_ancilla_layout_once_at_the_end(self, rng, monkeypatch):
+        """The dense kernel holds branch 1 as one scalar: a standard run hands its final N-length branch 0 to
+        _interleave once, after its last stage, and a run from an ancilla input never calls it."""
+        calls, interleave = [], statevector._interleave
+
+        def spy(amp, *args):
+            calls.append((amp.copy(), *args))
+            return interleave(amp, *args)
+
+        cfg = BlockConfig(256, 4, 37)
+        ancilla_start = attach_ancilla(random_unit_state(rng, 256))
+        monkeypatch.setattr(statevector, "_interleave", spy)
+        stages = standard_pipeline_stages(*iteration_counts(256, 4, optimize_epsilon(4)[0])[:2])
+        got = apply_stages(uniform_state(256), stages, cfg)
+        [(branch0, target, moved_out)] = calls
+        assert branch0.shape == (256,) and branch0.tobytes() == got.branch(0).tobytes()
+        assert (target, moved_out) == (cfg.target, got.branch(1)[cfg.target])
+        calls.clear()
+        stages = [((OperatorTag.ORACLE,), 2), ((OperatorTag.STEP3,), 1), ((OperatorTag.ORACLE,), 1)]
+        assert apply_stages(ancilla_start, stages, cfg).has_ancilla
+        assert calls == []
 
 
 class TestOtherStages:
@@ -483,11 +506,26 @@ class TestOtherStages:
         with pytest.raises(ValueError, match="unknown operator 'hadamard'"):
             apply_stages(self.start(backend), [((OperatorTag.ORACLE, "hadamard"), 2)], self.CFG)
 
-    def test_dense_oracle_stage_equals_oracle_calls(self):
-        got = apply_stages(uniform_state(16), [((OperatorTag.ORACLE,), 3)], self.CFG)
-        want = invert_target(invert_target(invert_target(uniform_state(16), self.CFG), self.CFG), self.CFG)
-        assert np.array_equal(got.amplitudes, want.amplitudes)
-        assert (got.queries, got.has_ancilla) == (want.queries, want.has_ancilla) == (3, False)
+    def test_dense_oracle_stage_equals_oracle_calls(self, rng):
+        # The random ancilla input has a non-empty branch 1, whose target entry the kernel carries as one scalar.
+        for start in (uniform_state(16), random_unit_state(rng, 16, with_ancilla=True)):
+            got = apply_stages(start, [((OperatorTag.ORACLE,), 3)], self.CFG)
+            want = invert_target(invert_target(invert_target(start, self.CFG), self.CFG), self.CFG)
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+            assert (got.queries, got.has_ancilla) == (want.queries, want.has_ancilla) == (3, start.has_ancilla)
+
+    @pytest.mark.parametrize("with_ancilla", [False, True], ids=["plain", "ancilla"])
+    def test_dense_step3_twice_from_an_empty_target_equals_two_calls(self, rng, with_ancilla):
+        # A target amplitude of exactly 0 moves out as 0, so branch 1 stays empty and a second step 3 runs.
+        amp = rng.standard_normal(16)
+        amp[self.CFG.target] = 0.0
+        start = DenseState(amp / np.linalg.norm(amp), 16)
+        start = attach_ancilla(start) if with_ancilla else start
+        step3 = ((OperatorTag.STEP3,), 1)
+        got = statevector.apply_stages(start, [((OperatorTag.STEP3,), 2)], self.CFG)
+        want = statevector.apply_stages(statevector.apply_stages(start, [step3], self.CFG), [step3], self.CFG)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert (got.queries, got.has_ancilla) == (want.queries, want.has_ancilla) == (2, True)
 
     @pytest.mark.parametrize("backend", ["dense", "reduced"])
     @pytest.mark.parametrize(
@@ -521,7 +559,7 @@ class TestOtherStages:
         ids=["block-then-step3", "global-then-step3", "diffusion-first", "step3-count-0", "round-count-0"],
     )
     def test_dense_kernel_runs_operators_in_order(self, round_ops, count):
-        # Step 3 adjoins the ancilla when it runs, so a diffusion before it in the same round sees no ancilla.
+        # The ancilla layout is written at the end of the run, so a diffusion before step 3 in its round sees none.
         cfg = BlockConfig(64, 4, 5)
         got = statevector.apply_stages(uniform_state(64), [(round_ops, count)], cfg)
         want = reduced_module.lift_to_dense(reduced_module.apply_stages(reduced_init(cfg), [(round_ops, count)], cfg))
