@@ -19,7 +19,7 @@ import numpy as np
 
 from .statevector import InvalidInstanceError, Record
 
-CHUNK = 1 << 16  # trials resolved per chunk of the Monte Carlo
+CHUNK = 1 << 14  # trials resolved per chunk of the Monte Carlo
 
 
 class ClassicalReport(Record):
@@ -74,8 +74,13 @@ def trial_outcomes(
     m = n - n // k
     target_blocks = targets // (n // k)
     exhausted = target_blocks == unprobed_blocks
-    probes = np.where(exhausted, m, positions)
-    returned = np.where(exhausted, unprobed_blocks, target_blocks)
+    # x + exhausted * (y - x) blends without np.where, which branches per element on a random mask
+    probes = np.subtract(m, positions)
+    probes *= exhausted
+    probes += positions
+    returned = np.subtract(unprobed_blocks, target_blocks)
+    returned *= exhausted
+    returned += target_blocks
     return probes, returned
 
 

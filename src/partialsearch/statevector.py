@@ -35,6 +35,7 @@ DENSE_CAP = 2**24
 MAX_N = 2**52
 
 _NORM_ATOL = 1e-9
+_SLICE = 2**14  # most addresses `block_probabilities` squares at a time
 
 
 class Record:
@@ -290,15 +291,28 @@ def _write_back(amp: np.ndarray, t: int, a_t: float, sign: float, shift, cfg: Bl
 
 def block_probabilities(state: DenseState, cfg: BlockConfig) -> np.ndarray:
     """Probability of measuring each block index, summed over ancilla branches; equal bit for bit to summing
-    ``address_probabilities`` per block, but taken over slices of whole blocks of at least 2**16 addresses."""
+    ``address_probabilities`` per block, but squaring at most ``_SLICE`` addresses at a time."""
     _check_shapes(state, cfg)
     import numpy as np
-    m, rows, probs = cfg.block_size, -(-2**16 // cfg.block_size), np.empty(cfg.n_blocks)
-    for lo in range(0, cfg.n_blocks, rows):
-        p = state.branch(0)[lo * m : (lo + rows) * m] ** 2
+
+    def squares(lo: int, hi: int) -> np.ndarray:  # the probabilities of addresses lo..hi-1
+        p = state.branch(0)[lo:hi] ** 2
         if state.has_ancilla:
-            p += state.branch(1)[lo * m : (lo + rows) * m] ** 2
-        probs[lo : lo + rows] = p.reshape(-1, m).sum(axis=1)  # one numpy sum per block row, as over all N
+            p += state.branch(1)[lo:hi] ** 2
+        return p
+
+    def block_sum(lo: int, n: int) -> float:  # numpy's pairwise split of n addresses, down to slices it sums whole
+        if n <= _SLICE:
+            return squares(lo, lo + n).sum()
+        half = n // 2 - n // 2 % 8
+        return block_sum(lo, half) + block_sum(lo + half, n - half)
+
+    m = cfg.block_size
+    if m > _SLICE:
+        return np.array([block_sum(lo, m) for lo in range(0, cfg.n_addresses, m)])
+    rows, probs = _SLICE // m, np.empty(cfg.n_blocks)
+    for lo in range(0, cfg.n_blocks, rows):
+        probs[lo : lo + rows] = squares(lo * m, (lo + rows) * m).reshape(-1, m).sum(axis=1)  # one sum per block
     return probs
 
 

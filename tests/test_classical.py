@@ -151,7 +151,7 @@ class TestSimulator:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 8 * 2**20, f"{trials} trials peaked at {peak / 2**20:.1f} MiB"
+            assert peak < 3 * 2**20, f"{trials} trials peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestTrialOutcomes:
@@ -174,6 +174,20 @@ class TestTrialOutcomes:
         probes, returned = trial_outcomes(n, k, targets, unprobed, positions)
         assert np.array_equal(probes, positions)
         assert np.array_equal(returned, [0, 1, 2])
+
+    @pytest.mark.parametrize("n, k", [(60, 5), (1200, 1), (2**63, 2), (2**62, 4)])  # K = 1 has m = 0
+    def test_equals_where_reference(self, rng, n, k):
+        m, trials = n - n // k, 20000
+        targets = rng.integers(0, n, trials)
+        unprobed = rng.integers(0, k, trials)
+        positions = rng.integers(1, m + 1, trials) if m > 0 else np.zeros(trials, dtype=int)
+        if m > 0:  # two found trials, at both ends of the probe order
+            positions[:2] = 1, m
+            unprobed[:2] = (targets[:2] // (n // k) + 1) % k
+        exhausted = targets // (n // k) == unprobed
+        probes, returned = trial_outcomes(n, k, targets, unprobed, positions)
+        assert probes.tobytes() == np.where(exhausted, m, positions).tobytes()
+        assert returned.tobytes() == np.where(exhausted, unprobed, targets // (n // k)).tobytes()
 
     def test_zero_error_over_random_draws(self, rng):
         n, k, trials = 60, 5, 20000

@@ -408,16 +408,33 @@ class TestBlockProbabilities:
         assert np.allclose(block_probabilities(state, cfg), [0.0, 1.0], atol=1e-15)
 
     @pytest.mark.parametrize("with_ancilla", [False, True], ids=["plain", "ancilla"])
-    @pytest.mark.parametrize("n", [1548, 66564, 528384])  # 516·{3, 129, 1024}: below, just above and past 2**16
+    # 516·{3, 129, 1024}: below, just above and past 2**16; then blocks past the 2**14 slice, 2·65543 with an odd length
+    @pytest.mark.parametrize("n", [1548, 66564, 528384, 2 * 65543, 10**6, 3 * 2**18])
     def test_equals_summed_address_probabilities(self, with_ancilla, n):
         # K = 129 and K = N give several slices and a short last one; block sizes such as 387 = 1548/4 and
-        # 516 = 66564/129 are not multiples of 8, so numpy's 8-way unrolled pairwise sum leaves a tail.
+        # 516 = 66564/129 are not multiples of 8, so numpy's 8-way unrolled pairwise sum leaves a tail.  Blocks
+        # longer than the slice are summed by numpy's own pairwise split, which the bytes must show.
         rng = np.random.default_rng(n + with_ancilla)
         state = random_unit_state(rng, n, with_ancilla=with_ancilla)
-        for k in (1, 2, 4, 129, n):
+        for k in {2 * 65543: (1, 2), 10**6: (1, 2, 4, 5, 8), 3 * 2**18: (1, 3, 6)}.get(n, (1, 2, 4, 129, n)):
             cfg = BlockConfig(n, k, n - 1)
             want = state.address_probabilities().reshape(k, n // k).sum(axis=1)
             assert block_probabilities(state, cfg).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 4, 32, 1024])
+    def test_squares_a_slice_at_a_time(self, k):
+        # Squaring a whole block at K = 1 would hold 16 MiB of temporaries; a slice of 2**14 addresses holds 256 KiB.
+        n = 2**20
+        state = random_unit_state(np.random.default_rng(k), n, with_ancilla=True)
+        cfg = BlockConfig(n, k, n - 1)
+        block_probabilities(state, cfg)  # warm-up, so numpy's first use stays out of the peak
+        tracemalloc.start()
+        try:
+            block_probabilities(state, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"K={k} peaked at {peak / 2**20:.2f} MiB"
 
 
 class TestAncillaLayout:
