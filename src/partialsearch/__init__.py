@@ -63,7 +63,6 @@ _SUBMODULE_OF = {
     "step3_transfer": "statevector",
     "uniform_state": "statevector",
     "HybridTrajectory": "zalka",
-    "angle_distance": "zalka",
     "hybrid_step_margins": "zalka",
     "hybrid_trajectory": "zalka",
     "max_arcsin_probability_sum": "zalka",

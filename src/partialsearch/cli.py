@@ -71,13 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--output", default=None, help="write the report here instead of stdout")
     common.add_argument("--seed", type=int, default=0)
-    dense = argparse.ArgumentParser(add_help=False)
-    dense.add_argument(
-        "--dense-cap", type=int, default=statevector.DENSE_CAP, help="override the dense backend size cap"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common, dense], help="run the three-step pipeline")
+    p = sub.add_parser("simulate", parents=[common], help="run the three-step pipeline")
     p.add_argument("--n", type=int, default=2**16)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--epsilon", type=float, default=None, help="default: optimizer's choice")
@@ -85,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=None, help="default: drawn from the seed")
     p.add_argument("--exact-theta", action="store_true", help="use the exact post-step-1 angle")
 
-    p = sub.add_parser("grover", parents=[common, dense], help="run plain amplitude amplification")
+    p = sub.add_parser("grover", parents=[common], help="run plain amplitude amplification")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--steps", type=int, default=None, help="default: round((pi/4) sqrt(N))")
@@ -109,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--err", type=float, default=0.01)
     p.add_argument("--hidden-const", type=float, default=1.0)
 
-    p = sub.add_parser("demo", parents=[common, dense], help="narrative walkthrough data")
+    p = sub.add_parser("demo", parents=[common], help="narrative walkthrough data")
     p.add_argument("--which", choices=("twelve-items", "step2-histogram"), default="twelve-items")
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--k", type=int, default=4)
@@ -172,13 +168,7 @@ def _run_report_payload(cfg: BlockConfig, report: partial_search.RunReport) -> d
 def _cmd_simulate(args: argparse.Namespace) -> dict:
     cfg = _block_config(args)
     _check_report_rows(f"K={args.k}", args.k)
-    report = partial_search.run_partial_search(
-        cfg,
-        epsilon=args.epsilon,
-        backend=args.backend,
-        exact_theta=args.exact_theta,
-        dense_cap=args.dense_cap,
-    )
+    report = partial_search.run_partial_search(cfg, args.epsilon, args.backend, args.exact_theta)
     return _run_report_payload(cfg, report)
 
 
@@ -186,7 +176,7 @@ def _cmd_grover(args: argparse.Namespace) -> dict:
     cfg = _block_config(args)
     _check_report_rows(f"K={args.k}", args.k)
     steps = args.steps if args.steps is not None else round((math.pi / 4.0) * math.sqrt(args.n))
-    report = partial_search.run_full_grover(cfg, steps, backend=args.backend, dense_cap=args.dense_cap)
+    report = partial_search.run_full_grover(cfg, steps, backend=args.backend)
     return _run_report_payload(cfg, report)
 
 
@@ -289,7 +279,7 @@ def _demo_step2_histogram(args: argparse.Namespace) -> dict:
         epsilon, _ = analysis.optimize_epsilon(args.k)
     l1, l2, _ = partial_search.iteration_counts(args.n, args.k, epsilon)
     step1, step2, _ = partial_search.standard_pipeline_stages(l1, l2)
-    state = partial_search.apply_stages(statevector.uniform_state(args.n, cap=args.dense_cap), [step1], cfg)
+    state = partial_search.apply_stages(statevector.uniform_state(args.n), [step1], cfg)
     rows = _amplitude_rows("after_step1", state, cfg)
     state = partial_search.apply_stages(state, [step2], cfg)
     rows += _amplitude_rows("after_step2", state, cfg)

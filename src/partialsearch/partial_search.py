@@ -26,7 +26,7 @@ from . import analysis, reduced, statevector
 from .analysis import CostBreakdown
 # reduced_apply is bound here only for perfbench's test_instrument_restores_the_package.
 from .reduced import ReducedState, reduced_apply, reduced_init  # noqa: F401
-from .statevector import BLOCK_ROUND, DENSE_CAP, GLOBAL_ROUND, BlockConfig, InvalidInstanceError, OperatorTag, Record
+from .statevector import BLOCK_ROUND, GLOBAL_ROUND, MAX_N, BlockConfig, InvalidInstanceError, OperatorTag, Record
 from .statevector import Stage
 
 Script = Sequence[OperatorTag]
@@ -125,6 +125,8 @@ def iteration_counts(
     ``exact_theta`` the angle actually reached after the rounded l1 steps,
     pi/2 - (2 l1 + 1) arcsin(1/sqrt(N)), is used instead (small-N studies).
     """
+    if not 2 <= n <= MAX_N:
+        raise InvalidInstanceError(f"need N in [2, 2**52], got N={n}")
     if k < 2:
         raise InvalidInstanceError(f"partial search needs K >= 2, got K={k}")
     if n % k:
@@ -186,11 +188,7 @@ def script_stages(cfg: BlockConfig, script: Script, backend: str = "dense") -> l
 
 
 def run_partial_search(
-    cfg: BlockConfig,
-    epsilon: float | None = None,
-    backend: str = "reduced",
-    exact_theta: bool = False,
-    dense_cap: int = DENSE_CAP,
+    cfg: BlockConfig, epsilon: float | None = None, backend: str = "reduced", exact_theta: bool = False
 ) -> RunReport:
     """Run the full three-step pipeline and measure.
 
@@ -199,15 +197,13 @@ def run_partial_search(
     if epsilon is None:
         epsilon, _ = analysis.optimize_epsilon(cfg.n_blocks)
     l1, l2, _ = iteration_counts(cfg.n_addresses, cfg.n_blocks, epsilon, exact_theta)
-    state = apply_stages(_initial_state(cfg, backend, dense_cap), standard_pipeline_stages(l1, l2), cfg)
+    state = apply_stages(_initial_state(cfg, backend), standard_pipeline_stages(l1, l2), cfg)
     return _report(state, cfg, epsilon=epsilon, l1=l1, l2=l2)
 
 
-def run_full_grover(
-    cfg: BlockConfig, steps: int, backend: str = "reduced", dense_cap: int = DENSE_CAP
-) -> RunReport:
+def run_full_grover(cfg: BlockConfig, steps: int, backend: str = "reduced") -> RunReport:
     """Plain amplitude amplification for a given number of steps."""
-    state = apply_stages(_initial_state(cfg, backend, dense_cap), grover_stages(steps), cfg)
+    state = apply_stages(_initial_state(cfg, backend), grover_stages(steps), cfg)
     return _report(state, cfg, l1=steps, l2=0)
 
 
@@ -216,9 +212,9 @@ def run_script(cfg: BlockConfig, script: Script, backend: str = "dense") -> RunR
     return _report(state, cfg)
 
 
-def _initial_state(cfg: BlockConfig, backend: str, dense_cap: int = DENSE_CAP):
+def _initial_state(cfg: BlockConfig, backend: str):
     if backend == "dense":
-        return statevector.uniform_state(cfg.n_addresses, cap=dense_cap)
+        return statevector.uniform_state(cfg.n_addresses)
     if backend == "reduced":
         return reduced_init(cfg)
     raise ValueError(f"unknown backend {backend!r}; expected 'dense' or 'reduced'")

@@ -176,12 +176,12 @@ class DenseState(Record):
         return p
 
 
-def uniform_state(n_addresses: int, cap: int = DENSE_CAP) -> DenseState:
+def uniform_state(n_addresses: int) -> DenseState:
     """Equal superposition of all addresses, without the ancilla, as a read-only broadcast of one scalar (no array
-    of N); refuses N > cap."""
+    of N); refuses N > DENSE_CAP."""
     if n_addresses < 2:
         raise InvalidInstanceError(f"need at least 2 addresses, got N={n_addresses}")
-    _check_dense_cap(n_addresses, cap)
+    _check_dense_cap(n_addresses)
     import numpy as np
     return DenseState(np.broadcast_to(1.0 / math.sqrt(n_addresses), (n_addresses,)), n_addresses)
 
@@ -330,10 +330,10 @@ def _interleave(amp: np.ndarray, target: int = 0, moved_out: float = 0.0) -> np.
     return amp
 
 
-def _check_dense_cap(n_addresses: int, cap: int = DENSE_CAP) -> None:
-    if n_addresses > cap:
+def _check_dense_cap(n_addresses: int) -> None:
+    if n_addresses > DENSE_CAP:
         raise InvalidInstanceError(
-            f"N={n_addresses} exceeds the dense backend cap {cap}; "
+            f"N={n_addresses} exceeds the dense backend cap {DENSE_CAP}; "
             "use the reduced backend for large N"
         )
 

@@ -49,37 +49,15 @@ MAX_TRAJECTORY_QUERIES = 2**16
 _CHUNK_FLOATS = 2**21
 
 
-def angle_distance(v, w) -> float:
-    """Angle between the rays of real unit states (arrays or dense states)."""
-    import numpy as np
-    va = _as_unit_array(v)
-    wa = _as_unit_array(w)
-    return _ray_angle(float(np.sum((va - wa) ** 2)), float(np.sum((va + wa) ** 2)))
-
-
-def _ray_angle(dist2_minus: float, dist2_plus: float) -> float:
-    """arccos |<v|w>| for unit v, w, from |v - w|**2 and |v + w|**2."""
-    return 2.0 * math.asin(min(1.0, math.sqrt(min(dist2_minus, dist2_plus)) / 2.0))
-
-
 def _reduced_angle(v: ReducedState, w: ReducedState) -> float:
-    """`angle_distance` of two reduced states of one config, from multiplicity-weighted distances."""
+    """The ray angle arccos |<v|w>| of two reduced states of one config, from multiplicity-weighted distances."""
     n, m = v.cfg.n_addresses, v.cfg.block_size
 
     def dist2(s: float) -> float:  # |v - s * w|^2
         b2, c2 = (m - 1) * (v.b - s * w.b) ** 2, (n - m) * (v.c - s * w.c) ** 2
         return (v.a - s * w.a) ** 2 + b2 + c2 + (v.d - s * w.d) ** 2
 
-    return _ray_angle(dist2(1.0), dist2(-1.0))
-
-
-def _as_unit_array(v) -> np.ndarray:
-    import numpy as np
-    arr = np.asarray(getattr(v, "amplitudes", v))
-    norm = float(np.linalg.norm(arr))
-    if np.iscomplexobj(arr) or not abs(norm - 1.0) <= 1e-6:
-        raise ValueError(f"expected a real unit state, got {arr.dtype} with norm {norm!r}")
-    return arr
+    return 2.0 * math.asin(min(1.0, math.sqrt(min(dist2(1.0), dist2(-1.0))) / 2.0))
 
 
 def zalka_error_bound(n: int, err: float, hidden_const: float = 1.0) -> float:
@@ -125,6 +103,8 @@ class HybridTrajectory(Record):
     states[0] is the oracle-free run and states[T] the real run.  The runs
     are held reduced; each read of ``states[i]`` lifts one to a new read-only
     dense state.  N, the target and the script are the caller's own arguments.
+    `hybrid_step_margins` reads the reduced runs, so it needs a trajectory
+    from `hybrid_trajectory`; one built over a tuple of dense states has none.
     """
 
     states: Sequence[DenseState]

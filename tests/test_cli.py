@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from partialsearch import (
+    BlockConfig,
     InvalidInstanceError,
     classical_formulas,
     exact_expected_probes,
@@ -48,6 +50,10 @@ def run_cli_module(*args):
     )
 
 
+# A dense instance far past the cap: a run of it would ask for 128 TiB.
+HUGE_DENSE = ("--n", str(2**44), "--target", "5", "--backend", "dense")
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--k", "4")
@@ -74,11 +80,30 @@ class TestExitCodes:
         assert code == 1
 
     def test_dense_cap_exceeded(self, capsys):
-        code, _, err = run_cli(
-            capsys, "simulate", "--n", str(2**26), "--k", "2", "--backend", "dense"
-        )
-        assert code == 1
-        assert "reduced" in err
+        for args in (("simulate", "--k", "2"), ("grover",)):
+            code, out, err = run_cli(capsys, *args, "--n", str(2**26), "--backend", "dense")
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: N={2**26} exceeds the dense backend cap {2**24}; use the reduced backend for large N\n"
+            )
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: partial_search.run_full_grover(BlockConfig(2**25, 1, 0), 3, backend="dense"),
+            lambda: partial_search.run_partial_search(BlockConfig(2**25, 2, 0), 0.5, backend="dense"),
+        ],
+        ids=["run_full_grover", "run_partial_search"],
+    )
+    def test_dense_cap_refuses_before_any_allocation(self, run):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInstanceError, match="dense backend cap"):
+                run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_more_blocks_than_a_report_lists_names_k(self, capsys):
         # N = 2**52, K = 2**51 is a valid instance, but its report cannot list 2**51 blocks.
@@ -151,29 +176,6 @@ class TestExitCodes:
         )
         assert (code, err) == (0, "")
         assert len(json.loads(out)["block_probs"]) == 1024
-
-    def test_dense_cap_overridable(self, capsys, tmp_path):
-        out_path = tmp_path / "r.json"
-        code, _, _ = run_cli(
-            capsys,
-            "simulate", "--n", "256", "--k", "2", "--backend", "dense",
-            "--dense-cap", "256", "--format", "json", "--output", str(out_path),
-        )
-        assert code == 0
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("simulate", "--backend", "dense", "--n", "256"),
-            ("grover", "--backend", "dense", "--n", "256"),
-            ("demo", "--which", "step2-histogram", "--n", "64"),
-        ],
-    )
-    def test_dense_cap_lowered_refuses(self, capsys, args):
-        cap = str(int(args[-1]) // 2)
-        code, _, err = run_cli(capsys, *args, "--dense-cap", cap)
-        assert code == 1
-        assert f"cap {cap}" in err
 
     @pytest.mark.parametrize(
         "args",
@@ -258,18 +260,25 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
         [
+            ("simulate", *HUGE_DENSE, "--k", "4", "--dense-cap", str(2**44)),
+            ("grover", *HUGE_DENSE, "--steps", "3", "--dense-cap", str(2**44)),
+            ("demo", "--which", "step2-histogram", "--n", "64", "--dense-cap", "64"),
             ("optimize", "--k", "4", "--dense-cap", "64"),
             ("table", "--k", "4", "--dense-cap", "64"),
             ("classical", "--k", "4", "--dense-cap", "64"),
             ("bounds", "--k", "4", "--dense-cap", "64"),
             ("optimize", "--k", "4", "--tol", "1e-9"),  # optimize_epsilon is exact; --tol is gone
         ],
-        ids=["optimize", "table", "classical", "bounds", "optimize-tol"],
+        ids=["simulate", "grover", "demo", "optimize", "table", "classical", "bounds", "optimize-tol"],
     )
-    def test_dense_cap_only_on_dense_commands(self, capsys, args):
-        # An option the command does not take is argparse's usage error, exit 1.
-        code, _, _ = run_cli(capsys, *args)
-        assert code == 1
+    def test_removed_options_are_usage_errors(self, capsys, args):
+        # No command takes --dense-cap, since the dense cap is fixed.  An option a command does not take is
+        # argparse's usage error: exit 1, naming the option, before any run.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *args)
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {args[-2]} {args[-1]}" in err
 
     def test_internal_failure_maps_to_2(self, capsys, monkeypatch):
         import partialsearch.cli as cli_mod
@@ -327,6 +336,9 @@ class TestExitCodes:
             lambda: theta1(-1e-3, 4),
             lambda: theta2(math.pi, 4),
             lambda: analysis.breakdown_for_theta(math.nan, 4, 0.5),
+            lambda: iteration_counts(0, 2, 0.5),
+            lambda: iteration_counts(-4, 2, 0.5),
+            lambda: iteration_counts(2**60, 4, 0.5),
         ],
         ids=[
             "optimize-k1", "infeasible-epsilon", "classical-no-trials",
@@ -336,7 +348,7 @@ class TestExitCodes:
             "formulas-n0", "arcsin-no-samples", "reduction-alpha-negative", "reduction-alpha-nan",
             "reduction-n-negative", "reduction-n-past-2**52", "arcsin-n0", "arcsin-n1", "arcsin-n-negative",
             "arcsin-seed-negative", "arcsin-n-past-2**21", "theta1-negative-theta", "theta2-theta-pi",
-            "breakdown-theta-nan",
+            "breakdown-theta-nan", "iteration-n0", "iteration-n-negative", "iteration-n-past-2**52",
         ],
     )
     def test_library_input_errors_are_invalid_instance(self, call):

@@ -17,7 +17,7 @@ PUBLIC = [
     "BlockConfig", "ClassicalReport", "CostBreakdown", "DENSE_CAP", "DenseState",
     "HybridTrajectory", "InfeasibleEpsilonError", "InvalidInstanceError", "OperatorTag",
     "ReducedState", "RunReport", "Script", "TWELVE_ITEM_SCRIPT", "__version__",
-    "alpha_target", "angle_distance", "apply_operator", "apply_script", "attach_ancilla",
+    "alpha_target", "apply_operator", "apply_script", "attach_ancilla",
     "block_diffusion", "block_probabilities", "classical_formulas", "cost_coefficient",
     "exact_expected_probes", "feasible_epsilon_interval", "global_diffusion", "grover_script",
     "hybrid_step_margins", "hybrid_trajectory", "invert_target", "iteration_counts",

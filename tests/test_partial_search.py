@@ -87,6 +87,11 @@ class TestIterationCounts:
         with pytest.raises(InvalidInstanceError):
             iteration_counts(1000, 7, 0.5)
 
+    @pytest.mark.parametrize("n", [0, -4, 1, 2**52 + 4, 2**60])
+    def test_rejects_n_outside_the_float_exact_range_naming_n(self, n):
+        with pytest.raises(InvalidInstanceError, match=rf"got N={n}$"):
+            iteration_counts(n, 2, 0.5)
+
 
 class TestRunPartialSearch:
     def test_default_epsilon_hits_target_block(self):

@@ -10,7 +10,6 @@ from partialsearch import (
     InvalidInstanceError,
     OperatorTag,
     ReducedState,
-    angle_distance,
     apply_script,
     attach_ancilla,
     grover_script,
@@ -37,6 +36,21 @@ def basis_state(n, i):
     v = np.zeros(n)
     v[i] = 1.0
     return v
+
+
+def angle_distance(v, w):
+    """The dense reference for the package's reduced angles: arccos |<v|w>| between real unit states (arrays or
+    dense states), as 2 arcsin(min(|v - w|, |v + w|) / 2), which keeps full precision at small angles."""
+    va, wa = _as_unit_array(v), _as_unit_array(w)
+    return 2.0 * math.asin(min(1.0, math.sqrt(min(np.sum((va - wa) ** 2), np.sum((va + wa) ** 2))) / 2.0))
+
+
+def _as_unit_array(v):
+    arr = np.asarray(getattr(v, "amplitudes", v))
+    norm = float(np.linalg.norm(arr))
+    if np.iscomplexobj(arr) or not abs(norm - 1.0) <= 1e-6:
+        raise ValueError(f"expected a real unit state, got {arr.dtype} with norm {norm!r}")
+    return arr
 
 
 class TestAngleDistance:
