@@ -2,7 +2,7 @@
 
 Find only the block containing a marked address, not the address itself:
 three amplitude-amplification steps do it in fewer oracle queries than a
-full search.  The package provides exact dense and symmetry-reduced
+full search.  The package provides dense and symmetry-reduced float64
 statevector backends, the query-count calculus with its epsilon optimizer
 and matching lower bounds, zero-error classical baselines, and numeric
 checks of the erring-search lower-bound machinery.

@@ -227,8 +227,7 @@ def _report(state, cfg: BlockConfig, **extra) -> RunReport:
         miss_prob = (cfg.n_addresses - cfg.block_size) * state.c**2
     else:
         block_probs = tuple(statevector.block_probabilities(state, cfg).tolist())
-        amps = [state.branch(bit)[cfg.target] for bit in range(1 + state.has_ancilla)]
-        target_prob = float(sum(a * a for a in amps))  # address_probabilities' a*a + b*b, for one address
+        target_prob = float(statevector._probabilities(state, cfg.target, cfg.target + 1)[0])
         miss_prob = math.fsum(p for block, p in enumerate(block_probs) if block != cfg.target_block)
     return RunReport(
         queries=state.queries,

@@ -10,10 +10,10 @@ alike, so throughout a run the state is fully described by
        after the step-3 move-out).
 
 All dynamics are real reflections, so only reals are stored.  N enters the
-arithmetic only through sqrt(N), N/K and means, which keeps runs exact up
-to N = 2**52.  Operators are closed-form conjugations of the dense ones
-onto this invariant subspace; `lift_to_dense` expands back for comparison
-against the ground-truth backend.
+arithmetic only through sqrt(N), N/K and means, so runs reach N = 2**52, but
+step 3's cancellation 2*mean0 - c costs digits there (the README's notes).
+Operators are closed-form conjugations of the dense ones onto this invariant
+subspace; `lift_to_dense` expands back for comparison against the dense one.
 
 A run is a few stages, each one round of operators repeated `count` times;
 `apply_stages`, the twin of `statevector.apply_stages`, runs them all in one
@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .statevector import BLOCK_ROUND, GLOBAL_ROUND, OperatorTag, Stage
 from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError, Record
-from .statevector import _NORM_ATOL, _check_dense_cap, _interleave
+from .statevector import _NORM_ATOL, _adjoin_ancilla, _check_dense_cap
 
 
 class ReducedState(Record):
@@ -45,6 +45,8 @@ class ReducedState(Record):
     queries: int = 0
 
     def __post_init__(self) -> None:
+        if self.d != 0 and not self.moved_out:
+            raise InvalidInstanceError(f"d={self.d!r} is nonzero, but no amplitude was moved out to branch 1")
         norm2 = self.norm_squared()
         if not abs(norm2 - 1.0) <= _NORM_ATOL:
             raise ValueError(f"reduced state is not normalized: |amp|^2 = {norm2!r}")
@@ -146,5 +148,5 @@ def lift_to_dense(state: ReducedState) -> DenseState:
     branch0 = np.full(n, state.c)
     branch0[block_lo : block_lo + m] = state.b
     branch0[cfg.target] = state.a
-    amp = _interleave(branch0, cfg.target, state.d) if state.moved_out else branch0
+    amp = _adjoin_ancilla(branch0, cfg.target, state.d) if state.moved_out else branch0
     return DenseState(amp, n, has_ancilla=state.moved_out, queries=state.queries)

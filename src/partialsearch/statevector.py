@@ -1,8 +1,8 @@
 """Dense statevector backend: the slow, trusted ground truth.
 
-States are real float64 amplitude arrays over N addresses, interleaved to
-2N entries (2x + b: address x, ancilla bit b) once step 3 adjoins the
-ancilla.  Every operator is a real reflection; complex input is refused
+States are real float64 arrays over N addresses, grown to 2N once step 3
+adjoins the ancilla as the high qubit (entry bN + x: ancilla bit b, address
+x).  Every operator is a real reflection; complex input is refused
 rather than cast, since a cast would silently drop imaginary parts.
 
 States are immutable values on read-only arrays; the uniform start is a
@@ -133,8 +133,8 @@ class DenseState(Record):
     """Full amplitude description of the register.
 
     Without the ancilla, ``amplitudes`` has length N and entry x is the
-    amplitude of address x.  With the ancilla, length is 2N in address-major
-    order: entry 2x + b is the amplitude of address x with ancilla bit b.
+    amplitude of address x.  With the ancilla, length is 2N in branch-major
+    order: entry bN + x is the amplitude of address x with ancilla bit b.
     A float64 array is adopted without a copy and marked read-only.
     """
 
@@ -162,18 +162,14 @@ class DenseState(Record):
 
     def branch(self, bit: int) -> np.ndarray:
         """Amplitudes of one ancilla branch, in address order."""
-        if not self.has_ancilla:
-            if bit != 0:
-                raise ValueError("state has no ancilla")
-            return self.amplitudes
-        return self.amplitudes[bit::2]
+        if bit and not self.has_ancilla:
+            raise ValueError("state has no ancilla")
+        n = self.n_addresses
+        return self.amplitudes[bit * n : bit * n + n] if self.has_ancilla else self.amplitudes
 
     def address_probabilities(self) -> np.ndarray:
         """Per-address probability, summed over ancilla branches."""
-        p = self.branch(0) ** 2
-        if self.has_ancilla:
-            p += self.branch(1) ** 2
-        return p
+        return _probabilities(self, 0, self.n_addresses)
 
 
 def uniform_state(n_addresses: int) -> DenseState:
@@ -190,7 +186,7 @@ def attach_ancilla(state: DenseState) -> DenseState:
     """Adjoin an ancilla qubit in state 0 (branch 1 all zero); a run with step 3 does this itself."""
     if state.has_ancilla:
         raise ValueError("state already has an ancilla")
-    return DenseState(_interleave(state.amplitudes.copy()), state.n_addresses, has_ancilla=True, queries=state.queries)
+    return DenseState(_adjoin_ancilla(state.amplitudes.copy()), state.n_addresses, True, state.queries)
 
 
 def invert_target(state: DenseState, cfg: BlockConfig) -> DenseState:
@@ -225,15 +221,15 @@ def apply_stages(state: DenseState, stages: Sequence[Stage], cfg: BlockConfig) -
     step 3 takes branch 0's mean, and at the end; an ancilla-free input that ran step 3 then gains the ancilla."""
     _check_shapes(state, cfg)
     import numpy as np
-    ancilla, queries, t = state.has_ancilla, state.queries, cfg.target
+    ancilla, queries, n, t = state.has_ancilla, state.queries, cfg.n_addresses, cfg.target
     amp = state.amplitudes.copy()
-    branch0 = amp[0::2] if ancilla else amp
+    branch0 = amp[:n] if ancilla else amp  # no view of an ancilla-free copy, so it can grow in place
     # A diffusion maps each x to 2*mean - x, step 3 maps branch 0 to 2*mean0 - x and the oracle touches only the
     # target, so branch 0 is a_t at the target and sign*x + shift[block of x] at every other x (a scalar shift until
     # the first block diffusion), and branch 1 is d at the target and as given elsewhere.  Each stage takes its sums
     # afresh on first use, from the written-back array, and carries them: a diffusion keeps its own, the oracle moves
     # the total and the target's block sum by -2*a_t, and a global diffusion maps each block sum s to 2*total/K - s.
-    a_t, d, sign, shift = branch0[t], amp[2 * t + 1] if ancilla else 0.0, 1.0, 0.0
+    a_t, d, sign, shift = branch0[t], amp[n + t] if ancilla else 0.0, 1.0, 0.0
     for round_ops, count in stages:
         total = sums = None
         for _ in range(count):
@@ -245,7 +241,7 @@ def apply_stages(state: DenseState, stages: Sequence[Stage], cfg: BlockConfig) -
                     a_t, d = -a_t, -d
                     queries += 1
                 elif op is OperatorTag.STEP3:
-                    if abs(d) > _NORM_ATOL or state.has_ancilla and max(amp[1::2].max(), -amp[1::2].min()) > _NORM_ATOL:
+                    if abs(d) > _NORM_ATOL or state.has_ancilla and max(amp[n:].max(), -amp[n:].min()) > _NORM_ATOL:
                         raise ValueError("ancilla branch 1 must be empty before step 3")
                     sign, shift = _write_back(branch0, t, d, sign, shift, cfg)  # the target swaps branches
                     d, shift = a_t, 2.0 * branch0.mean()
@@ -257,7 +253,7 @@ def apply_stages(state: DenseState, stages: Sequence[Stage], cfg: BlockConfig) -
                     if total is None:
                         sign, shift = _write_back(branch0, t, a_t, sign, shift, cfg)
                         total = branch0.sum()
-                    mean2 = 2.0 * (total / cfg.n_addresses)
+                    mean2 = 2.0 * (total / n)
                     sums = None if sums is None else 2.0 * total / cfg.n_blocks - sums
                     a_t, sign, shift = mean2 - a_t, -sign, mean2 - shift
                 elif op is OperatorTag.BLOCK_DIFFUSION:
@@ -273,10 +269,10 @@ def apply_stages(state: DenseState, stages: Sequence[Stage], cfg: BlockConfig) -
                     raise ValueError(f"unknown operator {op!r}")
     _write_back(branch0, t, a_t, sign, shift, cfg)
     if state.has_ancilla:
-        amp[2 * t + 1] = d
+        amp[n + t] = d
     elif ancilla:
-        amp = _interleave(amp, t, d)
-    return DenseState(amp, state.n_addresses, ancilla, queries)
+        amp = _adjoin_ancilla(amp, t, d)
+    return DenseState(amp, n, ancilla, queries)
 
 
 def _write_back(amp: np.ndarray, t: int, a_t: float, sign: float, shift, cfg: BlockConfig) -> tuple[float, float]:
@@ -295,15 +291,9 @@ def block_probabilities(state: DenseState, cfg: BlockConfig) -> np.ndarray:
     _check_shapes(state, cfg)
     import numpy as np
 
-    def squares(lo: int, hi: int) -> np.ndarray:  # the probabilities of addresses lo..hi-1
-        p = state.branch(0)[lo:hi] ** 2
-        if state.has_ancilla:
-            p += state.branch(1)[lo:hi] ** 2
-        return p
-
     def block_sum(lo: int, n: int) -> float:  # numpy's pairwise split of n addresses, down to slices it sums whole
         if n <= _SLICE:
-            return squares(lo, lo + n).sum()
+            return _probabilities(state, lo, lo + n).sum()
         half = n // 2 - n // 2 % 8
         return block_sum(lo, half) + block_sum(lo + half, n - half)
 
@@ -312,21 +302,24 @@ def block_probabilities(state: DenseState, cfg: BlockConfig) -> np.ndarray:
         return np.array([block_sum(lo, m) for lo in range(0, cfg.n_addresses, m)])
     rows, probs = _SLICE // m, np.empty(cfg.n_blocks)
     for lo in range(0, cfg.n_blocks, rows):
-        probs[lo : lo + rows] = squares(lo * m, (lo + rows) * m).reshape(-1, m).sum(axis=1)  # one sum per block
+        probs[lo : lo + rows] = _probabilities(state, lo * m, (lo + rows) * m).reshape(-1, m).sum(axis=1)
     return probs
 
 
-def _interleave(amp: np.ndarray, target: int = 0, moved_out: float = 0.0) -> np.ndarray:
-    """Grow ``amp`` (it owns its data; no view of it exists) in place to the ancilla layout: entry 2x is its x,
-    and branch 1 is empty but for ``moved_out`` at the target."""
-    n = hi = len(amp)
+def _probabilities(state: DenseState, lo: int, hi: int) -> np.ndarray:
+    """The probabilities of addresses lo..hi-1, summed over ancilla branches."""
+    p = state.branch(0)[lo:hi] ** 2
+    if state.has_ancilla:
+        p += state.branch(1)[lo:hi] ** 2
+    return p
+
+
+def _adjoin_ancilla(amp: np.ndarray, target: int = 0, moved_out: float = 0.0) -> np.ndarray:
+    """Grow ``amp`` (it owns its data; no view of it exists) in place to the ancilla layout: it stays branch 0,
+    and branch 1, which numpy zero-fills, is empty but for ``moved_out`` at the target."""
+    n = len(amp)
     amp.resize(2 * n, refcheck=False)
-    while hi > 1:  # top down: lo..hi-1 land at 2*lo and up, past all left to move (numpy buffers an odd hi's overlap)
-        lo = hi // 2
-        amp[2 * lo : 2 * hi : 2] = amp[lo:hi]
-        hi = lo
-    amp[1::2] = 0.0
-    amp[2 * target + 1] = moved_out
+    amp[n + target] = moved_out
     return amp
 
 

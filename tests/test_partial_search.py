@@ -469,16 +469,16 @@ class TestStageDispatch:
 
     def test_dense_kernel_writes_the_ancilla_layout_once_at_the_end(self, rng, monkeypatch):
         """The dense kernel holds branch 1 as one scalar: a standard run hands its final N-length branch 0 to
-        _interleave once, after its last stage, and a run from an ancilla input never calls it."""
-        calls, interleave = [], statevector._interleave
+        _adjoin_ancilla once, after its last stage, and a run from an ancilla input never calls it."""
+        calls, adjoin_ancilla = [], statevector._adjoin_ancilla
 
         def spy(amp, *args):
             calls.append((amp.copy(), *args))
-            return interleave(amp, *args)
+            return adjoin_ancilla(amp, *args)
 
         cfg = BlockConfig(256, 4, 37)
         ancilla_start = attach_ancilla(random_unit_state(rng, 256))
-        monkeypatch.setattr(statevector, "_interleave", spy)
+        monkeypatch.setattr(statevector, "_adjoin_ancilla", spy)
         stages = standard_pipeline_stages(*iteration_counts(256, 4, optimize_epsilon(4)[0])[:2])
         got = apply_stages(uniform_state(256), stages, cfg)
         [(branch0, target, moved_out)] = calls
@@ -594,8 +594,8 @@ class TestIdentityQueries:
             elif op is OperatorTag.BLOCK_DIFFUSION:
                 state = block_diffusion(state, cfg)
             elif skip:
-                amp = attach_ancilla(state).amplitudes.copy()
-                amp[0::2] = 2.0 * amp[0::2].mean() - amp[0::2]
+                amp, n = attach_ancilla(state).amplitudes.copy(), cfg.n_addresses
+                amp[:n] = 2.0 * amp[:n].mean() - amp[:n]
                 state = DenseState(amp, cfg.n_addresses, True, state.queries + 1)
             else:
                 state = step3_transfer(attach_ancilla(state), cfg)

@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +55,14 @@ class TestInit:
     def test_refuses_unnormalized_amplitudes(self, a):
         with pytest.raises(ValueError, match="not normalized"):
             ReducedState(BlockConfig(4, 2, 0), a, 0.0, 0.0)
+
+    def test_refuses_a_branch_1_amplitude_never_moved_out(self):
+        # The norm is 1, so the error must name d: lifting such a state, or running step 3 on it, blamed the norm.
+        s, cfg = math.sqrt(0.5 / 16), BlockConfig(16, 4, 5)
+        with pytest.raises(InvalidInstanceError, match=re.escape(f"d={math.sqrt(0.5)!r} is nonzero")):
+            ReducedState(cfg, s, s, s, math.sqrt(0.5), False)
+        flipped = reduced_apply(reduced_init(cfg), ORACLE)  # the oracle turns d = 0.0 into -0.0, which stays allowed
+        assert math.copysign(1.0, flipped.d) == -1.0 and not flipped.moved_out
 
     def test_block_probabilities_are_python_floats(self):
         probs = reduced_init(BlockConfig(64, 4, 37)).block_probabilities()
@@ -194,6 +204,40 @@ class TestBackendEquivalence:
                 staged = apply_script(reduced_init(cfg), script, cfg)
                 assert _max_field_diff(staged, reduced) <= 1e-12, f"N={n} K={k} script={script}"
                 assert (staged.moved_out, staged.queries) == (reduced.moved_out, reduced.queries)
+
+
+    def test_random_stage_lists_agree(self):
+        """Seeded random stage lists over every K | N: half end in STEP3, and half of those run one more round after
+        it.  The dense run equals the lifted reduced one to 1e-10, or both refuse with the same error."""
+        rnd, pool, runs, refused = random.Random(33), (ORACLE, GLOBAL, BLOCK), 0, 0
+
+        def random_round(max_count):
+            return tuple(rnd.choice(pool) for _ in range(rnd.randint(1, 4))), rnd.randint(0, max_count)
+
+        def run(start, stages, cfg):
+            try:
+                return apply_stages(start, stages, cfg), None
+            except ValueError as exc:
+                return None, (type(exc), str(exc))
+
+        for n in [2**j for j in range(1, 11)] + [3 * 2**j for j in range(9)]:
+            for k in [k for k in range(1, n + 1) if n % k == 0]:
+                for _ in range(3):
+                    cfg = BlockConfig(n, k, rnd.randrange(n))
+                    stages = [random_round(30) for _ in range(rnd.randint(1, 4))]
+                    if rnd.random() < 0.5:
+                        stages.append(((STEP3,), 1))
+                        if rnd.random() < 0.5:
+                            stages.append(random_round(3))
+                    dense, dense_error = run(uniform_state(n), stages, cfg)
+                    reduced, reduced_error = run(reduced_init(cfg), stages, cfg)
+                    assert dense_error == reduced_error, f"{cfg} {stages}"
+                    runs, refused = runs + 1, refused + (dense_error is not None)
+                    if dense_error is None:
+                        lifted = lift_to_dense(reduced)
+                        assert np.max(np.abs(lifted.amplitudes - dense.amplitudes)) <= 1e-10, f"{cfg} {stages}"
+                        assert (lifted.queries, lifted.has_ancilla) == (dense.queries, dense.has_ancilla)
+        assert (runs, 0 < refused < runs) == (465, True)
 
 
 class TestGroverRotation:

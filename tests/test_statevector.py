@@ -38,11 +38,10 @@ def reference_inversion(amplitudes, lo, hi):
 
 def reference_oracle(amp, cfg):
     out = amp.copy()
-    if amp.size == 2 * cfg.n_addresses:
-        t = 2 * cfg.target
-        out[t], out[t + 1] = -amp[t], -amp[t + 1]
-    else:
-        out[cfg.target] = -amp[cfg.target]
+    n, t = cfg.n_addresses, cfg.target
+    out[t] = -amp[t]
+    if amp.size == 2 * n:
+        out[n + t] = -amp[n + t]
     return out
 
 
@@ -53,10 +52,10 @@ def reference_block_diffusion(amp, cfg):
 
 def reference_step3(amp, cfg):
     out = amp.copy()
-    t = 2 * cfg.target
-    out[t], out[t + 1] = amp[t + 1], amp[t]
-    branch0 = out[0::2]
-    out[0::2] = 2.0 * branch0.mean() - branch0
+    n, t = cfg.n_addresses, cfg.target
+    out[t], out[n + t] = amp[n + t], amp[t]
+    branch0 = out[:n]
+    out[:n] = 2.0 * branch0.mean() - branch0
     return out
 
 
@@ -78,7 +77,7 @@ def reference_stages(n, stages, cfg, start=None):
         for _ in range(count):
             for op in round_ops:
                 if op is OperatorTag.STEP3 and amp.size == n:
-                    amp = np.column_stack([amp, np.zeros(n)]).reshape(-1)
+                    amp = np.concatenate([amp, np.zeros(n)])
                 amp = REFERENCE[op](amp, cfg)
     return amp
 
@@ -346,9 +345,9 @@ class TestStep3Transfer:
         cfg = BlockConfig(n, k, 1)
         a, b, c = 0.8, 0.0, 0.3
         amp = np.zeros(2 * n)
-        amp[0::2] = c
-        amp[0:8:2] = b
-        amp[2 * cfg.target] = a
+        amp[:n] = c
+        amp[: n // k] = b
+        amp[cfg.target] = a
         state = DenseState(amp, n, has_ancilla=True)
         out = step3_transfer(state, cfg)
         assert out.branch(1)[cfg.target] == pytest.approx(a, abs=1e-15)
@@ -359,7 +358,7 @@ class TestStep3Transfer:
     def test_point_mass_on_target(self):
         cfg = BlockConfig(6, 3, 2)
         amp = np.zeros(12)
-        amp[2 * 2] = 1.0
+        amp[2] = 1.0
         state = DenseState(amp, 6, has_ancilla=True)
         out = step3_transfer(state, cfg)
         assert out.branch(1)[2] == pytest.approx(1.0)
@@ -402,8 +401,8 @@ class TestBlockProbabilities:
     def test_sums_ancilla_branches(self):
         cfg = BlockConfig(4, 2, 3)
         amp = np.zeros(8)
-        amp[2 * 3] = math.sqrt(0.5)
-        amp[2 * 3 + 1] = math.sqrt(0.5)
+        amp[3] = math.sqrt(0.5)
+        amp[4 + 3] = math.sqrt(0.5)
         state = DenseState(amp, 4, has_ancilla=True)
         assert np.allclose(block_probabilities(state, cfg), [0.0, 1.0], atol=1e-15)
 
@@ -438,20 +437,20 @@ class TestBlockProbabilities:
 
 
 class TestAncillaLayout:
-    """The in-place layout writer and its callers, against the zeros-then-stride reference, bit for bit."""
+    """The in-place layout writer and its callers, against the zeros-then-copy reference, bit for bit."""
 
     @staticmethod
     def reference(branch0, target=0, moved_out=0.0):
         amp = np.zeros(2 * branch0.size)
-        amp[0::2] = branch0
-        amp[2 * target + 1] = moved_out
+        amp[: branch0.size] = branch0
+        amp[branch0.size + target] = moved_out
         return amp
 
     @pytest.mark.parametrize("n", [2, 3, 5, 12, 48, 3 * 2**15, 2**18])
-    def test_interleave_attach_and_lift(self, rng, n):
+    def test_adjoin_attach_and_lift(self, rng, n):
         target = (2 * n) // 3
         branch0 = rng.standard_normal(n)
-        got = statevector._interleave(branch0.copy(), target, -0.375)
+        got = statevector._adjoin_ancilla(branch0.copy(), target, -0.375)
         assert got.tobytes() == self.reference(branch0, target, -0.375).tobytes()
         state = random_unit_state(rng, n)
         assert attach_ancilla(state).amplitudes.tobytes() == self.reference(state.amplitudes).tobytes()
