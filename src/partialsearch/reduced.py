@@ -20,10 +20,11 @@ A run is a few stages, each one round of operators repeated `count` times;
 call.  A Grover round (oracle, then inversion about the mean of M
 amplitudes) rotates the target and the uniform rest of those M amplitudes
 by 2 arcsin(1/sqrt(M)), so before step 3 `count` rounds are one rotation
-(Boyer, Brassard, Hoyer, Tapp, quant-ph/9605034).  Block rounds rotate
-(a, sqrt(m - 1) b), M = m = N/K, and leave c alone; global rounds rotate
-(a, sqrt(N - 1) mu), M = N, mu the non-target mean, and flip the sign of
-b - mu and c - mu every round.  Other stages run through `reduced_apply`.
+(Boyer, Brassard, Hoyer, Tapp, quant-ph/9605034), which the dense kernel
+shares: `statevector._grover_rounds`.  Block rounds rotate (a, sqrt(m - 1) b),
+M = m = N/K, and leave c alone; global rounds rotate (a, sqrt(N - 1) mu),
+M = N, mu the non-target mean, and flip the sign of b - mu and c - mu every
+round.  Other stages run through `reduced_apply`.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from typing import Sequence
 
 from .statevector import BLOCK_ROUND, GLOBAL_ROUND, OperatorTag, Stage
 from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError, Record
-from .statevector import _NORM_ATOL, _adjoin_ancilla, _check_dense_cap
+from .statevector import _NORM_ATOL, _adjoin_ancilla, _check_dense_cap, _grover_rounds
 
 
 class ReducedState(Record):
@@ -125,17 +126,6 @@ def apply_stages(state: ReducedState, stages: Sequence[Stage], cfg: BlockConfig)
             b, c = mu_out + sign * (b - mu), mu_out + sign * (c - mu)
         state = ReducedState(cfg, a, b, c, state.d, False, state.queries + count)
     return state
-
-
-def _grover_rounds(a: float, w: float, size: int, count: int) -> tuple[float, float]:
-    """``count`` rounds of negating a, then inverting a and size - 1 copies of w about their mean."""
-    if size == 1:
-        # No w addresses: a round negates a and maps w to -w - 2a (w is never observed).
-        sign = -1.0 if count % 2 else 1.0
-        return sign * a, sign * (w + 2 * count * a)
-    angle = count * (2 * math.asin(1.0 / math.sqrt(size)))
-    cos, sin, root = math.cos(angle), math.sin(angle), math.sqrt(size - 1)
-    return cos * a + sin * root * w, cos * w - sin * a / root
 
 
 def lift_to_dense(state: ReducedState) -> DenseState:

@@ -8,11 +8,10 @@ rather than cast, since a cast would silently drop imaginary parts.
 States are immutable values on read-only arrays; the uniform start is a
 broadcast view of one scalar, so it costs no array.  All operator arithmetic is
 in `apply_stages`, which runs a whole stage list on one private copy of the
-input.  It composes every operator, step 3 too, into one map per block of
-branch 0, holds branch 1 at the target as one scalar, and writes the copy only
-where a stage first takes its sums (each stage takes them afresh), where step 3
-takes its mean, and at the end, where it adjoins the ancilla once and checks
-the norm.  Public operators are one-stage lists, `partial_search.apply_stages`
+input: a stage of Grover rounds as one rotation, `_grover_rounds`, which the
+reduced backend shares, and every other operator in place, in order.  Branch 1
+is one scalar until the end, which adjoins the ancilla once and checks the
+norm.  Public operators are one-stage lists, `partial_search.apply_stages`
 makes one call per run, and oracle calls count queries.
 
 The instance types (`BlockConfig`, `OperatorTag`, `InvalidInstanceError`, the
@@ -162,6 +161,8 @@ class DenseState(Record):
 
     def branch(self, bit: int) -> np.ndarray:
         """Amplitudes of one ancilla branch, in address order."""
+        if bit not in (0, 1):
+            raise ValueError(f"ancilla bit must be 0 or 1, got {bit!r}")
         if bit and not self.has_ancilla:
             raise ValueError("state has no ancilla")
         n = self.n_addresses
@@ -216,58 +217,50 @@ def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
 
 
 def apply_stages(state: DenseState, stages: Sequence[Stage], cfg: BlockConfig) -> DenseState:
-    """Each stage's ``count`` rounds, operators in order, on one private copy of ``state``'s array.  Every operator
-    composes into one map per block of branch 0, written to the copy only where a stage first takes a sum, where
-    step 3 takes branch 0's mean, and at the end; an ancilla-free input that ran step 3 then gains the ancilla."""
+    """Each stage's ``count`` rounds on one private copy of ``state``'s array: 2 or more Grover rounds on an
+    ancilla-free state as one rotation, other operators in place, in order; step 3 adjoins the ancilla at the end."""
     _check_shapes(state, cfg)
     import numpy as np
     ancilla, queries, n, t = state.has_ancilla, state.queries, cfg.n_addresses, cfg.target
     amp = state.amplitudes.copy()
-    branch0 = amp[:n] if ancilla else amp  # no view of an ancilla-free copy, so it can grow in place
-    # A diffusion maps each x to 2*mean - x, step 3 maps branch 0 to 2*mean0 - x and the oracle touches only the
-    # target, so branch 0 is a_t at the target and sign*x + shift[block of x] at every other x (a scalar shift until
-    # the first block diffusion), and branch 1 is d at the target and as given elsewhere.  Each stage takes its sums
-    # afresh on first use, from the written-back array, and carries them: a diffusion keeps its own, the oracle moves
-    # the total and the target's block sum by -2*a_t, and a global diffusion maps each block sum s to 2*total/K - s.
-    a_t, d, sign, shift = branch0[t], amp[n + t] if ancilla else 0.0, 1.0, 0.0
+    # No view of an ancilla-free copy, so it can grow in place; d is branch 1 at the target.
+    branch0, d = (amp[:n], amp[n + t]) if ancilla else (amp, 0.0)
     for round_ops, count in stages:
-        total = sums = None
+        if round_ops in (GLOBAL_ROUND, BLOCK_ROUND) and count > 1 and not ancilla:
+            # The rounds rotate (a_t, sqrt(size - 1) mu), mu the mean of the rest of the target's block (all N for a
+            # global round); there each other entry keeps its deviation from mu, sign flipped every round, and each
+            # other block reflects about its own mean every round.  One round runs below, bit-equal to the operators.
+            size = n if round_ops == GLOBAL_ROUND else cfg.block_size
+            blocks, row = branch0.reshape(-1, size), t // size
+            sums = blocks.sum(axis=1, keepdims=True)
+            mu = (sums[row, 0] - branch0[t]) / max(size - 1, 1)
+            a_t, mu_out = _grover_rounds(branch0[t], mu, size, count)
+            if count % 2:
+                shift = 2.0 * (sums / size)
+                shift[row] = mu_out + mu
+                np.subtract(shift, blocks, out=blocks)
+            else:
+                blocks[row] += mu_out - mu
+            branch0[t], queries = a_t, queries + count
+            continue
         for _ in range(count):
             for op in round_ops:
                 if op is OperatorTag.ORACLE:
-                    total = None if total is None else total - 2.0 * a_t
-                    if sums is not None:
-                        sums[cfg.target_block] -= 2.0 * a_t
-                    a_t, d = -a_t, -d
-                    queries += 1
+                    branch0[t], d, queries = -branch0[t], -d, queries + 1
                 elif op is OperatorTag.STEP3:
                     if abs(d) > _NORM_ATOL or state.has_ancilla and max(amp[n:].max(), -amp[n:].min()) > _NORM_ATOL:
                         raise ValueError("ancilla branch 1 must be empty before step 3")
-                    sign, shift = _write_back(branch0, t, d, sign, shift, cfg)  # the target swaps branches
-                    d, shift = a_t, 2.0 * branch0.mean()
-                    a_t, sign, ancilla = shift - branch0[t], -1.0, True
-                    queries += 1
-                elif op is OperatorTag.GLOBAL_DIFFUSION:
+                    branch0[t], d = d, branch0[t]  # the target swaps branches
+                    np.subtract(2.0 * branch0.mean(), branch0, out=branch0)
+                    ancilla, queries = True, queries + 1
+                elif op in (OperatorTag.GLOBAL_DIFFUSION, OperatorTag.BLOCK_DIFFUSION):
                     if ancilla:
-                        raise ValueError("global diffusion is defined on ancilla-free states")
-                    if total is None:
-                        sign, shift = _write_back(branch0, t, a_t, sign, shift, cfg)
-                        total = branch0.sum()
-                    mean2 = 2.0 * (total / n)
-                    sums = None if sums is None else 2.0 * total / cfg.n_blocks - sums
-                    a_t, sign, shift = mean2 - a_t, -sign, mean2 - shift
-                elif op is OperatorTag.BLOCK_DIFFUSION:
-                    if ancilla:
-                        raise ValueError("block diffusion is defined on ancilla-free states")
-                    if sums is None:
-                        sign, shift = _write_back(branch0, t, a_t, sign, shift, cfg)
-                        sums = branch0.reshape(cfg.n_blocks, cfg.block_size).sum(axis=1, keepdims=True)
-                    mean2 = 2.0 * (sums / cfg.block_size)
-                    a_t, sign = mean2[cfg.target_block, 0] - a_t, -sign
-                    shift = np.subtract(mean2, shift, out=mean2)
+                        raise ValueError(f"{op.value.replace('_', ' ')} is defined on ancilla-free states")
+                    size = n if op is OperatorTag.GLOBAL_DIFFUSION else cfg.block_size
+                    blocks = branch0.reshape(-1, size)
+                    np.subtract(2.0 * (blocks.sum(axis=1, keepdims=True) / size), blocks, out=blocks)
                 else:
                     raise ValueError(f"unknown operator {op!r}")
-    _write_back(branch0, t, a_t, sign, shift, cfg)
     if state.has_ancilla:
         amp[n + t] = d
     elif ancilla:
@@ -275,14 +268,15 @@ def apply_stages(state: DenseState, stages: Sequence[Stage], cfg: BlockConfig) -
     return DenseState(amp, n, ancilla, queries)
 
 
-def _write_back(amp: np.ndarray, t: int, a_t: float, sign: float, shift, cfg: BlockConfig) -> tuple[float, float]:
-    """Write ``apply_stages``' map and target into ``amp``, one pass (none for the identity); returns the identity."""
-    import numpy as np
-    if sign < 0 or isinstance(shift, np.ndarray) or shift:
-        blocks = amp.reshape(cfg.n_blocks, cfg.block_size)
-        (np.subtract if sign < 0 else np.add)(shift, blocks, out=blocks)
-    amp[t] = a_t
-    return 1.0, 0.0
+def _grover_rounds(a: float, w: float, size: int, count: int) -> tuple[float, float]:
+    """``count`` rounds of negating a, then inverting a and size - 1 copies of w about their mean."""
+    if size == 1:
+        # No w addresses: a round negates a and maps w to -w - 2a (w is never observed).
+        sign = -1.0 if count % 2 else 1.0
+        return sign * a, sign * (w + 2 * count * a)
+    angle = count * (2 * math.asin(1.0 / math.sqrt(size)))
+    cos, sin, root = math.cos(angle), math.sin(angle), math.sqrt(size - 1)
+    return cos * a + sin * root * w, cos * w - sin * a / root
 
 
 def block_probabilities(state: DenseState, cfg: BlockConfig) -> np.ndarray:

@@ -307,7 +307,7 @@ class TestDenseStages:
     @pytest.mark.parametrize("count", [0, 1, 2, 7, 50])
     @pytest.mark.parametrize("n, k", [(48, 3), (64, 64), (4096, 8), (2**16, 32)])
     def test_matches_per_operator_run(self, n, k, count):
-        """Bit-equal for one round; past it the stage carries its sums, so within 1e-13 of the operator loop."""
+        """Bit-equal for one round; past it each Grover stage is one rotation, so within 1e-13 of the operator loop."""
         cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
         stages = standard_pipeline_stages(count, count)
         for prefix in (stages[:1], stages[:2], stages):
@@ -466,6 +466,20 @@ class TestStageDispatch:
                     assert (got.queries, got.has_ancilla) == (state.queries, state.has_ancilla)
                 else:
                     assert repr(got) == repr(state)
+
+    @pytest.mark.parametrize("n", [2**10, 2**20])
+    def test_dense_grover_stages_are_one_rotation_each(self, monkeypatch, n):
+        """A dense standard run makes one rotation call per Grover stage, whatever its count."""
+        calls, grover_rounds = [], statevector._grover_rounds
+
+        def spy(a, w, size, count):
+            calls.append((size, count))
+            return grover_rounds(a, w, size, count)
+
+        monkeypatch.setattr(statevector, "_grover_rounds", spy)
+        report = run_partial_search(BlockConfig(n, 4, n // 3), backend="dense")
+        assert min(report.l1, report.l2) >= 2
+        assert calls == [(n, report.l1), (n // 4, report.l2)]
 
     def test_dense_kernel_writes_the_ancilla_layout_once_at_the_end(self, rng, monkeypatch):
         """The dense kernel holds branch 1 as one scalar: a standard run hands its final N-length branch 0 to
@@ -694,6 +708,15 @@ class TestDenseAccuracy:
         report = run_partial_search(BlockConfig(n, k, (2 * n) // 3 + 1), backend="dense")
         _, miss = reference_run(n, k, report.l1, report.l2, mpmath)
         assert abs(report.miss_prob - float(miss)) <= 2e-12 * float(miss)
+
+    @pytest.mark.parametrize("n, k", [(2**20, 1024), (2**22, 32), (2**22, 1024)])
+    def test_grover_stages_hold_twelve_digits(self, n, k):
+        # Each Grover stage is one rotation, so step 1's thousands of rounds add no drift; the round-by-round kernel
+        # was 1.8e-12, 3.0e-12 and 5.5e-12 relative off here.
+        mpmath = pytest.importorskip("mpmath")
+        report = run_partial_search(BlockConfig(n, k, (2 * n) // 3 + 1), backend="dense")
+        _, miss = reference_run(n, k, report.l1, report.l2, mpmath)
+        assert abs(report.miss_prob - float(miss)) <= 1e-12 * float(miss)
 
     @pytest.mark.parametrize("k", [4, 1024])
     def test_agrees_with_reduced_at_n_2_22(self, k):

@@ -28,6 +28,12 @@ from conftest import random_unit_state
 ROOT12 = math.sqrt(12.0)
 BLOCK_THEN_GLOBAL = (OperatorTag.ORACLE, OperatorTag.BLOCK_DIFFUSION, OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION)
 GLOBAL_THEN_BLOCK = (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION, OperatorTag.BLOCK_DIFFUSION)
+DIFFUSION_FIRST = (OperatorTag.BLOCK_DIFFUSION, OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION)
+PUBLIC = {
+    OperatorTag.ORACLE: invert_target,
+    OperatorTag.GLOBAL_DIFFUSION: lambda state, cfg: global_diffusion(state),
+    OperatorTag.BLOCK_DIFFUSION: block_diffusion,
+}
 
 
 def reference_inversion(amplitudes, lo, hi):
@@ -109,7 +115,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("count", [0, 1, 2, 7, 50])
     @pytest.mark.parametrize("n, k", [(48, 3), (64, 64), (4096, 8), (2**16, 32)])
     def test_pipeline_stages_match_reference(self, n, k, count):
-        """Bit-equal for one round; past it the kernel carries its sums, so within 1e-13 of the reference."""
+        """Bit-equal for one round; past it each Grover stage is one rotation, so within 1e-13 of the reference."""
         cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
         stages = standard_pipeline_stages(count, count)
         for prefix in (stages[:1], stages[:2], stages):
@@ -125,11 +131,30 @@ class TestAgainstReference:
     )
     @pytest.mark.parametrize("n, k", [(48, 3), (4096, 8), (2**16, 32)])
     def test_mixed_rounds_match_reference(self, n, k, round_ops, count):
-        # A global diffusion changes every block sum, so a carried block sum must follow it.
+        # Neither round is a plain Grover round, so its operators run one by one, each taking its sums afresh.
         cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
         got = apply_stages(uniform_state(n), [(round_ops, count)], cfg)
         assert np.max(np.abs(got.amplitudes - reference_stages(n, [(round_ops, count)], cfg))) <= 1e-13
         assert got.queries == count * round_ops.count(OperatorTag.ORACLE)
+
+    @pytest.mark.parametrize("count", [2, 7])
+    @pytest.mark.parametrize(
+        "round_ops",
+        [GLOBAL_THEN_BLOCK, DIFFUSION_FIRST, (OperatorTag.GLOBAL_DIFFUSION, OperatorTag.ORACLE)],
+        ids=["global-then-block", "diffusion-first", "global-then-oracle"],
+    )
+    @pytest.mark.parametrize("n, k", [(48, 3), (4096, 8), (2**16, 32)])
+    def test_other_rounds_equal_public_calls(self, rng, n, k, round_ops, count):
+        """A stage whose round is not a plain Grover round runs its operators in place and in order, so from a
+        random state it equals the same operators applied one public call at a time, byte for byte."""
+        cfg = BlockConfig(n, k, (2 * n) // 3 + 1)
+        want = start = random_unit_state(rng, n)
+        for _ in range(count):
+            for op in round_ops:
+                want = PUBLIC[op](want, cfg)
+        got = statevector.apply_stages(start, [(round_ops, count)], cfg)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert (got.queries, got.has_ancilla) == (want.queries, False)
 
     @pytest.mark.parametrize("split", [False, True], ids=["one-stage", "split"])
     @pytest.mark.parametrize("count", [1, 2, 7, 50])
@@ -201,6 +226,13 @@ class TestDenseState:
         assert state.branch(0) is state.amplitudes
         with pytest.raises(ValueError, match="no ancilla"):
             state.branch(1)
+
+    @pytest.mark.parametrize("with_ancilla", [False, True], ids=["plain", "ancilla"])
+    @pytest.mark.parametrize("bit", [2, -1])
+    def test_branch_refuses_bits_other_than_0_and_1(self, bit, with_ancilla):
+        state = attach_ancilla(uniform_state(8)) if with_ancilla else uniform_state(8)
+        with pytest.raises(ValueError, match=rf"^ancilla bit must be 0 or 1, got {bit}$"):
+            state.branch(bit)
 
     def test_attach_ancilla_twice_rejected(self):
         with pytest.raises(ValueError, match="already has an ancilla"):
