@@ -27,6 +27,8 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
+    from .reduced import ReducedState
+
 # Dense arrays above this address count are refused; use the reduced
 # backend for large N.
 DENSE_CAP = 2**24
@@ -279,9 +281,15 @@ def _grover_rounds(a: float, w: float, size: int, count: int) -> tuple[float, fl
     return cos * a + sin * root * w, cos * w - sin * a / root
 
 
-def block_probabilities(state: DenseState, cfg: BlockConfig) -> np.ndarray:
-    """Probability of measuring each block index, summed over ancilla branches; equal bit for bit to summing
-    ``address_probabilities`` per block, but squaring at most ``_SLICE`` addresses at a time."""
+def block_probabilities(state: DenseState | ReducedState, cfg: BlockConfig) -> np.ndarray | tuple[float, ...]:
+    """Probability of measuring each block index, summed over ancilla branches.  For a dense state it is equal bit
+    for bit to summing ``address_probabilities`` per block, but squares at most ``_SLICE`` addresses at a time; a
+    reduced state of ``cfg`` gives its own ``block_probabilities()``, without numpy."""
+    from .reduced import ReducedState
+    if isinstance(state, ReducedState):
+        if cfg != state.cfg:
+            raise InvalidInstanceError("config does not match the reduced state")
+        return state.block_probabilities()
     _check_shapes(state, cfg)
     import numpy as np
 

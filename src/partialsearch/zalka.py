@@ -21,11 +21,10 @@ exposed as a parameter.
 Angles between unit states are the ray angle arccos |<v|w>|, which ignores
 global sign, evaluated as 2 arcsin(min(|v - w|, |v + w|) / 2) to keep full
 precision at small angles, where arccos of an overlap near 1 loses it.
-Every run is simulated on the reduced backend, and both hybrid checks take
-their angles from reduced runs through one multiplicity-weighted distance,
-so neither lifts a run: the margins of a trajectory reach N = 2**52 with at
-most 2**16 queries, and the angle sum, one reduced run, reaches N = 2**52.
-A trajectory still lifts a run to a dense state when ``states[i]`` is read.
+Every run is simulated and held on the reduced backend, and both hybrid
+checks take their angles from reduced runs through one multiplicity-weighted
+distance, so no run is lifted: a trajectory and its margins reach N = 2**52
+with at most 2**16 queries, and the angle sum, one reduced run, N = 2**52.
 The array checks import numpy on first use, so `zalka_error_bound` and
 `total_angle_sum` run without it.
 """
@@ -33,14 +32,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
 from .partial_search import Script, _group_stages, apply_script, apply_stages, validate_script
-from .reduced import OperatorTag, ReducedState, lift_to_dense, reduced_init
-from .statevector import MAX_N, BlockConfig, DenseState, InvalidInstanceError, Record
+from .reduced import OperatorTag, ReducedState, reduced_init
+from .statevector import MAX_N, BlockConfig, InvalidInstanceError, Record
 
 _ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
 # Most queries a trajectory runs: T + 1 reduced runs of about 400 B each, about 25 MB and 2-4 s in all.
@@ -83,31 +82,17 @@ def zalka_error_bound(n: int, err: float, hidden_const: float = 1.0) -> float:
     return max(0.0, value)
 
 
-class _LiftedRuns(Record):
-    """Reduced runs read as dense states: each read lifts one run afresh."""
-
-    runs: tuple[ReducedState, ...]
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    def __getitem__(self, i: int) -> DenseState:  # an IndexError past the end also ends iteration
-        return lift_to_dense(self.runs[i])
-
-
 class HybridTrajectory(Record):
     """Final states of hybrid-oracle runs for one marked address.
 
-    ``states[i]`` is the final state when the first T-i oracle calls are
-    the identity and the last i are real (T = total query count); so
-    states[0] is the oracle-free run and states[T] the real run.  The runs
-    are held reduced; each read of ``states[i]`` lifts one to a new read-only
-    dense state.  N, the target and the script are the caller's own arguments.
-    `hybrid_step_margins` reads the reduced runs, so it needs a trajectory
-    from `hybrid_trajectory`; one built over a tuple of dense states has none.
+    ``states[i]`` is the reduced final state when the first T-i oracle calls
+    are the identity and the last i are real (T = total query count); so
+    states[0] is the oracle-free run and states[T] the real run.  Each reads
+    back at every N; ``lift_to_dense(states[i])`` gives its amplitudes where
+    N allows.  N, the target and the script are the caller's own arguments.
     """
 
-    states: Sequence[DenseState]
+    states: tuple[ReducedState, ...]
 
     @property
     def n_queries(self) -> int:
@@ -115,7 +100,7 @@ class HybridTrajectory(Record):
 
 
 def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) -> HybridTrajectory:
-    """Build all T+1 hybrid runs of a script on the reduced backend; ``states`` lifts them on read.
+    """Build all T+1 hybrid runs of a script on the reduced backend.
 
     Diffusions fix the uniform state and an identity call does nothing, so the
     run with j identity calls is the reduced uniform state with j queries
@@ -137,7 +122,7 @@ def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) ->
         for r, q in ((r, q) for r in range(count) for q, op in enumerate(ops) if op in _ORACLE_CALLS):
             state = ReducedState(cfg, u.a, u.b, u.c, moved_out=ops[q] is OperatorTag.STEP3, queries=len(runs))
             runs.append(apply_stages(state, [(ops[q + 1 :], 1), (ops, count - r - 1), *stages[s + 1 :]], cfg))
-    return HybridTrajectory(_LiftedRuns(tuple(reversed(runs))))
+    return HybridTrajectory(tuple(reversed(runs)))
 
 
 def hybrid_step_margins(traj: HybridTrajectory) -> np.ndarray:
@@ -150,7 +135,7 @@ def hybrid_step_margins(traj: HybridTrajectory) -> np.ndarray:
     comes from the reduced runs, so no run is lifted.
     """
     import numpy as np
-    runs = traj.states.runs
+    runs = traj.states
     bound = 2.0 * math.asin(1.0 / math.sqrt(runs[0].cfg.n_addresses))
     return np.fromiter((bound - _reduced_angle(v, w) for v, w in zip(runs, runs[1:])), float, len(runs) - 1)
 

@@ -35,14 +35,15 @@ TABLE = {
 
 
 def brute_force_minimum(k, resolution=2e-5):
-    """Independent oracle: dense scan of the cost coefficient."""
+    """Independent oracle: dense scan of the cost coefficient, the grid's f written out in numpy."""
     lo, hi = feasible_epsilon_interval(k)
-    best = math.inf
-    eps = lo
-    while eps <= hi + 1e-15:
-        best = min(best, cost_coefficient(min(eps, hi), k).coefficient)  # raises if the interval's edge is infeasible
-        eps += resolution
-    return best
+    eps = lo + resolution * np.arange(math.floor((hi - lo) / resolution) + 1)
+    sin, cos = np.sin((PI / 2) * eps), np.cos((PI / 2) * eps)
+    arg2 = (k - 2) * sin / (2 * np.sqrt(1 - (k - 1) / k * sin**2) * math.sqrt(k))
+    assert arg2.max() <= 1 + 1e-12  # the package's clamp: no grid point is past the wall
+    angles = np.arctan2(sin, math.sqrt(k) * cos) + np.arcsin(np.minimum(arg2, 1.0))
+    best = ((PI / 4) * (1 - eps) + angles / (2 * math.sqrt(k))).min()
+    return min(best, cost_coefficient(hi, k).coefficient)  # raises if the interval's edge is infeasible
 
 
 class TestAngles:

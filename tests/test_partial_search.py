@@ -19,6 +19,7 @@ from partialsearch import (
     hybrid_trajectory,
     invert_target,
     iteration_counts,
+    lift_to_dense,
     optimize_epsilon,
     run_full_grover,
     run_partial_search,
@@ -620,14 +621,14 @@ class TestIdentityQueries:
         return hybrid_trajectory(64, self.SCRIPT, self.CFG.target, n_blocks=4)
 
     def test_all_identity_gives_oracle_free_run(self, trajectory):
-        state = trajectory.states[0]
+        state = lift_to_dense(trajectory.states[0])
         assert state.queries == 6
         assert np.allclose(state.branch(0), uniform_state(64).amplitudes, atol=1e-12)
         assert not state.branch(1).any()
 
     @pytest.mark.parametrize("j", range(7))
     def test_prefix_matches_hand_run(self, trajectory, j):
-        state = trajectory.states[6 - j]
+        state = lift_to_dense(trajectory.states[6 - j])
         expected = self.hand_run(self.CFG, self.SCRIPT, j)
         assert np.max(np.abs(state.amplitudes - expected.amplitudes)) < 1e-12
         assert state.queries == expected.queries == 6
@@ -640,9 +641,9 @@ class TestIdentityQueries:
         traj = hybrid_trajectory(48, script, cfg.target, n_blocks=3)
         assert traj.n_queries == 4
         for j in range(5):
-            expected = self.hand_run(cfg, script, j)
-            assert np.max(np.abs(traj.states[4 - j].amplitudes - expected.amplitudes)) < 1e-12
-            assert traj.states[4 - j].queries == expected.queries == 4
+            state, expected = lift_to_dense(traj.states[4 - j]), self.hand_run(cfg, script, j)
+            assert np.max(np.abs(state.amplitudes - expected.amplitudes)) < 1e-12
+            assert state.queries == expected.queries == 4
 
 
 class TestSuccessEnvelope:

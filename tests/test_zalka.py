@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,27 +161,27 @@ class TestHybridTrajectory:
         n, steps, y = 16, 3, 11
         traj = hybrid_trajectory(n, grover_script(steps), y)
         assert traj.n_queries == steps
-        identity_run = traj.states[0]
+        identity_run = lift_to_dense(traj.states[0])
         assert np.allclose(identity_run.amplitudes, uniform_state(n).amplitudes, atol=1e-12)
         real_run = apply_script(uniform_state(n), grover_script(steps), BlockConfig(n, 1, y))
-        assert np.allclose(traj.states[steps].amplitudes, real_run.amplitudes, atol=1e-12)
+        assert np.allclose(lift_to_dense(traj.states[steps]).amplitudes, real_run.amplitudes, atol=1e-12)
 
     def test_unit_norms(self):
         traj = hybrid_trajectory(16, grover_script(3), 4)
         for state in traj.states:
-            assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-9
+            assert abs(np.linalg.norm(lift_to_dense(state).amplitudes) - 1.0) < 1e-9
 
     def test_identity_run_probs_are_uniform(self):
         # Diffusions fix the uniform state, so the oracle-free run sits at
         # 1/N before every query.
         traj = hybrid_trajectory(16, grover_script(3), 9)
-        assert traj.states[0].address_probabilities() == pytest.approx([1 / 16] * 16, abs=1e-12)
+        assert lift_to_dense(traj.states[0]).address_probabilities() == pytest.approx([1 / 16] * 16, abs=1e-12)
 
     def test_step3_script_supported(self):
         script = (OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION, OperatorTag.STEP3)
         traj = hybrid_trajectory(8, script, 2, n_blocks=2)
         assert traj.n_queries == 2
-        assert all(s.has_ancilla for s in traj.states)
+        assert all(lift_to_dense(s).has_ancilla for s in traj.states)
 
     def test_query_free_script_has_one_run_and_no_margins(self):
         traj = hybrid_trajectory(16, (OperatorTag.GLOBAL_DIFFUSION,), 3)
@@ -229,7 +233,7 @@ class TestTrajectoryBudget:
 
 
 def _eager_trajectory(n, script, target, n_blocks=1):
-    """The reference trajectory: each hybrid run reduced from a flat slice of the script, lifted up front, held in a tuple."""
+    """The reference runs: each hybrid run reduced from a flat slice of the script, lifted up front, held in a tuple."""
     cfg = BlockConfig(n, n_blocks, target)
     calls = [i for i, op in enumerate(script) if op in ORACLE_CALLS]
     uniform = reduced_init(cfg)
@@ -239,13 +243,13 @@ def _eager_trajectory(n, script, target, n_blocks=1):
         moved_out = j > 0 and script[start - 1] is OperatorTag.STEP3
         state = ReducedState(cfg, uniform.a, uniform.b, uniform.c, moved_out=moved_out, queries=j)
         states.append(lift_to_dense(apply_script(state, script[start:], cfg)))
-    return zalka.HybridTrajectory(tuple(states))
+    return tuple(states)
 
 
-def _dense_margins(traj):
+def _dense_margins(states):
     """The per-swap margins from dense angle_distance of consecutive lifted states."""
-    bound = 2.0 * math.asin(math.sqrt(1.0 / traj.states[0].n_addresses))
-    return np.array([bound - angle_distance(v, w) for v, w in zip(traj.states, traj.states[1:])])
+    bound = 2.0 * math.asin(math.sqrt(1.0 / states[0].n_addresses))
+    return np.array([bound - angle_distance(v, w) for v, w in zip(states, states[1:])])
 
 
 EAGER_CASES = pytest.mark.parametrize(
@@ -262,16 +266,17 @@ EAGER_CASES = pytest.mark.parametrize(
 
 
 class TestLazyTrajectory:
-    """``states`` holds the runs reduced and lifts one on each read; the margins lift none."""
+    """``states`` holds the runs reduced, lifted only by the caller; the margins lift none."""
 
     @EAGER_CASES
     def test_reads_match_an_eager_trajectory_bit_for_bit(self, n, script, target, n_blocks):
         lazy = hybrid_trajectory(n, script, target, n_blocks=n_blocks)
         eager = _eager_trajectory(n, script, target, n_blocks)
-        assert len(lazy.states) == len(eager.states) == lazy.n_queries + 1
-        for i in range(len(eager.states)):
-            assert lazy.states[i].amplitudes.tobytes() == eager.states[i].amplitudes.tobytes()
-            assert lazy.states[i].has_ancilla == eager.states[i].has_ancilla
+        assert len(lazy.states) == len(eager) == lazy.n_queries + 1
+        for run, dense in zip(lazy.states, eager):
+            lifted = lift_to_dense(run)
+            assert lifted.amplitudes.tobytes() == dense.amplitudes.tobytes()
+            assert lifted.has_ancilla == dense.has_ancilla
 
     @EAGER_CASES
     def test_margins_match_dense_angles_of_an_eager_trajectory(self, n, script, target, n_blocks):
@@ -280,12 +285,9 @@ class TestLazyTrajectory:
         assert margins.shape == dense.shape
         assert np.abs(margins - dense).max(initial=0.0) <= 1e-15
 
-    def test_margins_lift_no_run(self, monkeypatch):
+    def test_margins_lift_no_run(self):
         # The N = 2**20, K = 4 pipeline: 632 runs, which the margins once lifted to 2N amplitudes each.
-        def never(_state):
-            raise AssertionError("a run was lifted")
-
-        monkeypatch.setattr(zalka, "lift_to_dense", never)
+        assert not hasattr(zalka, "lift_to_dense")
         margins = hybrid_step_margins(hybrid_trajectory(2**20, _pipeline_script(2**20, 4), 5, n_blocks=4))
         assert margins.shape == (631,)
         assert margins.min() >= -1e-9
@@ -293,31 +295,11 @@ class TestLazyTrajectory:
     def test_len_negative_index_and_iteration(self):
         traj = hybrid_trajectory(16, grover_script(3), 4)
         assert len(traj.states) == 4
-        assert traj.states[-1].amplitudes.tobytes() == traj.states[3].amplitudes.tobytes()
-        assert traj.states[-4].amplitudes.tobytes() == traj.states[0].amplitudes.tobytes()
-        read = list(traj.states)
-        assert [s.queries for s in read] == [3, 3, 3, 3]
-        assert [s.amplitudes.tobytes() for s in read] == [traj.states[i].amplitudes.tobytes() for i in range(4)]
+        assert traj.states[-1] == traj.states[3] and traj.states[-4] == traj.states[0]
+        assert [s.queries for s in traj.states] == [3, 3, 3, 3]
         for i in (4, -5):
             with pytest.raises(IndexError):
                 traj.states[i]
-
-    def test_each_read_is_a_new_read_only_dense_state(self):
-        traj = hybrid_trajectory(16, grover_script(3), 4)
-        first, again = traj.states[1], traj.states[1]
-        assert isinstance(first, statevector.DenseState) and first is not again
-        assert first.amplitudes is not again.amplitudes
-        assert not first.amplitudes.flags.writeable
-        with pytest.raises(ValueError):
-            first.amplitudes[0] = 0.0
-
-    def test_runs_are_lifted_only_when_read(self, monkeypatch):
-        lifted = []
-        monkeypatch.setattr(zalka, "lift_to_dense", lambda state: lifted.append(state.queries) or state)
-        traj = hybrid_trajectory(16, grover_script(3), 4)
-        assert lifted == []
-        traj.states[-1]
-        assert lifted == [3]
 
     def test_margins_allocate_no_array_of_n(self):
         # At N = 2**14 one array of N is 128 KiB. The 80 reduced runs take about 33 KB, and the margins alone
@@ -340,12 +322,67 @@ class TestLazyTrajectory:
         assert margins_peak <= 8 * traj.n_queries + 4096
 
 
+class TestTrajectoryAboveDenseCap:
+    """The runs are held reduced, so they read back at every N; only lifting one is capped."""
+
+    @pytest.mark.parametrize(
+        "n, script, target, n_blocks",
+        [(2**30, grover_script(3), 5, 1), (2**52, standard_pipeline_script(2, 1), 3 * 2**50 + 7, 4)],
+        ids=["grover-n2_30", "pipeline-n2_52-k4"],
+    )
+    def test_runs_read_back(self, n, script, target, n_blocks):
+        traj = hybrid_trajectory(n, script, target, n_blocks=n_blocks)
+        cfg = BlockConfig(n, n_blocks, target)
+        assert len(list(traj.states)) == traj.n_queries + 1
+        for state in traj.states:
+            assert isinstance(state, ReducedState) and state.cfg == cfg and state.queries == traj.n_queries
+        final = traj.states[-1]
+        assert statevector.block_probabilities(final, cfg) == final.block_probabilities()
+        cap = f"^N={n} exceeds the dense backend cap {statevector.DENSE_CAP};"
+        with pytest.raises(InvalidInstanceError, match=cap):
+            lift_to_dense(final)
+
+
+class TestReducedBlockProbabilities:
+    """`block_probabilities` of a reduced state is the state's own, for its own config alone, without numpy."""
+
+    @EAGER_CASES
+    def test_equals_the_state_and_its_lift(self, n, script, target, n_blocks):
+        cfg = BlockConfig(n, n_blocks, target)
+        for run in hybrid_trajectory(n, script, target, n_blocks=n_blocks).states:
+            probs = statevector.block_probabilities(run, cfg)
+            assert [p.hex() for p in probs] == [p.hex() for p in run.block_probabilities()]
+            dense = statevector.block_probabilities(lift_to_dense(run), cfg)
+            assert np.abs(np.array(probs) - dense).max() <= 1e-15
+
+    def test_refuses_another_config(self):
+        run = hybrid_trajectory(16, standard_pipeline_script(1, 1), 5, n_blocks=4).states[-1]
+        for cfg in (BlockConfig(16, 4, 6), BlockConfig(16, 2, 5), BlockConfig(32, 4, 5)):
+            with pytest.raises(InvalidInstanceError, match="^config does not match the reduced state$"):
+                statevector.block_probabilities(run, cfg)
+
+    def test_loads_no_numpy(self):
+        code = (
+            "import sys; from partialsearch import BlockConfig, block_probabilities, reduced_init; "
+            "cfg = BlockConfig(2**40, 4, 5); print(block_probabilities(reduced_init(cfg), cfg), 'numpy' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        ).stdout
+        assert out == f"{reduced_init(BlockConfig(2**40, 4, 5)).block_probabilities()} False\n"
+
+
 DENSE_OPERATORS = ["invert_target", "global_diffusion", "block_diffusion", "step3_transfer", "attach_ancilla"]
 
 
 @pytest.mark.parametrize("name", DENSE_OPERATORS)
 def test_no_dense_operator_is_applied(monkeypatch, name):
-    # Runs stay on the reduced backend; only their final states are lifted.
+    # Runs stay on the reduced backend.
     def refuse(*args, **kwargs):
         raise AssertionError(f"dense {name} called")
 
@@ -372,11 +409,13 @@ class TestHybridStepBound:
         for y in range(16):
             traj = hybrid_trajectory(16, grover_script(3), y)
             total_bound = traj.n_queries * 2 * math.asin(math.sqrt(1 / 16))
-            assert total_bound >= angle_distance(traj.states[0], traj.states[-1]) - 1e-9
+            first, last = lift_to_dense(traj.states[0]), lift_to_dense(traj.states[-1])
+            assert total_bound >= angle_distance(first, last) - 1e-9
 
     def test_identical_states_have_zero_distance(self):
         traj = hybrid_trajectory(16, grover_script(2), 0)
-        assert angle_distance(traj.states[1], traj.states[1]) == pytest.approx(0.0, abs=1e-9)
+        first, again = lift_to_dense(traj.states[1]), lift_to_dense(traj.states[1])
+        assert angle_distance(first, again) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestTotalAngleSum:
