@@ -92,9 +92,10 @@ def simulate_randomized(n: int, k: int, trials: int, seed: int) -> ClassicalRepo
     on 1..M, so each trial draws (target, unprobed block, position) directly.
     Trials are resolved `CHUNK` at a time, so memory does not grow with
     `trials`.  Three generators start where a one-shot draw of the target,
-    block and position arrays would start, so the stream is that draw's.
-    Every trial's returned block is asserted correct (the strategy makes no
-    errors).  It returns `classical_formulas(n, k)` with the sample fields filled in.
+    block and position arrays would start, so the stream is that draw's; it
+    is drawn int32 below N = 2**31, which numpy serves from the same 32-bit
+    stream as int64.  Every trial's returned block is asserted correct (the
+    strategy makes no errors).  It returns `classical_formulas(n, k)` with the sample fields filled in.
     """
     formulas = classical_formulas(n, k)  # checks the instance
     if not 1 <= trials < 2**63:
@@ -102,15 +103,16 @@ def simulate_randomized(n: int, k: int, trials: int, seed: int) -> ClassicalRepo
     if n // k >= 2**63:
         raise InvalidInstanceError(f"block size N/K={n // k} reaches 2**63, past numpy's int64 range")
     m = n - n // k
+    dtype = np.int32 if n < 2**31 else np.int64  # strict: at N = 2**31, K = 1 the block size overflows int32
     target_rng = np.random.default_rng(seed)
-    unprobed_rng = _drained(target_rng, n, trials)
-    position_rng = _drained(unprobed_rng, k, trials)
+    unprobed_rng = _drained(target_rng, n, trials, dtype)
+    position_rng = _drained(unprobed_rng, k, trials, dtype)
     mean, m2 = 0.0, 0.0  # mean and sum of squared deviations, merged by Chan et al.'s update
     for start in range(0, trials, CHUNK):
         size = min(CHUNK, trials - start)
-        targets = target_rng.integers(0, n, size=size)
-        unprobed = unprobed_rng.integers(0, k, size=size)
-        positions = position_rng.integers(1, m + 1, size=size) if m > 0 else np.zeros(size, dtype=int)
+        targets = target_rng.integers(0, n, size=size, dtype=dtype)
+        unprobed = unprobed_rng.integers(0, k, size=size, dtype=dtype)
+        positions = position_rng.integers(1, m + 1, size=size, dtype=dtype) if m > 0 else np.zeros(size, dtype)
         probes, returned = trial_outcomes(n, k, targets, unprobed, positions)
         assert np.array_equal(returned, targets // (n // k)), "classical search returned a wrong block"
         delta = float(probes.mean()) - mean
@@ -120,11 +122,11 @@ def simulate_randomized(n: int, k: int, trials: int, seed: int) -> ClassicalRepo
     return ClassicalReport(formulas.expected_randomized, formulas.deterministic, mean, std_err)
 
 
-def _drained(rng: np.random.Generator, high: int, trials: int) -> np.random.Generator:
+def _drained(rng: np.random.Generator, high: int, trials: int, dtype: type) -> np.random.Generator:
     """A copy of ``rng`` advanced past ``trials`` draws from [0, high), drawn chunk by chunk."""
     rng = copy.deepcopy(rng)
     for start in range(0, trials, CHUNK):
-        rng.integers(0, high, size=min(CHUNK, trials - start))
+        rng.integers(0, high, size=min(CHUNK, trials - start), dtype=dtype)
     return rng
 
 

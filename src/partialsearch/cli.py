@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import warnings
 
@@ -62,8 +63,16 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads -1e+19, -inf and -nan as values, as it reads -123 and -1.5, not as unknown flags."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="partial-search",
         description="Run partial quantum search experiments and bound calculators.",
     )

@@ -7,7 +7,8 @@ sampled check here:
 
   * swapping one oracle call changes the final state by an angle of at
     most 2 arcsin sqrt(p), p the probability that the skipped query would
-    have touched the marked address (`hybrid_step_margins`);
+    have touched the marked address; it holds with equality at every
+    oracle call, so only a step-3 call has slack (`hybrid_step_margins`);
   * summed over marked addresses, the final states of the real runs sit
     far from the oracle-free run (`total_angle_sum`, reported against
     (pi/2) N since the hidden constant is not pinned);
@@ -25,8 +26,8 @@ Every run is simulated and held on the reduced backend, and both hybrid
 checks take their angles from reduced runs through one multiplicity-weighted
 distance, so no run is lifted: a trajectory and its margins reach N = 2**52
 with at most 2**16 queries, and the angle sum, one reduced run, N = 2**52.
-The array checks import numpy on first use, so `zalka_error_bound` and
-`total_angle_sum` run without it.
+Only `max_arcsin_probability_sum` imports numpy, on first use: the hybrid
+checks and `zalka_error_bound` run without it.
 """
 from __future__ import annotations
 
@@ -125,19 +126,24 @@ def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) ->
     return HybridTrajectory(tuple(reversed(runs)))
 
 
-def hybrid_step_margins(traj: HybridTrajectory) -> np.ndarray:
-    """Slack in the per-swap bound angle <= 2 arcsin sqrt(p), one entry per query.
+class _Margins(tuple):
+    def min(self) -> float:  # the array-style read that callers use
+        return min(self)
+
+
+def hybrid_step_margins(traj: HybridTrajectory) -> _Margins:
+    """Slack in the per-swap bound angle <= 2 arcsin sqrt(p), one float per query.
 
     Entry i-1 compares states i-1 and i (the runs differing in query T-i+1)
     against 2 arcsin sqrt(1/N): the oracle-free run is uniform before every
-    query, since diffusions fix it.  All entries should be >= -1e-9; a
-    negative margin beyond floating error falsifies the bound.  Each angle
-    comes from the reduced runs, so no run is lifted.
+    query, since diffusions fix it, so the bound holds with equality at an
+    oracle call (margin 0 to rounding); a STEP3 call has 2 arcsin(N^-1/2) -
+    2 arcsin((2N)^-1/2).  A negative margin beyond rounding falsifies the
+    bound.  The angles come from the reduced runs, without numpy.
     """
-    import numpy as np
     runs = traj.states
     bound = 2.0 * math.asin(1.0 / math.sqrt(runs[0].cfg.n_addresses))
-    return np.fromiter((bound - _reduced_angle(v, w) for v, w in zip(runs, runs[1:])), float, len(runs) - 1)
+    return _Margins(bound - _reduced_angle(v, w) for v, w in zip(runs, runs[1:]))
 
 
 def total_angle_sum(n: int, script: Script, n_blocks: int = 1) -> tuple[float, float]:

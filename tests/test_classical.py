@@ -133,6 +133,10 @@ class TestSimulator:
             (2**63, 2, 2 * CHUNK + 123),
             (2**62, 4, 2 * CHUNK + 123),
             (48, 3, 2 * CHUNK + 123),
+            (2**31 - 2, 2, 2 * CHUNK + 123),  # the largest N drawn as int32
+            (2**31 - 2, 1, 2 * CHUNK + 123),
+            (2**31, 2, 2 * CHUNK + 123),  # the smallest N drawn as int64
+            (2**31, 1, 2 * CHUNK + 123),  # its block size 2**31 would overflow int32
         ],
     )
     def test_chunked_sample_matches_one_shot_draw(self, n, k, trials, seed):
@@ -141,6 +145,23 @@ class TestSimulator:
         mean, std_err = one_shot_sample(n, k, trials, seed)
         assert f"{report.sample_mean:.12g}" == f"{mean:.12g}"
         assert f"{report.sample_std_err:.12g}" == f"{std_err:.12g}"
+
+    @pytest.mark.parametrize(
+        "n,k,seed,mean,std_err",
+        [
+            (1200, 3, 1, "0x1.0ae41eca697eap+9", "0x1.77ed5bbdc1383p+0"),
+            (2**31 - 2, 2, 1, "0x1.7fe20f20f1d7ap+29", "0x1.d287d365ea2e9p+20"),
+            (2**31 - 2, 3, 2, "0x1.c8e5d1e14e3edp+29", "0x1.40b837c55cfb6p+21"),
+            (2**31 - 1, 2**31 - 1, 3, "0x1.ff47fe36b2e02p+29", "0x1.a199125248d1cp+21"),
+            (2**31, 2, 1, "0x1.7fe20f2776049p+29", "0x1.d287d36be1a73p+20"),
+            (2**31, 4, 2, "0x1.e16c9c97e47a7p+29", "0x1.658b79ac256a2p+21"),
+            (2**40, 4, 3, "0x1.df8a33061bdfep+38", "0x1.671495c523d93p+30"),
+        ],
+    )
+    def test_sample_bits_hold_across_the_int32_switch(self, n, k, seed, mean, std_err):
+        # Values from the int64-only draws; int32 draws below N = 2**31 take the same stream, so no bit moves.
+        report = simulate_randomized(n, k, 2 * CHUNK + 123, seed)
+        assert (report.sample_mean.hex(), report.sample_std_err.hex()) == (mean, std_err)
 
     def test_memory_does_not_grow_with_trials(self):
         # numpy reports its buffers to tracemalloc, so the peak covers the draw arrays.

@@ -1,5 +1,6 @@
 """The CLI's exit codes as a property: no argument vector of the seven commands exits 2 (an internal error), and a
-vector prints the same bytes each time it runs.
+vector prints the same bytes each time it runs.  A numeric option reads its value the same way as ``--opt V`` and as
+``--opt=V``, negative values in e-notation included.
 
 Each value is mostly a valid one and now and then one at or past an edge the command checks.  Dense instances keep
 N <= 2**12 (an edge past that is refused before any run), Monte Carlo runs at most 10**4 trials and report tables
@@ -12,7 +13,7 @@ import math
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from partialsearch.cli import main  # noqa: E402
@@ -102,3 +103,41 @@ def test_never_exits_2_and_repeats_its_output(command, data):
     code, out, err = run(args)
     assert code in (0, 1), err
     assert run(args)[:2] == (code, out)
+
+
+# Each command's numeric options, after arguments that keep its run small; a drawn option overrides a fixed one.
+NUMERIC_OPTIONS = {
+    "simulate": (["--n=64", "--k=4", "--target=1"], ["--seed", "--n", "--k", "--epsilon", "--target"]),
+    "grover": (["--n=64", "--target=1"], ["--seed", "--n", "--k", "--steps", "--target"]),
+    "optimize": (["--k=4"], ["--seed", "--k"]),
+    "table": ([], ["--seed", "--k"]),
+    "classical": (["--trials=100"], ["--seed", "--n", "--k", "--trials"]),
+    "bounds": ([], ["--seed", "--k", "--n", "--err", "--hidden-const"]),
+    "demo": ([], ["--seed", "--n", "--k", "--epsilon", "--target"]),
+}
+# Numbers as a user might type them: integers, and floats in repr, e- and G-notation, signed, inf and nan included.
+NUMBER = st.one_of(
+    st.integers(-(2**64), 2**10).map(str),
+    st.tuples(st.floats(max_value=2**10), st.sampled_from([repr, "{:e}".format, "{:G}".format])).map(
+        lambda pair: pair[1](pair[0])
+    ),
+)
+
+
+@st.composite
+def numeric_option(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    fixed, flags = NUMERIC_OPTIONS[command]
+    return [command, *fixed], draw(st.sampled_from(flags)), draw(NUMBER)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=numeric_option())
+@example(case=(["simulate", "--n", "64", "--k", "4", "--target", "1"], "--epsilon", "-1.2e+19"))
+def test_separate_and_joined_values_agree(case):
+    # argparse once read -1.2e+19 after --epsilon as an unknown flag: `expected one argument`, where
+    # --epsilon=-1.2e+19 reached the range check.
+    args, flag, value = case
+    separate, joined = run([*args, flag, value]), run([*args, f"{flag}={value}"])
+    assert separate[0] in (0, 1), separate[2]
+    assert (separate[0], separate[2]) == (joined[0], joined[2])
