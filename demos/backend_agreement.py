@@ -18,6 +18,7 @@ from partialsearch import (
     lift_to_dense,
     optimize_epsilon,
     reduced_init,
+    apply_script,
     run_partial_search,
     standard_pipeline_script,
     uniform_state,
@@ -55,3 +56,16 @@ for exponent in (20, 30, 40, 48):
     )
 print("\nmiss * sqrt(N) never grows: the miss probability shrinks at least")
 print("as fast as 1/sqrt(N).")
+
+# A dense state is N amplitudes but only three distinct values: a (the
+# target), b (the rest of its block) and c (every other block).  Step 1
+# leaves b = c; step 2 rotates only the target block, so c stays put.
+print("\nreduced (a, b, c) after each step, target N/3:")
+for exponent in (12, 48):
+    n_show = 2**exponent
+    show_cfg = BlockConfig(n_show, k, n_show // 3)
+    l1, l2, _ = iteration_counts(n_show, k, eps)
+    after1 = apply_script(reduced_init(show_cfg), standard_pipeline_script(l1, 0)[:-1])
+    after2 = apply_script(after1, standard_pipeline_script(0, l2)[:-1])
+    for step, state in (("step 1", after1), ("step 2", after2)):
+        print(f"N=2^{exponent}, after {step}: a={state.a:+.9f}  b={state.b:+.6e}  c={state.c:+.6e}")

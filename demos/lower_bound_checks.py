@@ -12,7 +12,10 @@ from partialsearch import (
     grover_script,
     hybrid_step_margins,
     hybrid_trajectory,
+    iteration_counts,
     max_arcsin_probability_sum,
+    optimize_epsilon,
+    standard_pipeline_script,
     total_angle_sum,
     zalka_error_bound,
 )
@@ -27,6 +30,17 @@ for target in range(n):
     worst = min(worst, float(margins.min()))
 print(f"N={n}, {steps}-step amplification: worst per-swap margin over all")
 print(f"targets and swap positions = {worst:.3e}  (>= 0 up to float noise)")
+
+# The bound holds with equality at every oracle call, so in a partial-search
+# pipeline only step 3 has slack: 2 asin(N^-1/2) - 2 asin((2N)^-1/2).
+for log_n in (10, 20):
+    n_pipe = 2**log_n
+    l1, l2, _ = iteration_counts(n_pipe, 4, optimize_epsilon(4)[0])
+    script = standard_pipeline_script(l1, l2)
+    margins = hybrid_step_margins(hybrid_trajectory(n_pipe, script, n_pipe // 3, n_blocks=4))
+    slack = 2 * math.asin(n_pipe**-0.5) - 2 * math.asin((2 * n_pipe) ** -0.5)
+    print(f"N=2^{log_n}, K=4 pipeline: step-3 margin {margins[0]:.9e}, closed form {slack:.9e}"
+          f" (off by {abs(margins[0] - slack):.1e}); largest oracle-call margin {max(map(abs, margins[1:])):.1e}")
 
 # Endpoint distances, summed over targets, against the (pi/2) N yardstick.
 total, reference = total_angle_sum(n, grover_script(steps))

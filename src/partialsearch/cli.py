@@ -5,9 +5,9 @@ backend, and a fixed seed gives byte-identical JSON/CSV output.  Exit
 codes: 0 success, 1 invalid or infeasible input (`InvalidInstanceError`,
 which `InfeasibleEpsilonError` subclasses), 2 any other exception.
 
-Imports wait for their use: numpy for dense states, the seeded target draw,
-`classical` and `demo`, `csv` and `json` for their formats; so a reduced run
-with a given target, `optimize`, `table` and `bounds` start without numpy.
+Imports wait for their use: numpy for dense states, the seeded target draw
+and `classical`, `csv` and `json` for their formats; so a reduced run with a
+given target, `optimize`, `table` and `bounds` start without numpy.
 """
 from __future__ import annotations
 
@@ -17,12 +17,13 @@ import re
 import sys
 import warnings
 
-from . import __version__, analysis, partial_search, statevector
+from . import __version__, analysis, partial_search
 from .statevector import BlockConfig, InvalidInstanceError
 
 _TOOL = "partialsearch"
-# Longest row table a report builds.  Reports are built in memory, about 2.5 KB
-# a row: a reduced `simulate --format json` with K = 2**20 peaks at 2.6 GB.
+# Most rows a report may list; only `simulate` and `grover` can pass it, with one
+# row per block.  Reports are built in memory, about 2.5 KB a row: a reduced
+# `simulate --format json` with K = 2**20 peaks at 2.6 GB.
 MAX_REPORT_ROWS = 2**20
 
 
@@ -114,12 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--err", type=float, default=0.01)
     p.add_argument("--hidden-const", type=float, default=1.0)
 
-    p = sub.add_parser("demo", parents=[common], help="narrative walkthrough data")
-    p.add_argument("--which", choices=("twelve-items", "step2-histogram"), default="twelve-items")
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--target", type=int, default=None)
     return parser
 
 
@@ -133,7 +128,6 @@ def _dispatch(args: argparse.Namespace) -> dict:
         "table": _cmd_table,
         "classical": _cmd_classical,
         "bounds": _cmd_bounds,
-        "demo": _cmd_demo,
     }[args.command](args)
 
 
@@ -146,11 +140,11 @@ def _block_config(args: argparse.Namespace) -> BlockConfig:
     return cfg
 
 
-def _check_report_rows(quantity: str, rows: int) -> None:
-    """Refuse, before any run, a report longer than MAX_REPORT_ROWS rows."""
-    if rows > MAX_REPORT_ROWS:
+def _check_report_rows(k: int) -> None:
+    """Refuse, before any run, a report with more than MAX_REPORT_ROWS rows, one per block."""
+    if k > MAX_REPORT_ROWS:
         raise InvalidInstanceError(
-            f"{quantity} asks for {rows} report rows, more than the {MAX_REPORT_ROWS} a report may list"
+            f"K={k} asks for {k} report rows, more than the {MAX_REPORT_ROWS} a report may list"
         )
 
 
@@ -176,14 +170,14 @@ def _run_report_payload(cfg: BlockConfig, report: partial_search.RunReport) -> d
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
     cfg = _block_config(args)
-    _check_report_rows(f"K={args.k}", args.k)
+    _check_report_rows(args.k)
     report = partial_search.run_partial_search(cfg, args.epsilon, args.backend, args.exact_theta)
     return _run_report_payload(cfg, report)
 
 
 def _cmd_grover(args: argparse.Namespace) -> dict:
     cfg = _block_config(args)
-    _check_report_rows(f"K={args.k}", args.k)
+    _check_report_rows(args.k)
     steps = args.steps if args.steps is not None else round((math.pi / 4.0) * math.sqrt(args.n))
     report = partial_search.run_full_grover(cfg, steps, backend=args.backend)
     return _run_report_payload(cfg, report)
@@ -246,65 +240,6 @@ def _cmd_bounds(args: argparse.Namespace) -> dict:
             "query_floor": floor,
         },
     }
-
-
-def _cmd_demo(args: argparse.Namespace) -> dict:
-    if args.which == "twelve-items":
-        return _demo_twelve_items()
-    return _demo_step2_histogram(args)
-
-
-def _demo_twelve_items() -> dict:
-    """Walk the two-query, twelve-item search and assert its exact endpoint."""
-    import numpy as np
-    cfg = BlockConfig(12, 3, 5)
-    stages = partial_search.script_stages(cfg, partial_search.TWELVE_ITEM_SCRIPT, backend="dense")
-    labels = ["start"] + [op.value for op in partial_search.TWELVE_ITEM_SCRIPT]
-    rows = []
-    for stage, (label, state) in enumerate(zip(labels, stages)):
-        rows += _amplitude_rows(f"{stage}:{label}", state, cfg)
-    final = stages[-1]
-    root12 = math.sqrt(12.0)
-    expected = np.zeros(12)
-    expected[4:8] = 1.0 / root12
-    expected[5] = 3.0 / root12
-    assert np.max(np.abs(final.amplitudes - expected)) < 1e-12, "twelve-item endpoint mismatch"
-    assert final.queries == 2, "twelve-item demo must use exactly 2 queries"
-    report = partial_search.run_script(cfg, partial_search.TWELVE_ITEM_SCRIPT, backend="dense")
-    return {
-        "queries": report.queries,
-        "success_prob": report.success_prob,
-        "target_prob": report.target_prob,
-        "rows": rows,
-    }
-
-
-def _demo_step2_histogram(args: argparse.Namespace) -> dict:
-    """Amplitudes just before and just after the blockwise phase."""
-    cfg = _block_config(args)
-    _check_report_rows(f"N={args.n}", 2 * args.n)  # N amplitudes after each of steps 1 and 2
-    epsilon = args.epsilon
-    if epsilon is None:
-        epsilon, _ = analysis.optimize_epsilon(args.k)
-    l1, l2, _ = partial_search.iteration_counts(args.n, args.k, epsilon)
-    step1, step2, _ = partial_search.standard_pipeline_stages(l1, l2)
-    state = partial_search.apply_stages(statevector.uniform_state(args.n), [step1], cfg)
-    rows = _amplitude_rows("after_step1", state, cfg)
-    state = partial_search.apply_stages(state, [step2], cfg)
-    rows += _amplitude_rows("after_step2", state, cfg)
-    return {"n": args.n, "k": args.k, "epsilon": epsilon, "l1": l1, "l2": l2, "rows": rows}
-
-
-def _amplitude_rows(stage: str, state: statevector.DenseState, cfg: BlockConfig) -> list[dict]:
-    return [
-        {
-            "stage": stage,
-            "block": cfg.block_of(slot),
-            "slot": slot % cfg.block_size,
-            "amplitude": float(amp),
-        }
-        for slot, amp in enumerate(state.amplitudes)
-    ]
 
 
 def _parse_k_list(raw: str) -> list[int]:

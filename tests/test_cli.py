@@ -116,9 +116,8 @@ class TestExitCodes:
         [
             (("simulate", "--n", str(2**52), "--k", str(2**24), "--target", "5"), f"K={2**24}", 2**24),
             (("grover", "--n", str(2**52), "--k", str(2**21)), f"K={2**21}", 2**21),
-            (("demo", "--which", "step2-histogram", "--n", str(2**20)), f"N={2**20}", 2**21),
         ],
-        ids=["simulate", "grover", "step2-histogram"],
+        ids=["simulate", "grover"],
     )
     def test_long_reports_are_refused_before_the_run(self, capsys, monkeypatch, args, quantity, rows):
         def never(*_args, **_kwargs):
@@ -136,16 +135,15 @@ class TestExitCodes:
         [
             (("simulate", "--n", str(2**52), "--k", str(2**20), "--target", "5"), "run_partial_search"),
             (("grover", "--n", str(2**52), "--k", str(2**20), "--target", "5"), "run_full_grover"),
-            (("demo", "--which", "step2-histogram", "--n", str(2**19)), "uniform_state"),
         ],
-        ids=["simulate", "grover", "step2-histogram"],
+        ids=["simulate", "grover"],
     )
     def test_reports_at_the_row_limit_reach_the_run(self, capsys, monkeypatch, args, entry):
         # The longest accepted reports take tens of seconds and GBs to build; stop at the run's entry.
         def reached(*_args, **_kwargs):
             raise InvalidInstanceError("reached the run")
 
-        monkeypatch.setattr(statevector if entry == "uniform_state" else partial_search, entry, reached)
+        monkeypatch.setattr(partial_search, entry, reached)
         assert run_cli(capsys, *args) == (1, "", "error: reached the run\n")
 
     def test_reduced_grover_refuses_a_step_count_beyond_float_precision(self, capsys):
@@ -224,7 +222,6 @@ class TestExitCodes:
         [
             ("simulate", "--n", "0"),
             ("grover", "--n", "0"),
-            ("demo", "--which", "step2-histogram", "--n", "0"),
             ("grover", "--n", "-4"),
         ],
     )
@@ -245,9 +242,8 @@ class TestExitCodes:
         "args, quantity",
         [
             (("simulate", "--epsilon"), "epsilon"),
-            (("demo", "--which", "step2-histogram", "--epsilon"), "epsilon"),
         ],
-        ids=["simulate", "step2-histogram"],
+        ids=["simulate"],
     )
     def test_non_finite_float_names_quantity(self, capsys, args, quantity, value):
         *head, flag = args
@@ -262,14 +258,13 @@ class TestExitCodes:
         [
             ("simulate", *HUGE_DENSE, "--k", "4", "--dense-cap", str(2**44)),
             ("grover", *HUGE_DENSE, "--steps", "3", "--dense-cap", str(2**44)),
-            ("demo", "--which", "step2-histogram", "--n", "64", "--dense-cap", "64"),
             ("optimize", "--k", "4", "--dense-cap", "64"),
             ("table", "--k", "4", "--dense-cap", "64"),
             ("classical", "--k", "4", "--dense-cap", "64"),
             ("bounds", "--k", "4", "--dense-cap", "64"),
             ("optimize", "--k", "4", "--tol", "1e-9"),  # optimize_epsilon is exact; --tol is gone
         ],
-        ids=["simulate", "grover", "demo", "optimize", "table", "classical", "bounds", "optimize-tol"],
+        ids=["simulate", "grover", "optimize", "table", "classical", "bounds", "optimize-tol"],
     )
     def test_removed_options_are_usage_errors(self, capsys, args):
         # No command takes --dense-cap, since the dense cap is fixed.  An option a command does not take is
@@ -279,6 +274,17 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5.0
         assert (code, out) == (1, "")
         assert f"unrecognized arguments: {args[-2]} {args[-1]}" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [(), ("--which", "twelve-items"), ("--which", "step2-histogram", "--n", "64")],
+        ids=["bare", "twelve-items", "step2-histogram"],
+    )
+    def test_retired_demo_command_is_a_usage_error(self, capsys, args):
+        # `demo` is gone: `simulate`, `grover` and the demos/ scripts report what it printed.
+        code, out, err = run_cli(capsys, "demo", *args)
+        assert (code, out) == (1, "")
+        assert "invalid choice: 'demo'" in err
 
     def test_internal_failure_maps_to_2(self, capsys, monkeypatch):
         import partialsearch.cli as cli_mod
@@ -470,131 +476,9 @@ n,k,target,queries,success_prob,target_prob,block,block_prob
 }
 
 
-# The demos' pipelines and the text/CSV cell formatting, pinned the same way:
+# The text/CSV cell formatting of other reports, pinned the same way:
 # (arguments, expected stdout).
 GOLDEN_OTHER = {
-    "twelve-items-csv": (
-        ("demo", "--which", "twelve-items", "--format", "csv"),
-        """\
-# tool=partialsearch
-# version=0.1.0
-# command=demo --which twelve-items --format csv
-# seed=0
-# backend=
-# queries=2
-# success_prob=1
-# target_prob=0.75
-stage,block,slot,amplitude
-0:start,0,0,0.288675134595
-0:start,0,1,0.288675134595
-0:start,0,2,0.288675134595
-0:start,0,3,0.288675134595
-0:start,1,0,0.288675134595
-0:start,1,1,0.288675134595
-0:start,1,2,0.288675134595
-0:start,1,3,0.288675134595
-0:start,2,0,0.288675134595
-0:start,2,1,0.288675134595
-0:start,2,2,0.288675134595
-0:start,2,3,0.288675134595
-1:oracle,0,0,0.288675134595
-1:oracle,0,1,0.288675134595
-1:oracle,0,2,0.288675134595
-1:oracle,0,3,0.288675134595
-1:oracle,1,0,0.288675134595
-1:oracle,1,1,-0.288675134595
-1:oracle,1,2,0.288675134595
-1:oracle,1,3,0.288675134595
-1:oracle,2,0,0.288675134595
-1:oracle,2,1,0.288675134595
-1:oracle,2,2,0.288675134595
-1:oracle,2,3,0.288675134595
-2:block_diffusion,0,0,0.288675134595
-2:block_diffusion,0,1,0.288675134595
-2:block_diffusion,0,2,0.288675134595
-2:block_diffusion,0,3,0.288675134595
-2:block_diffusion,1,0,0
-2:block_diffusion,1,1,0.57735026919
-2:block_diffusion,1,2,0
-2:block_diffusion,1,3,0
-2:block_diffusion,2,0,0.288675134595
-2:block_diffusion,2,1,0.288675134595
-2:block_diffusion,2,2,0.288675134595
-2:block_diffusion,2,3,0.288675134595
-3:oracle,0,0,0.288675134595
-3:oracle,0,1,0.288675134595
-3:oracle,0,2,0.288675134595
-3:oracle,0,3,0.288675134595
-3:oracle,1,0,0
-3:oracle,1,1,-0.57735026919
-3:oracle,1,2,0
-3:oracle,1,3,0
-3:oracle,2,0,0.288675134595
-3:oracle,2,1,0.288675134595
-3:oracle,2,2,0.288675134595
-3:oracle,2,3,0.288675134595
-4:global_diffusion,0,0,0
-4:global_diffusion,0,1,0
-4:global_diffusion,0,2,0
-4:global_diffusion,0,3,0
-4:global_diffusion,1,0,0.288675134595
-4:global_diffusion,1,1,0.866025403784
-4:global_diffusion,1,2,0.288675134595
-4:global_diffusion,1,3,0.288675134595
-4:global_diffusion,2,0,0
-4:global_diffusion,2,1,0
-4:global_diffusion,2,2,0
-4:global_diffusion,2,3,0
-""",
-    ),
-    "step2-histogram-csv": (
-        ("demo", "--which", "step2-histogram", "--n", "16", "--k", "4", "--format", "csv"),
-        """\
-# tool=partialsearch
-# version=0.1.0
-# command=demo --which step2-histogram --n 16 --k 4 --format csv
-# seed=0
-# backend=
-# n=16
-# k=4
-# epsilon=0.608173447969
-# l1=1
-# l2=1
-stage,block,slot,amplitude
-after_step1,0,0,0.1875
-after_step1,0,1,0.1875
-after_step1,0,2,0.1875
-after_step1,0,3,0.1875
-after_step1,1,0,0.1875
-after_step1,1,1,0.1875
-after_step1,1,2,0.1875
-after_step1,1,3,0.1875
-after_step1,2,0,0.1875
-after_step1,2,1,0.1875
-after_step1,2,2,0.1875
-after_step1,2,3,0.1875
-after_step1,3,0,0.1875
-after_step1,3,1,0.6875
-after_step1,3,2,0.1875
-after_step1,3,3,0.1875
-after_step2,0,0,0.1875
-after_step2,0,1,0.1875
-after_step2,0,2,0.1875
-after_step2,0,3,0.1875
-after_step2,1,0,0.1875
-after_step2,1,1,0.1875
-after_step2,1,2,0.1875
-after_step2,1,3,0.1875
-after_step2,2,0,0.1875
-after_step2,2,1,0.1875
-after_step2,2,2,0.1875
-after_step2,2,3,0.1875
-after_step2,3,0,-0.25
-after_step2,3,1,0.625
-after_step2,3,2,-0.25
-after_step2,3,3,-0.25
-""",
-    ),
     "table-text": (
         ("table", "--k", "2,3,4,5,8,32"),
         """\
@@ -1017,24 +901,6 @@ class TestReports:
         assert code == 0
         assert doc["erring_search"]["query_floor"] > 0
         assert [row["K"] for row in doc["rows"]] == [4, 16, 2**52]
-
-    def test_demo_twelve_items(self, capsys):
-        code, out, _ = run_cli(capsys, "demo", "--which", "twelve-items", "--format", "json")
-        doc = json.loads(out)
-        assert code == 0
-        assert doc["queries"] == 2
-        assert doc["success_prob"] == pytest.approx(1.0, abs=1e-9)
-        assert doc["target_prob"] == pytest.approx(0.75, abs=1e-9)
-        assert len(doc["rows"]) == 5 * 12
-
-    def test_demo_histogram_schema(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "demo", "--which", "step2-histogram", "--n", "64", "--k", "4", "--format", "csv"
-        )
-        assert code == 0
-        lines = [line for line in out.splitlines() if not line.startswith("#")]
-        assert lines[0] == "stage,block,slot,amplitude"
-        assert len(lines) == 1 + 2 * 64
 
     def test_empty_k_list_rejected(self, capsys):
         code, _, err = run_cli(capsys, "table", "--k", ",")

@@ -1,4 +1,4 @@
-"""The CLI's exit codes as a property: no argument vector of the seven commands exits 2 (an internal error), and a
+"""The CLI's exit codes as a property: no argument vector of the six commands exits 2 (an internal error), and a
 vector prints the same bytes each time it runs.  A numeric option reads its value the same way as ``--opt V`` and as
 ``--opt=V``, negative values in e-notation included.
 
@@ -20,7 +20,7 @@ from partialsearch.cli import main  # noqa: E402
 
 DENSE_N = 2**12
 MAX_TRIALS = 10**4
-COMMANDS = ["simulate", "grover", "optimize", "table", "classical", "bounds", "demo"]
+COMMANDS = ["simulate", "grover", "optimize", "table", "classical", "bounds"]
 
 # Too small, or past a limit: the report's 2**20 rows, the dense cap 2**24, the float-exact 2**52, int64's 2**63.
 LOW = st.integers(max_value=1)
@@ -78,9 +78,6 @@ def argv(draw, command):
         args += draw(option("--n", either(st.integers(1, 2**52), BAD_INT)))
         args += draw(option("--err", either(st.floats(0.0, 1.0), BAD_FLOAT)))
         args += draw(option("--hidden-const", either(st.floats(1e-3, 10.0), BAD_FLOAT)))
-    elif command == "demo":
-        args += [f"--which={draw(st.sampled_from(['twelve-items', 'step2-histogram']))}"]
-        args += draw(instance(DENSE_N, 2)) + draw(epsilon)
     if draw(st.integers(0, 9)) == 9:  # one token the parser refuses
         args[draw(st.integers(0, len(args) - 1))] = draw(JUNK)
     return args
@@ -113,7 +110,6 @@ NUMERIC_OPTIONS = {
     "table": ([], ["--seed", "--k"]),
     "classical": (["--trials=100"], ["--seed", "--n", "--k", "--trials"]),
     "bounds": ([], ["--seed", "--k", "--n", "--err", "--hidden-const"]),
-    "demo": ([], ["--seed", "--n", "--k", "--epsilon", "--target"]),
 }
 # Numbers as a user might type them: integers, and floats in repr, e- and G-notation, signed, inf and nan included.
 NUMBER = st.one_of(

@@ -20,6 +20,7 @@ from partialsearch import (
     invert_target,
     iteration_counts,
     lift_to_dense,
+    lower_bound_coefficient,
     optimize_epsilon,
     run_full_grover,
     run_partial_search,
@@ -666,6 +667,61 @@ class TestSuccessEnvelope:
         report = run_partial_search(BlockConfig(n, k, n // 3), epsilon=eps)
         assert report.queries / math.sqrt(n) <= table_coeff + 0.01
         assert report.success_prob >= 1 - 10 / math.sqrt(n)
+
+
+class TestPaperClaims:
+    """The query count and success of quant-ph/0407122 over N = 2**16, 2**18, ..., 2**52, target N/3.
+
+    The paper's claim: queries between the lower bound's coefficient times sqrt(N) and the optimizer's f* sqrt(N)
+    plus O(1), and success 1 - O(1/sqrt(N)).  The O(1) is 2, from rounding l1 and l2 and step 3's query; the most
+    seen is 1.996, and the fewest queries sit 4.2 above the floor.  Observed only, not claimed: the miss probability
+    is at most 8.952/N (K = 4, N = 2**44), so these runs reach 1 - O(1/N)."""
+
+    @pytest.mark.parametrize("k", [2, 4, 32, 1024])
+    def test_queries_and_miss_probability(self, k):
+        eps, f_star = optimize_epsilon(k)
+        for exp in range(16, 53, 2):
+            n = 2**exp
+            report = run_partial_search(BlockConfig(n, k, n // 3), epsilon=eps)
+            assert lower_bound_coefficient(k) * math.sqrt(n) <= report.queries <= f_star * math.sqrt(n) + 2, exp
+            assert report.miss_prob * math.sqrt(n) <= 10, exp  # the claim, with the envelope's constant
+            assert report.miss_prob * n <= 9, exp  # observed
+
+
+def after_steps_1_and_2(cfg, eps):
+    """The reduced states after step 1 (l1 global rounds) and after step 2 (l2 blockwise rounds)."""
+    l1, l2, _ = iteration_counts(cfg.n_addresses, cfg.n_blocks, eps)
+    after1 = apply_stages(reduced_init(cfg), standard_pipeline_stages(l1, 0)[:-1])
+    return after1, apply_stages(after1, standard_pipeline_stages(0, l2)[:-1])
+
+
+class TestStepAmplitudes:
+    """A dense state after step 1 or step 2 holds three distinct amplitudes: a (the target), b (the rest of its block)
+    and c (every other block).  Step 1 treats every non-target address alike; step 2 acts only inside the target's
+    block."""
+
+    def test_sixteen_items(self):
+        # N = 16, K = 4, target 13 (block 3, slot 1), l1 = l2 = 1.
+        after1, after2 = after_steps_1_and_2(BlockConfig(16, 4, 13), optimize_epsilon(4)[0])
+        assert (after1.a, after1.b, after1.c, after1.queries) == pytest.approx((0.6875, 0.1875, 0.1875, 1), abs=1e-15)
+        assert (after2.a, after2.b, after2.c, after2.queries) == pytest.approx((0.625, -0.25, 0.1875, 2), abs=1e-15)
+
+    @pytest.mark.parametrize("log_n", [4, 12, 32, 52])
+    def test_step1_keeps_b_equal_to_c_and_step2_keeps_c(self, log_n):
+        n = 2**log_n
+        cfg = BlockConfig(n, 4, n // 3)
+        eps = optimize_epsilon(4)[0]
+        after1, after2 = after_steps_1_and_2(cfg, eps)
+        l1, l2, _ = iteration_counts(n, 4, eps)
+        assert after1.b == after1.c
+        assert after2.c == after1.c
+        assert (after1.queries, after2.queries) == (l1, l1 + l2)
+        assert after2.b < 0 < after2.c  # step 2 turns the rest of the target block negative
+        if n <= 2**12:
+            dense1 = apply_stages(uniform_state(n), standard_pipeline_stages(l1, 0)[:-1], cfg)
+            dense2 = apply_stages(dense1, standard_pipeline_stages(0, l2)[:-1], cfg)
+            for reduced_state, dense_state in ((after1, dense1), (after2, dense2)):
+                assert np.max(np.abs(lift_to_dense(reduced_state).amplitudes - dense_state.amplitudes)) < 1e-15
 
 
 def reference_run(n, k, l1, l2, mpmath):

@@ -456,7 +456,7 @@ class TestMarginIdentity:
     def test_eager_cases(self, n, script, target, n_blocks):
         self.assert_identity(n, script, target, n_blocks)
 
-    @pytest.mark.parametrize("log_n", range(4, 21, 2))
+    @pytest.mark.parametrize("log_n", [*range(4, 21, 2), 22, 26, 32])
     def test_k4_pipeline(self, log_n):
         n = 2**log_n
         self.assert_identity(n, _pipeline_script(n, 4), n // 3, 4)
