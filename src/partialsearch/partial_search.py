@@ -63,10 +63,11 @@ class RunReport(Record):
 def validate_script(script: Script) -> tuple[OperatorTag, ...]:
     """The script as a checked tuple."""
     script = tuple(script)  # validation must not exhaust a one-shot iterator
-    for op in script:
-        if not isinstance(op, OperatorTag):
-            raise ValueError(f"not an operator tag: {op!r}")
-    if OperatorTag.STEP3 in script[:-1]:
+    if not set(map(type, script)) <= {OperatorTag}:  # one C pass; the loop only names the first offender
+        for op in script:
+            if not isinstance(op, OperatorTag):
+                raise ValueError(f"not an operator tag: {op!r}")
+    if script.count(OperatorTag.STEP3) > script[-1:].count(OperatorTag.STEP3):  # one before the last; no copy
         raise ValueError("step 3 may appear at most once, as the last operator")
     return script
 
@@ -99,16 +100,22 @@ def _flatten(stages: Sequence[Stage]) -> tuple[OperatorTag, ...]:
 
 
 def _group_stages(script: tuple[OperatorTag, ...]) -> list[Stage]:
-    """Split a flat script into stages: runs of repeated Grover rounds, other operators one by one."""
+    """Split a flat script into stages: runs of repeated Grover rounds, other operators one by one.  A run is matched
+    by slice compares of 1, 2, 4, ... rounds, at most 2**12 at a time, then halved back: linear work, bounded copies."""
     stages: list[Stage] = []
     i = 0
     while i < len(script):
         pair = script[i : i + 2]
         if pair in (GLOBAL_ROUND, BLOCK_ROUND):
-            start = i
-            while script[i : i + 2] == pair:
-                i += 2
-            stages.append((pair, (i - start) // 2))
+            count, step = 1, 1  # the first count rounds match; once a compare fails, the run is under count + step
+            while script[i + 2 * count : i + 2 * (count + step)] == pair * step:
+                count, step = count + step, min(2 * step, 2**12)
+            while step > 1:
+                step //= 2
+                if script[i + 2 * count : i + 2 * (count + step)] == pair * step:
+                    count += step
+            stages.append((pair, count))
+            i += 2 * count
         else:
             stages.append(((script[i],), 1))
             i += 1

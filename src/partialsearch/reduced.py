@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .statevector import BLOCK_ROUND, GLOBAL_ROUND, OperatorTag, Stage
 from .statevector import DENSE_CAP, BlockConfig, DenseState, InvalidInstanceError, Record
-from .statevector import _NORM_ATOL, _adjoin_ancilla, _check_dense_cap, _grover_rounds
+from .statevector import _NORM_ATOL, _ancilla_layout, _check_dense_cap, _grover_rounds
 
 
 class ReducedState(Record):
@@ -135,8 +135,7 @@ def lift_to_dense(state: ReducedState) -> DenseState:
     _check_dense_cap(n)
     import numpy as np
     block_lo = cfg.target_block * m
-    branch0 = np.full(n, state.c)
-    branch0[block_lo : block_lo + m] = state.b
-    branch0[cfg.target] = state.a
-    amp = _adjoin_ancilla(branch0, cfg.target, state.d) if state.moved_out else branch0
+    amp = _ancilla_layout(state.c, n, cfg.target, state.d) if state.moved_out else np.full(n, state.c)
+    amp[block_lo : block_lo + m] = state.b
+    amp[cfg.target] = state.a
     return DenseState(amp, n, has_ancilla=state.moved_out, queries=state.queries)

@@ -1,18 +1,20 @@
 """Dense statevector backend: the slow, trusted ground truth.
 
-States are real float64 arrays over N addresses, grown to 2N once step 3
-adjoins the ancilla as the high qubit (entry bN + x: ancilla bit b, address
-x).  Every operator is a real reflection; complex input is refused
-rather than cast, since a cast would silently drop imaginary parts.
+States are real float64 arrays over N addresses, 2N once step 3 adjoins the
+ancilla as the high qubit (entry bN + x: ancilla bit b, address x).  Every
+operator is a real reflection; complex input is refused rather than cast,
+since a cast would silently drop imaginary parts.
 
 States are immutable values on read-only arrays; the uniform start is a
 broadcast view of one scalar, so it costs no array.  All operator arithmetic is
 in `apply_stages`, which runs a whole stage list on one private copy of the
 input: a stage of Grover rounds as one rotation, `_grover_rounds`, which the
-reduced backend shares, and every other operator in place, in order.  Branch 1
-is one scalar until the end, which adjoins the ancilla once and checks the
-norm.  Public operators are one-stage lists, `partial_search.apply_stages`
-makes one call per run, and oracle calls count queries.
+reduced backend shares, and every other operator in place, in order.  A run
+that adjoins the ancilla copies its input into branch 0 of a zeroed 2N array,
+`_ancilla_layout`, and holds branch 1 as one scalar, written once at the end,
+so at large N all but one page of branch 1 stays off the resident set.
+Public operators are one-stage lists, `partial_search.apply_stages` makes one
+call per run, oracle calls count queries, and each result checks its norm.
 
 The instance types (`BlockConfig`, `OperatorTag`, `InvalidInstanceError`, the
 limits) need no arrays, so the dense functions import numpy on first use and a
@@ -189,7 +191,7 @@ def attach_ancilla(state: DenseState) -> DenseState:
     """Adjoin an ancilla qubit in state 0 (branch 1 all zero); a run with step 3 does this itself."""
     if state.has_ancilla:
         raise ValueError("state already has an ancilla")
-    return DenseState(_adjoin_ancilla(state.amplitudes.copy()), state.n_addresses, True, state.queries)
+    return DenseState(_ancilla_layout(state.amplitudes, state.n_addresses), state.n_addresses, True, state.queries)
 
 
 def invert_target(state: DenseState, cfg: BlockConfig) -> DenseState:
@@ -220,13 +222,14 @@ def step3_transfer(state: DenseState, cfg: BlockConfig) -> DenseState:
 
 def apply_stages(state: DenseState, stages: Sequence[Stage], cfg: BlockConfig) -> DenseState:
     """Each stage's ``count`` rounds on one private copy of ``state``'s array: 2 or more Grover rounds on an
-    ancilla-free state as one rotation, other operators in place, in order; step 3 adjoins the ancilla at the end."""
+    ancilla-free state as one rotation, other operators in place, in order; a run that adjoins the ancilla lays the
+    copy out for it first, in branch 0, and writes branch 1 at the end."""
     _check_shapes(state, cfg)
     import numpy as np
     ancilla, queries, n, t = state.has_ancilla, state.queries, cfg.n_addresses, cfg.target
-    amp = state.amplitudes.copy()
-    # No view of an ancilla-free copy, so it can grow in place; d is branch 1 at the target.
-    branch0, d = (amp[:n], amp[n + t]) if ancilla else (amp, 0.0)
+    adjoins = not ancilla and any(count > 0 and OperatorTag.STEP3 in ops for ops, count in stages)
+    amp = _ancilla_layout(state.amplitudes, n) if adjoins else state.amplitudes.copy()
+    branch0, d = amp[:n], amp[n + t] if ancilla else 0.0  # branch 1 is the scalar d at the target until the end
     for round_ops, count in stages:
         if round_ops in (GLOBAL_ROUND, BLOCK_ROUND) and count > 1 and not ancilla:
             # The rounds rotate (a_t, sqrt(size - 1) mu), mu the mean of the rest of the target's block (all N for a
@@ -263,10 +266,8 @@ def apply_stages(state: DenseState, stages: Sequence[Stage], cfg: BlockConfig) -
                     np.subtract(2.0 * (blocks.sum(axis=1, keepdims=True) / size), blocks, out=blocks)
                 else:
                     raise ValueError(f"unknown operator {op!r}")
-    if state.has_ancilla:
+    if ancilla:
         amp[n + t] = d
-    elif ancilla:
-        amp = _adjoin_ancilla(amp, t, d)
     return DenseState(amp, n, ancilla, queries)
 
 
@@ -316,11 +317,12 @@ def _probabilities(state: DenseState, lo: int, hi: int) -> np.ndarray:
     return p
 
 
-def _adjoin_ancilla(amp: np.ndarray, target: int = 0, moved_out: float = 0.0) -> np.ndarray:
-    """Grow ``amp`` (it owns its data; no view of it exists) in place to the ancilla layout: it stays branch 0,
-    and branch 1, which numpy zero-fills, is empty but for ``moved_out`` at the target."""
-    n = len(amp)
-    amp.resize(2 * n, refcheck=False)
+def _ancilla_layout(branch0: np.ndarray | float, n: int, target: int = 0, moved_out: float = 0.0) -> np.ndarray:
+    """A new zeroed 2N array in the ancilla layout: branch 0 is ``branch0`` (N amplitudes or one), branch 1 is empty
+    but for ``moved_out`` at the target, and its pages that are never written are never resident at large N."""
+    import numpy as np
+    amp = np.zeros(2 * n)
+    amp[:n] = branch0
     amp[n + target] = moved_out
     return amp
 

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -272,6 +273,34 @@ class TestRunScript:
         with pytest.raises(ValueError, match="not an operator tag: 'oracle'"):
             validate_script((OperatorTag.ORACLE, "oracle"))
 
+    def test_grouping_equals_the_pair_by_pair_scan(self):
+        """_group_stages' galloping slice compares split seeded random scripts as a scan of one pair per round does,
+        runs on both sides of its 2**12-round step included."""
+
+        def reference(script):
+            stages, i = [], 0
+            while i < len(script):
+                pair = script[i : i + 2]
+                if pair in (GLOBAL_ROUND, BLOCK_ROUND):
+                    start = i
+                    while script[i : i + 2] == pair:
+                        i += 2
+                    stages.append((pair, (i - start) // 2))
+                else:
+                    stages.append(((script[i],), 1))
+                    i += 1
+            return stages
+
+        rng = random.Random(38)
+        pieces = [GLOBAL_ROUND, BLOCK_ROUND, *((op,) for op in OperatorTag if op is not OperatorTag.STEP3)]
+        for trial in range(2000):
+            counts = [rng.randrange(4), rng.randrange(40)]
+            if trial % 10 == 0:
+                counts.append(2 ** rng.randrange(15) + rng.randrange(-1, 2))
+            script = sum((rng.choice(pieces) * rng.choice(counts) for _ in range(rng.randrange(1, 6))), ())
+            script += (OperatorTag.STEP3,) * rng.randrange(2)
+            assert partial_search._group_stages(script) == reference(script), trial
+
     def test_stage_count(self):
         cfg = BlockConfig(12, 3, 5)
         stages = script_stages(cfg, TWELVE_ITEM_SCRIPT)
@@ -484,22 +513,30 @@ class TestStageDispatch:
         assert calls == [(n, report.l1), (n // 4, report.l2)]
 
     def test_dense_kernel_writes_the_ancilla_layout_once_at_the_end(self, rng, monkeypatch):
-        """The dense kernel holds branch 1 as one scalar: a standard run hands its final N-length branch 0 to
-        _adjoin_ancilla once, after its last stage, and a run from an ancilla input never calls it."""
-        calls, adjoin_ancilla = [], statevector._adjoin_ancilla
+        """The dense kernel holds branch 1 as one scalar: a standard run from an ancilla-free start builds one 2N
+        buffer with _ancilla_layout from its input, runs branch 0 in it, and writes branch 1 only at the target, after
+        its last stage; a run from an ancilla input never calls it."""
+        calls, ancilla_layout = [], statevector._ancilla_layout
 
-        def spy(amp, *args):
-            calls.append((amp.copy(), *args))
-            return adjoin_ancilla(amp, *args)
+        def spy(*args):
+            calls.append((args, ancilla_layout(*args)))
+            return calls[-1][1]
 
-        cfg = BlockConfig(256, 4, 37)
+        cfg, t = BlockConfig(256, 4, 37), 37
         ancilla_start = attach_ancilla(random_unit_state(rng, 256))
-        monkeypatch.setattr(statevector, "_adjoin_ancilla", spy)
         stages = standard_pipeline_stages(*iteration_counts(256, 4, optimize_epsilon(4)[0])[:2])
-        got = apply_stages(uniform_state(256), stages, cfg)
-        [(branch0, target, moved_out)] = calls
-        assert branch0.shape == (256,) and branch0.tobytes() == got.branch(0).tobytes()
-        assert (target, moved_out) == (cfg.target, got.branch(1)[cfg.target])
+        before = apply_stages(uniform_state(256), stages[:2], cfg).amplitudes.copy()  # step 3 by hand from here
+        moved_out, before[t] = before[t], 0.0
+        monkeypatch.setattr(statevector, "_ancilla_layout", spy)
+        start = uniform_state(256)
+        got = apply_stages(start, stages, cfg)
+        [((branch0, n), amp)] = calls  # laid out from the start, before any stage ran
+        assert branch0 is start.amplitudes and n == 256 and got.amplitudes is amp and amp.shape == (512,)
+        assert got.branch(0).tobytes() == (2.0 * before.mean() - before).tobytes()
+        branch1 = got.branch(1).copy()
+        assert branch1[t] == moved_out != 0.0
+        branch1[t] = 0.0
+        assert not branch1.any()
         calls.clear()
         stages = [((OperatorTag.ORACLE,), 2), ((OperatorTag.STEP3,), 1), ((OperatorTag.ORACLE,), 1)]
         assert apply_stages(ancilla_start, stages, cfg).has_ancilla

@@ -469,7 +469,7 @@ class TestBlockProbabilities:
 
 
 class TestAncillaLayout:
-    """The in-place layout writer and its callers, against the zeros-then-copy reference, bit for bit."""
+    """The layout writer and its callers, against the zeros-then-copy reference, bit for bit."""
 
     @staticmethod
     def reference(branch0, target=0, moved_out=0.0):
@@ -482,8 +482,10 @@ class TestAncillaLayout:
     def test_adjoin_attach_and_lift(self, rng, n):
         target = (2 * n) // 3
         branch0 = rng.standard_normal(n)
-        got = statevector._adjoin_ancilla(branch0.copy(), target, -0.375)
+        got = statevector._ancilla_layout(branch0, n, target, -0.375)
         assert got.tobytes() == self.reference(branch0, target, -0.375).tobytes()
+        got = statevector._ancilla_layout(0.25, n, target, -0.375)
+        assert got.tobytes() == self.reference(np.full(n, 0.25), target, -0.375).tobytes()
         state = random_unit_state(rng, n)
         assert attach_ancilla(state).amplitudes.tobytes() == self.reference(state.amplitudes).tobytes()
         k = min(d for d in range(2, n + 1) if n % d == 0)
@@ -494,6 +496,16 @@ class TestAncillaLayout:
         branch0[target] = moved.a
         assert moved.d != 0.0
         assert lift_to_dense(moved).amplitudes.tobytes() == self.reference(branch0, target, moved.d).tobytes()
+
+    def test_an_empty_step3_stage_adjoins_nothing(self, monkeypatch):
+        # partial_search.apply_stages drops empty stages; the kernel, called directly, lays out no ancilla for one.
+        calls, ancilla_layout = [], statevector._ancilla_layout
+        monkeypatch.setattr(statevector, "_ancilla_layout", lambda *args: calls.append(args) or ancilla_layout(*args))
+        cfg = BlockConfig(64, 4, 5)
+        got = statevector.apply_stages(uniform_state(64), [(GLOBAL_ROUND, 3), ((OperatorTag.STEP3,), 0)], cfg)
+        want = statevector.apply_stages(uniform_state(64), [(GLOBAL_ROUND, 3)], cfg)
+        assert calls == [] and not got.has_ancilla and got.amplitudes.shape == (64,)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes() and got.queries == want.queries == 3
 
 
 class TestGroverInvariants:
