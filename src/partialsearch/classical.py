@@ -91,11 +91,11 @@ def simulate_randomized(n: int, k: int, trials: int, seed: int) -> ClassicalRepo
     target within a uniformly random order of the M probed cells is uniform
     on 1..M, so each trial draws (target, unprobed block, position) directly.
     Trials are resolved `CHUNK` at a time, so memory does not grow with
-    `trials`.  Three generators start where a one-shot draw of the target,
-    block and position arrays would start, so the stream is that draw's; it
-    is drawn int32 below N = 2**31, which numpy serves from the same 32-bit
-    stream as int64.  Every trial's returned block is asserted correct (the
-    strategy makes no errors).  It returns `classical_formulas(n, k)` with the sample fields filled in.
+    `trials`.  Three generators start where a one-shot draw of the target, block
+    and position arrays would start, the later two jumped past the words the
+    earlier arrays take, so the stream is that draw's and no value is drawn twice;
+    below N = 2**31 it is drawn int32, from the 32-bit stream int64 takes.  Every
+    returned block is asserted correct.  It returns `classical_formulas(n, k)` with the sample fields filled in.
     """
     formulas = classical_formulas(n, k)  # checks the instance
     if not 1 <= trials < 2**63:
@@ -115,18 +115,35 @@ def simulate_randomized(n: int, k: int, trials: int, seed: int) -> ClassicalRepo
         positions = position_rng.integers(1, m + 1, size=size, dtype=dtype) if m > 0 else np.zeros(size, dtype)
         probes, returned = trial_outcomes(n, k, targets, unprobed, positions)
         assert np.array_equal(returned, targets // (n // k)), "classical search returned a wrong block"
-        delta = float(probes.mean()) - mean
+        chunk_mean = float(probes.mean())  # m2 takes probes.var()'s steps from here: var would sum probes again
+        delta = chunk_mean - mean
         mean += delta * size / (start + size)
-        m2 += float(probes.var()) * size + delta * delta * start * size / (start + size)
+        m2 += float(np.square(probes - chunk_mean).sum() / size) * size + delta * delta * start * size / (start + size)
     std_err = math.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0
     return ClassicalReport(formulas.expected_randomized, formulas.deterministic, mean, std_err)
 
 
 def _drained(rng: np.random.Generator, high: int, trials: int, dtype: type) -> np.random.Generator:
-    """A copy of ``rng`` advanced past ``trials`` draws from [0, high), drawn chunk by chunk."""
+    """A copy of ``rng`` past ``trials`` draws from [0, high); up to 2**32 it jumps there, drawing none.
+
+    Below 2**32 numpy takes 32-bit words, rejecting w if w * high mod 2**32 < 2**32 mod high (Lemire's method);
+    the words are the buffered high half of the last output, if any, then each later output's low and high half.
+    """
     rng = copy.deepcopy(rng)
-    for start in range(0, trials, CHUNK):
-        rng.integers(0, high, size=min(CHUNK, trials - start), dtype=dtype)
+    if high == 1 or high > 2**32:  # range 1 takes no words; wider ones (N > 2**32) reject on 128-bit products
+        for start in range(0, trials, CHUNK):
+            rng.integers(0, high, size=min(CHUNK, trials - start), dtype=dtype)
+        return rng
+    scan, threshold, words = copy.deepcopy(rng.bit_generator), 2**32 % high, 0
+    left = trials - (scan.state["has_uint32"] and scan.state["uinteger"] * high % 2**32 >= threshold)
+    while left > 0:
+        block = scan.random_raw(min(CHUNK, (left + 1) // 2)).astype("<u8", copy=False).view("<u4")
+        kept = np.multiply(block, np.uint32(high % 2**32), out=block) >= threshold
+        count = np.count_nonzero(kept)
+        words += block.size if count < left else int(np.flatnonzero(kept)[left - 1]) + 1
+        left -= count
+    rng.bit_generator.advance(words // 2)  # which also drops the buffered half: the first draw took it
+    rng.integers(2**32, size=words % 2, dtype=np.uint32)  # a last low half: the draw buffers its high half
     return rng
 
 

@@ -5,9 +5,9 @@ backend, and a fixed seed gives byte-identical JSON/CSV output.  Exit
 codes: 0 success, 1 invalid or infeasible input (`InvalidInstanceError`,
 which `InfeasibleEpsilonError` subclasses), 2 any other exception.
 
-Imports wait for their use: numpy for dense states, the seeded target draw
-and `classical`, `csv` and `json` for their formats; so a reduced run with a
-given target, `optimize`, `table` and `bounds` start without numpy.
+Imports wait for their use: the simulator (`partial_search`) for `simulate` and `grover`, numpy
+for dense states, the seeded target draw and `classical`, `csv` and `json` for their formats; so
+a reduced run with a given target and `bounds` start without numpy, `optimize` and `table` without either.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import re
 import sys
 import warnings
 
-from . import __version__, analysis, partial_search
+from . import __version__, analysis
 from .statevector import BlockConfig, InvalidInstanceError
 
 _TOOL = "partialsearch"
@@ -169,6 +169,7 @@ def _run_report_payload(cfg: BlockConfig, report: partial_search.RunReport) -> d
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
+    from . import partial_search
     cfg = _block_config(args)
     _check_report_rows(args.k)
     report = partial_search.run_partial_search(cfg, args.epsilon, args.backend, args.exact_theta)
@@ -176,6 +177,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
 
 
 def _cmd_grover(args: argparse.Namespace) -> dict:
+    from . import partial_search
     cfg = _block_config(args)
     _check_report_rows(args.k)
     steps = args.steps if args.steps is not None else round((math.pi / 4.0) * math.sqrt(args.n))

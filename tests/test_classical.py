@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -11,7 +12,7 @@ from partialsearch import (
     simulate_randomized,
     two_case_expectation,
 )
-from partialsearch.classical import CHUNK, trial_outcomes
+from partialsearch.classical import CHUNK, _drained, trial_outcomes
 
 
 def enumerated_expectation(n, k):
@@ -40,6 +41,34 @@ def one_shot_sample(n, k, trials, seed):
     probes = trial_outcomes(n, k, targets, unprobed, positions)[0].astype(float)
     std_err = float(probes.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(probes.mean()), std_err
+
+
+def drawn_drain(rng, high, trials, dtype):
+    """Reference for the jump: a copy of ``rng`` that has drawn the ``trials`` values, chunk by chunk."""
+    rng = copy.deepcopy(rng)
+    for start in range(0, trials, CHUNK):
+        rng.integers(0, high, size=min(CHUNK, trials - start), dtype=dtype)
+    return rng
+
+
+def chunked_sample(n, k, trials, seed):
+    """Reference: the Monte Carlo's chunk loop with drawn drains and each chunk's variance from ``probes.var()``."""
+    m = n - n // k
+    dtype = np.int32 if n < 2**31 else np.int64
+    target_rng = np.random.default_rng(seed)
+    unprobed_rng = drawn_drain(target_rng, n, trials, dtype)
+    position_rng = drawn_drain(unprobed_rng, k, trials, dtype)
+    mean, m2 = 0.0, 0.0
+    for start in range(0, trials, CHUNK):
+        size = min(CHUNK, trials - start)
+        targets = target_rng.integers(0, n, size=size, dtype=dtype)
+        unprobed = unprobed_rng.integers(0, k, size=size, dtype=dtype)
+        positions = position_rng.integers(1, m + 1, size=size, dtype=dtype) if m > 0 else np.zeros(size, dtype)
+        probes = trial_outcomes(n, k, targets, unprobed, positions)[0]
+        delta = float(probes.mean()) - mean
+        mean += delta * size / (start + size)
+        m2 += float(probes.var()) * size + delta * delta * start * size / (start + size)
+    return mean, math.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0
 
 
 class TestFormulas:
@@ -162,6 +191,46 @@ class TestSimulator:
         # Values from the int64-only draws; int32 draws below N = 2**31 take the same stream, so no bit moves.
         report = simulate_randomized(n, k, 2 * CHUNK + 123, seed)
         assert (report.sample_mean.hex(), report.sample_std_err.hex()) == (mean, std_err)
+
+    @pytest.mark.parametrize(
+        "high,dtype",
+        [
+            (1, np.int32),  # takes no words
+            (2, np.int32),  # a power of two: no word is rejected
+            (3, np.int32),
+            (1200, np.int32),
+            (2**31 - 1, np.int32),  # the widest int32 range
+            (3 * 2**30, np.int64),  # a quarter of the words rejected
+            (2**31 + 1, np.int64),  # about half of the words rejected
+            (2**32, np.int64),  # every word taken as it is
+            (2**32 + 5, np.int64),  # drawn: 64-bit words
+        ],
+    )
+    def test_jump_matches_drawn_drain(self, high, dtype):
+        for seed in range(3):
+            for prior in range(4):  # an odd count leaves a high half buffered
+                rng = np.random.default_rng(seed)
+                rng.integers(0, 7, size=prior, dtype=np.int32)
+                for trials in (1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 123):
+                    jumped, drawn = _drained(rng, high, trials, dtype), drawn_drain(rng, high, trials, dtype)
+                    case = f"seed={seed} prior={prior} trials={trials}"
+                    assert jumped.bit_generator.state["has_uint32"] == drawn.bit_generator.state["has_uint32"], case
+                    following = jumped.integers(0, 1000, 64, dtype=np.int32)
+                    assert following.tobytes() == drawn.integers(0, 1000, 64, dtype=np.int32).tobytes(), case
+
+    @pytest.mark.parametrize(
+        "n,k",
+        # At 2**62 the int64 chunks' sums pass 2**53.
+        [(1200, 3), (48, 3), (12, 1), (2**31 - 2, 3), (2**40, 4), (2**62, 4), (2**63, 2)],
+    )
+    def test_sample_bits_match_chunked_draw_with_var(self, n, k):
+        # A sample of one chunk has std_err from that chunk's variance alone, so a last-bit slip there shows.
+        cases = [(seed, trials) for seed in range(16) for trials in (777, CHUNK - 1)] + [(4, 2 * CHUNK + 123)]
+        for seed, trials in cases:
+            report = simulate_randomized(n, k, trials, seed)
+            mean, std_err = chunked_sample(n, k, trials, seed)
+            bits = (report.sample_mean.hex(), report.sample_std_err.hex())
+            assert bits == (mean.hex(), std_err.hex()), f"seed={seed} trials={trials}"
 
     def test_memory_does_not_grow_with_trials(self):
         # numpy reports its buffers to tracemalloc, so the peak covers the draw arrays.
