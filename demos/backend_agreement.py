@@ -18,12 +18,11 @@ from partialsearch import (
     lift_to_dense,
     optimize_epsilon,
     reduced_init,
-    apply_script,
     run_partial_search,
     standard_pipeline_script,
     uniform_state,
 )
-from partialsearch.partial_search import apply_operator
+from partialsearch.partial_search import apply_operator, apply_stages, standard_pipeline_stages
 
 # Side-by-side run at a size the dense backend still handles comfortably.
 n, k = 4096, 4
@@ -65,7 +64,8 @@ for exponent in (12, 48):
     n_show = 2**exponent
     show_cfg = BlockConfig(n_show, k, n_show // 3)
     l1, l2, _ = iteration_counts(n_show, k, eps)
-    after1 = apply_script(reduced_init(show_cfg), standard_pipeline_script(l1, 0)[:-1])
-    after2 = apply_script(after1, standard_pipeline_script(0, l2)[:-1])
+    step1, step2, _ = standard_pipeline_stages(l1, l2)
+    after1 = apply_stages(reduced_init(show_cfg), [step1])
+    after2 = apply_stages(after1, [step2])
     for step, state in (("step 1", after1), ("step 2", after2)):
         print(f"N=2^{exponent}, after {step}: a={state.a:+.9f}  b={state.b:+.6e}  c={state.c:+.6e}")

@@ -6,8 +6,9 @@ codes: 0 success, 1 invalid or infeasible input (`InvalidInstanceError`,
 which `InfeasibleEpsilonError` subclasses), 2 any other exception.
 
 Imports wait for their use: the simulator (`partial_search`) for `simulate` and `grover`, numpy
-for dense states, the seeded target draw and `classical`, `csv` and `json` for their formats; so
-a reduced run with a given target and `bounds` start without numpy, `optimize` and `table` without either.
+for dense states, the seeded target draw and `classical`, `json` for its format; CSV lines are
+joined by hand, since no header or cell holds a comma, quote or newline.  So a reduced run with a
+given target, a refused report and `bounds` start without numpy, `optimize` and `table` without either.
 """
 from __future__ import annotations
 
@@ -132,20 +133,17 @@ def _dispatch(args: argparse.Namespace) -> dict:
 
 
 def _block_config(args: argparse.Namespace) -> BlockConfig:
-    """The instance given by --n, --k and --target; with no target, one drawn from the seed."""
+    """The instance given by --n, --k and --target, with no target one drawn from the seed; K over MAX_REPORT_ROWS,
+    one report row per block, is refused before any draw or run."""
     cfg = BlockConfig(args.n, args.k, args.target or 0)  # checks N and K before any draw
+    if args.k > MAX_REPORT_ROWS:
+        raise InvalidInstanceError(
+            f"K={args.k} asks for {args.k} report rows, more than the {MAX_REPORT_ROWS} a report may list"
+        )
     if args.target is None:
         import numpy as np
         cfg = BlockConfig(args.n, args.k, int(np.random.default_rng(args.seed).integers(0, args.n)))
     return cfg
-
-
-def _check_report_rows(k: int) -> None:
-    """Refuse, before any run, a report with more than MAX_REPORT_ROWS rows, one per block."""
-    if k > MAX_REPORT_ROWS:
-        raise InvalidInstanceError(
-            f"K={k} asks for {k} report rows, more than the {MAX_REPORT_ROWS} a report may list"
-        )
 
 
 def _run_report_payload(cfg: BlockConfig, report: partial_search.RunReport) -> dict:
@@ -171,7 +169,6 @@ def _run_report_payload(cfg: BlockConfig, report: partial_search.RunReport) -> d
 def _cmd_simulate(args: argparse.Namespace) -> dict:
     from . import partial_search
     cfg = _block_config(args)
-    _check_report_rows(args.k)
     report = partial_search.run_partial_search(cfg, args.epsilon, args.backend, args.exact_theta)
     return _run_report_payload(cfg, report)
 
@@ -179,7 +176,6 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
 def _cmd_grover(args: argparse.Namespace) -> dict:
     from . import partial_search
     cfg = _block_config(args)
-    _check_report_rows(args.k)
     steps = args.steps if args.steps is not None else round((math.pi / 4.0) * math.sqrt(args.n))
     report = partial_search.run_full_grover(cfg, steps, backend=args.backend)
     return _run_report_payload(cfg, report)
@@ -290,25 +286,16 @@ def _format_cell(value) -> str:
 
 
 def _render_csv(payload: dict, meta: dict) -> str:
-    import csv
-    import io
-    buf = io.StringIO()
-    for key in ("tool", "version", "command", "seed", "backend"):
-        buf.write(f"# {key}={_format_cell(meta[key])}\n")
+    lines = [f"# {key}={_format_cell(meta[key])}" for key in ("tool", "version", "command", "seed", "backend")]
     for key, value in payload.items():
         if isinstance(value, dict):
-            for field, item in value.items():
-                buf.write(f"# {key}.{field}={_format_cell(item)}\n")
+            lines += (f"# {key}.{field}={_format_cell(item)}" for field, item in value.items())
         elif key != "rows" and not isinstance(value, list):
-            buf.write(f"# {key}={_format_cell(value)}\n")
-    rows = payload.get("rows", [])
-    writer = csv.writer(buf, lineterminator="\n")
-    if rows:
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(key)) for key in header])
-    return buf.getvalue()
+            lines.append(f"# {key}={_format_cell(value)}")
+    header = list(payload["rows"][0])  # every command reports at least one row, all with the same keys
+    lines.append(",".join(header))
+    lines += (",".join(_format_cell(row[key]) for key in header) for row in payload["rows"])
+    return "\n".join(lines) + "\n"
 
 
 def _render_text(payload: dict, meta: dict) -> str:
@@ -323,14 +310,11 @@ def _render_text(payload: dict, meta: dict) -> str:
             lines.append(f"{key:>18}: {', '.join(_format_cell(v) for v in value)}")
         else:
             lines.append(f"{key:>18}: {_format_cell(value)}")
-    rows = payload.get("rows", [])
-    if rows:
-        header = list(rows[0].keys())
-        table = [header] + [[_format_cell(row.get(k)) for k in header] for row in rows]
-        widths = [max(len(line[i]) for line in table) for i in range(len(header))]
-        lines.append("")
-        for line in table:
-            lines.append("  ".join(cell.rjust(width) for cell, width in zip(line, widths)))
+    header = list(payload["rows"][0])
+    table = [header] + [[_format_cell(row[k]) for k in header] for row in payload["rows"]]
+    widths = [max(len(line[i]) for line in table) for i in range(len(header))]
+    lines.append("")
+    lines += ("  ".join(cell.rjust(width) for cell, width in zip(line, widths)) for line in table)
     return "\n".join(lines) + "\n"
 
 

@@ -22,10 +22,11 @@ exposed as a parameter.
 Angles between unit states are the ray angle arccos |<v|w>|, which ignores
 global sign, evaluated as 2 arcsin(min(|v - w|, |v + w|) / 2) to keep full
 precision at small angles, where arccos of an overlap near 1 loses it.
-Every run is simulated and held on the reduced backend, and both hybrid
-checks take their angles from reduced runs through one multiplicity-weighted
-distance, so no run is lifted: a trajectory and its margins reach N = 2**52
-with at most 2**16 queries, and the angle sum, one reduced run, N = 2**52.
+Every run is simulated and held on the reduced backend (a hybrid run starts
+past its identity call's round), and both hybrid checks take their angles
+from reduced runs through one multiplicity-weighted distance, so no run is
+lifted: a trajectory and its margins reach N = 2**52 with at most 2**16
+queries, and the angle sum, one reduced run, N = 2**52.
 Only `max_arcsin_probability_sum` imports numpy, on first use: the hybrid
 checks and `zalka_error_bound` run without it.
 """
@@ -43,7 +44,7 @@ from .reduced import OperatorTag, ReducedState, reduced_init
 from .statevector import MAX_N, BlockConfig, InvalidInstanceError, Record
 
 _ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
-# Most queries a trajectory runs: T + 1 reduced runs of about 400 B each, about 25 MB and 2-4 s in all.
+# Most queries a trajectory runs: T + 1 reduced runs of about 400 B each, about 25 MB and 1-3 s in all.
 MAX_TRAJECTORY_QUERIES = 2**16
 # Most floats one batch of sampled probability vectors holds: 16 MiB.
 _CHUNK_FLOATS = 2**21
@@ -103,26 +104,27 @@ class HybridTrajectory(Record):
 def hybrid_trajectory(n: int, script: Script, target: int, n_blocks: int = 1) -> HybridTrajectory:
     """Build all T+1 hybrid runs of a script on the reduced backend.
 
-    Diffusions fix the uniform state and an identity call does nothing, so the
-    run with j identity calls is the reduced uniform state with j queries
-    counted (moved out if call j was STEP3), then the rest of call j's round,
-    the rest of its stage and the later stages.  More than
+    The script's stages are Grover rounds and lone operators, so an oracle call
+    leads its round and the rest of that round is a diffusion.  Diffusions fix
+    the uniform state and an identity call does nothing, so the run with j
+    identity calls is the reduced uniform state with j queries counted (moved
+    out if call j was STEP3), then the rest of call j's stage and the later
+    stages.  T is counted from the stages, and more than
     MAX_TRAJECTORY_QUERIES queries are refused before any run.
     """
-    script = validate_script(script)
-    n_queries = sum(op in _ORACLE_CALLS for op in script)
+    stages = _group_stages(validate_script(script))
+    n_queries = sum(count for ops, count in stages if ops[0] in _ORACLE_CALLS)
     if n_queries > MAX_TRAJECTORY_QUERIES:
         raise InvalidInstanceError(
             f"N={n} with T={n_queries} queries exceeds {MAX_TRAJECTORY_QUERIES}, the most a trajectory runs"
         )
     cfg = BlockConfig(n, n_blocks, target)
-    stages = _group_stages(script)
     u = reduced_init(cfg)
     runs = [apply_stages(u, stages, cfg)]  # no identity call: the real run
     for s, (ops, count) in enumerate(stages):  # run j = len(runs) makes call j its last identity
-        for r, q in ((r, q) for r in range(count) for q, op in enumerate(ops) if op in _ORACLE_CALLS):
-            state = ReducedState(cfg, u.a, u.b, u.c, moved_out=ops[q] is OperatorTag.STEP3, queries=len(runs))
-            runs.append(apply_stages(state, [(ops[q + 1 :], 1), (ops, count - r - 1), *stages[s + 1 :]], cfg))
+        for r in range(count if ops[0] in _ORACLE_CALLS else 0):
+            state = ReducedState(cfg, u.a, u.b, u.c, moved_out=ops[0] is OperatorTag.STEP3, queries=len(runs))
+            runs.append(apply_stages(state, [(ops, count - r - 1), *stages[s + 1 :]], cfg))
     return HybridTrajectory(tuple(reversed(runs)))
 
 

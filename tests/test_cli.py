@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -813,6 +814,27 @@ def test_reduced_runs_load_no_numpy(capsys, mode):
     assert json.loads(proc.stdout) == {"results": expected, "numpy_loaded": False}
 
 
+def test_refused_report_and_csv_format_load_neither_numpy_nor_csv():
+    # K over the report's row limit is refused before the seeded target draw, which imports numpy; CSV lines are
+    # joined by hand.
+    code = (
+        "import sys; from partialsearch.cli import main; "
+        "codes = [main(['simulate', '--n', '4194304', '--k', '2097152']), "
+        "main(['simulate', '--n', '65536', '--k', '4', '--target', '5', '--format', 'csv'])]; "
+        "print(codes, 'numpy' in sys.modules, 'csv' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stderr == f"error: K=2097152 asks for 2097152 report rows, more than the {2**20} a report may list\n"
+    assert proc.stdout.startswith("# tool=partialsearch\n")
+    assert proc.stdout.endswith("\n[1, 0] False False\n")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_simulate_bytes_identical(self, capsys, tmp_path, fmt):
@@ -870,6 +892,26 @@ class TestReports:
             k, _, upper, lower, naive = line.split(",")
             assert float(upper) == pytest.approx(reference[k], abs=0.01)
             assert float(naive) > float(lower)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("simulate", "--n", "4096", "--k", "8", "--seed", "3"),
+            ("simulate", "--n", "48", "--k", "3", "--target", "40", "--backend", "dense", "--epsilon", "0.2"),
+            ("grover", "--n", "1024", "--k", "4", "--target", "3"),
+            ("optimize", "--k", "4"),
+            ("table", "--k", "2,3,1024"),
+            ("classical", "--trials", "1000", "--seed", "1"),
+            ("bounds", "--k", "2,5", "--n", "100", "--err", "0.2"),
+        ],
+        ids=["simulate-seeded", "simulate-dense", "grover", "optimize", "table", "classical", "bounds"],
+    )
+    def test_csv_cells_need_no_quoting(self, capsys, args):
+        # Headers are fixed names and cells ints, floats or empty, so csv.reader reads back the comma-split lines.
+        code, out, _ = run_cli(capsys, *args, "--format", "csv")
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        assert code == 0 and len(lines) >= 2
+        assert list(csv.reader(lines)) == [line.split(",") for line in lines]
 
     def test_simulate_uses_optimizer_by_default(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--n", "65536", "--k", "4", "--format", "json")

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -30,7 +31,8 @@ from partialsearch import (
     uniform_state,
     zalka_error_bound,
 )
-from partialsearch import zalka
+from partialsearch import reduced, zalka
+from partialsearch.partial_search import _group_stages, apply_stages, validate_script
 
 PI = math.pi
 ORACLE_CALLS = (OperatorTag.ORACLE, OperatorTag.STEP3)
@@ -460,6 +462,84 @@ class TestMarginIdentity:
     def test_k4_pipeline(self, log_n):
         n = 2**log_n
         self.assert_identity(n, _pipeline_script(n, 4), n // 3, 4)
+
+
+def _scanned_trajectory(n, script, target, n_blocks=1, stride=1):
+    """The runs as built when every position of every round was scanned for an oracle call: run j starts uniform at
+    call j, then applies the rest of call j's round, the rest of its stage and the later stages.  With a stride, only
+    the runs whose call opens or closes its stage, or whose j is a multiple of the stride, are built; the rest are
+    None."""
+    cfg = BlockConfig(n, n_blocks, target)
+    stages = _group_stages(validate_script(script))
+    u = reduced_init(cfg)
+    runs = [apply_stages(u, stages, cfg)]
+    for s, (ops, count) in enumerate(stages):
+        for r, q in ((r, q) for r in range(count) for q, op in enumerate(ops) if op in ORACLE_CALLS):
+            if r not in (0, count - 1) and len(runs) % stride:
+                runs.append(None)
+                continue
+            state = ReducedState(cfg, u.a, u.b, u.c, moved_out=ops[q] is OperatorTag.STEP3, queries=len(runs))
+            runs.append(apply_stages(state, [(ops[q + 1 :], 1), (ops, count - r - 1), *stages[s + 1 :]], cfg))
+    return runs[::-1]
+
+
+def _random_instance(rng):
+    """N = K m, never a power of 4, and a script of Grover rounds and lone operators, with step 3 or not."""
+    n = 4
+    while n & (n - 1) == 0 and n.bit_length() % 2:  # a power of 4 has an exact 1/sqrt(N); skip it
+        k, m = rng.choice((2, 3, 4, 5, 8)), rng.choice((2, 3, 6, 7, 24, 2**11, 3 * 2**18, 2**31 + 11, 2**33))
+        n = k * m
+    pieces = [
+        rng.choice((statevector.GLOBAL_ROUND, statevector.BLOCK_ROUND)) * rng.randint(1, 12)
+        if rng.random() < 0.5
+        else (rng.choice((OperatorTag.ORACLE, OperatorTag.GLOBAL_DIFFUSION, OperatorTag.BLOCK_DIFFUSION)),)
+        for _ in range(rng.randint(1, 6))
+    ]
+    script = sum(pieces, ()) + ((OperatorTag.STEP3,) if rng.random() < 0.5 else ())
+    return n, script, rng.randrange(n), k
+
+
+def _bits(state):
+    return state.a.hex(), state.b.hex(), state.c.hex(), state.d.hex(), state.moved_out, state.queries
+
+
+class TestRunsStartPastTheirIdentityCall:
+    """An oracle call leads its round, and the rest of that round is a diffusion, which fixes the uniform state; so a
+    run starts past its identity call's round.  Dropping that diffusion changes a run only by its rounding."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_scripts_match_the_scanned_runs(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            n, script, target, k = _random_instance(rng)
+            runs = hybrid_trajectory(n, script, target, n_blocks=k).states
+            scanned = _scanned_trajectory(n, script, target, k)
+            assert len(runs) == len(scanned)
+            for run, ref in zip(runs, scanned):
+                assert (run.moved_out, run.queries) == (ref.moved_out, ref.queries)
+                deviations = (run.a - ref.a, run.b - ref.b, run.c - ref.c, run.d - ref.d)
+                assert max(map(abs, deviations)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "log_n, k",
+        [*((log_n, k) for log_n in range(4, 21) for k in (2, 4, 16)), (24, 2), (24, 4), (24, 16), (32, 4)],
+    )
+    def test_pipeline_runs_are_bit_identical(self, log_n, k):
+        # Every run up to N = 2**16; past it, the runs opening or closing a stage and every 101st.
+        n = 2**log_n
+        script = _pipeline_script(n, k)
+        runs = hybrid_trajectory(n, script, n // 3, n_blocks=k).states
+        scanned = _scanned_trajectory(n, script, n // 3, k, stride=1 if log_n <= 16 else 101)
+        assert len(runs) == len(scanned)
+        assert [_bits(run) for run, ref in zip(runs, scanned) if ref] == [_bits(ref) for ref in scanned if ref]
+
+    def test_a_pipeline_run_calls_reduced_apply_at_most_once(self, monkeypatch):
+        # Each run applies step 3 through reduced_apply, but for the run whose identity call is step 3.
+        calls = []
+        original = reduced.reduced_apply
+        monkeypatch.setattr(reduced, "reduced_apply", lambda state, op: calls.append(op) or original(state, op))
+        traj = hybrid_trajectory(2**20, _pipeline_script(2**20, 4), 5, n_blocks=4)
+        assert calls == [OperatorTag.STEP3] * traj.n_queries
 
 
 class TestTotalAngleSum:
